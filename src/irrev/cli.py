@@ -4,8 +4,9 @@ Subcommands: gen (named families), irr (barrier report), rho (entropy
 maximum), diag (free-diagonal search), table (barrier tables), flatrank
 (flattening ranks).
 
-Exit codes: 0 success, 2 usage or parse error, 3 degenerate input, 4 oracle
-mismatch, 5 resource or iteration budget exceeded.
+Exit codes: 0 success, 2 usage or parse error, 3 degenerate input, 4
+optimizer/oracle mismatch (including ArithmeticError from a closed-form
+cross-check or exact elimination), 5 resource or iteration budget exceeded.
 """
 
 from __future__ import annotations
@@ -359,6 +360,11 @@ def main(argv=None) -> int:
     except (ResourceLimitError, BudgetExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
+    except ArithmeticError as exc:
+        # A closed form disagreeing with the optimizer, or a broken exact
+        # elimination invariant: a mismatch, not a usage error.
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ORACLE_MISMATCH
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

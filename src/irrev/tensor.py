@@ -16,6 +16,7 @@ flattening has rank >= 2.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -265,6 +266,19 @@ def to_json(t: Tensor) -> str:
     return json.dumps({"dims": list(t.dims), "entries": entries}, separators=(", ", ": "))
 
 
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
+def _coefficient_part(x, point: Index) -> int:
+    """num or den of an entry: a decimal integer string or a JSON integer."""
+    if type(x) is str and _INTEGER.fullmatch(x):
+        return int(x)
+    # Exact type: JSON true and false decode to bool, a subclass of int.
+    if type(x) is int:
+        return x
+    raise ValueError(f"num and den must be integer strings or integers at {point}, got {x!r}")
+
+
 def from_json(text: str) -> Tensor:
     """Parse the tensor file format, validating structure and coefficient rules."""
     try:
@@ -274,7 +288,7 @@ def from_json(text: str) -> Tensor:
     if not isinstance(doc, dict) or set(doc) != {"dims", "entries"}:
         raise ValueError('tensor file must be {"dims": [...], "entries": [...]}')
     dims = doc["dims"]
-    if not (isinstance(dims, list) and len(dims) == 3 and all(isinstance(d, int) for d in dims)):
+    if not (isinstance(dims, list) and len(dims) == 3 and all(type(d) is int for d in dims)):
         raise ValueError("dims must be a list of three integers")
     raw = doc["entries"]
     if not isinstance(raw, list):
@@ -283,8 +297,10 @@ def from_json(text: str) -> Tensor:
     for rec in raw:
         if not isinstance(rec, dict) or not {"i", "j", "k", "num", "den"} <= set(rec):
             raise ValueError(f"bad entry record: {rec!r}")
-        point = (int(rec["i"]), int(rec["j"]), int(rec["k"]))
-        num, den = int(rec["num"]), int(rec["den"])
+        point = (rec["i"], rec["j"], rec["k"])
+        if not (type(point[0]) is type(point[1]) is type(point[2]) is int):
+            raise ValueError(f"indices must be integers, got {point!r}")
+        num, den = _coefficient_part(rec["num"], point), _coefficient_part(rec["den"], point)
         if den <= 0:
             raise ValueError(f"denominator must be positive at {point}")
         entries.append((point, Fraction(num, den)))

@@ -98,6 +98,17 @@ def test_irr_search_theta_cw_big1(capsys, monkeypatch):
     assert doc["barrier_basic"] == pytest.approx(2.168, abs=5e-3)
 
 
+def test_irr_search_theta_notes_solves_and_gap(capsys, monkeypatch):
+    code, out, _ = run_cli(
+        capsys,
+        ["irr", "-", "--search-theta", "--format", "json"],
+        stdin=to_json(w()),
+        monkeypatch=monkeypatch,
+    )
+    assert code == 0
+    assert "theta search: 1 solves, duality gap 0" in json.loads(out)["notes"]
+
+
 def test_irr_parse_failure_exit_2(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{broken")
@@ -137,6 +148,27 @@ def test_rho_oracle_mismatch_exit_4(capsys, monkeypatch):
     )
     assert code == 4
     assert "mismatch" in err
+
+
+def test_table_cross_check_mismatch_exit_4(capsys, monkeypatch):
+    from irrev import barriers
+
+    monkeypatch.setattr(barriers, "cw_big_marginal_entropy", lambda q, x: 1.0)
+    code, out, err = run_cli(capsys, ["table", "CW", "--qmax", "1"])
+    assert code == 4
+    assert "disagree" in err and out == ""
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [("i", 0.9), ("j", True), ("k", "0"), ("num", 1.7), ("num", "1.7"), ("den", False)],
+)
+def test_irr_rejects_coerced_entry_fields_exit_2(capsys, monkeypatch, field, value):
+    doc = json.loads(to_json(w()))
+    doc["entries"][0][field] = value
+    code, _, err = run_cli(capsys, ["irr", "-"], stdin=json.dumps(doc), monkeypatch=monkeypatch)
+    assert code == 2
+    assert "error" in err
 
 
 def test_diag_command(capsys, monkeypatch):

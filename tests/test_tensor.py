@@ -278,6 +278,40 @@ def test_json_rejects_bad_documents():
         from_json(json.dumps(dup))
 
 
+def test_json_rejects_non_integer_fields():
+    def doc(**changes):
+        d = {"dims": [2, 2, 2], "entries": [
+            {"i": 0, "j": 0, "k": 1, "num": "1", "den": "1"},
+            {"i": 0, "j": 1, "k": 0, "num": "1", "den": "1"},
+            {"i": 1, "j": 0, "k": 0, "num": "1", "den": "1"},
+        ]}
+        if "dims" in changes:
+            d["dims"] = changes.pop("dims")
+        d["entries"][2].update(changes)
+        return json.dumps(d)
+
+    # JSON integers and integer strings are the accepted forms.
+    assert from_json(doc(num=1, den=1)) == w()
+    assert from_json(doc(num="-3", den="2")).entries[(1, 0, 0)] == Fraction(-3, 2)
+    for bad in (
+        doc(dims=[2, 2, True]),
+        doc(dims=[2, 2, 2.0]),
+        doc(i=0.9),
+        doc(i=1.0),
+        doc(j=True),
+        doc(k=False),
+        doc(i="1"),
+        doc(num=1.7),
+        doc(num="1.7"),
+        doc(num=True),
+        doc(den=2.0),
+        doc(den=" 1"),
+        doc(den="1e3"),
+    ):
+        with pytest.raises(ValueError):
+            from_json(bad)
+
+
 def test_json_normalizes_fractions():
     doc = {"dims": [2, 2, 2], "entries": [
         {"i": 0, "j": 0, "k": 1, "num": "2", "den": "4"},
