@@ -13,7 +13,6 @@ from .barriers import (
     irr_lower,
     laser_table,
     min_rho_over_theta,
-    monomial_irr_lower,
     tn_table,
 )
 from .diagonal import (

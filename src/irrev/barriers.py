@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -95,8 +95,11 @@ def irr_lower(
 
     Any single theta yields a valid bound; search_theta minimizes the entropy
     maximum over the theta simplex to tighten it, and notes the search's
-    solve count and duality gap.
+    solve count and duality gap.  Giving both theta and search_theta is a
+    ValueError: the search would replace the given theta.
     """
+    if theta is not None and search_theta:
+        raise ValueError("give either theta or search_theta, not both")
     if theta is None:
         theta = Theta.uniform()
     ranks = flattening_ranks(t)
@@ -129,25 +132,6 @@ def irr_lower(
         barrier_laser=laser,
         notes="; ".join(notes),
     )
-
-
-def monomial_irr_lower(
-    t: Tensor,
-    theta: Theta | None = None,
-    tol: float = DEFAULT_TOL,
-    search_theta: bool = False,
-    tensor_id: str = "",
-) -> BarrierReport:
-    """Lower bound on monomial irreversibility.
-
-    Monomial irreversibility is at least plain irreversibility, so the report
-    reuses irr_lower verbatim; support-only upper bounds on monomial subrank
-    that could strengthen it (e.g. for group tensors) are not computed here.
-    """
-    report = irr_lower(t, theta, tol=tol, search_theta=search_theta, tensor_id=tensor_id)
-    tag = "monomial irreversibility lower bound (via monirr >= irr; weak for group tensors)"
-    notes = f"{report.notes}; {tag}" if report.notes else tag
-    return replace(report, notes=notes)
 
 
 # Cap on the entropy solves of one theta search.  The cutting-plane search

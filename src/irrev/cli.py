@@ -106,9 +106,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_irr = sub.add_parser("irr", help="irreversibility lower bound and barriers")
     p_irr.add_argument("path", help="tensor file, or - for stdin")
-    p_irr.add_argument("--theta", help="axis weights t1,t2,t3 (default uniform)")
-    p_irr.add_argument("--search-theta", action="store_true",
-                       help="minimize over the theta simplex")
+    theta_choice = p_irr.add_mutually_exclusive_group()
+    theta_choice.add_argument("--theta", help="axis weights t1,t2,t3 (default uniform)")
+    theta_choice.add_argument("--search-theta", action="store_true",
+                              help="minimize over the theta simplex (excludes --theta)")
     _common_flags(p_irr)
 
     p_rho = sub.add_parser("rho", help="entropy maximum over support distributions")

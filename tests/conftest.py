@@ -5,9 +5,10 @@ algorithms: exhaustive subset search for free diagonals, prime-field
 elimination for rank, dict-based objective evaluation for entropy.
 """
 
+import math
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -37,6 +38,30 @@ def brute_force_max_free_diagonal(points) -> int:
                 dfs(i + 1, chosen + [p])
 
     dfs(0, [])
+    return best
+
+
+def naive_grid_max(points, theta, resolution: int) -> float:
+    """Largest weighted marginal entropy over the distributions on `points`
+    whose probabilities are multiples of 1/resolution.
+
+    Compositions come from itertools (stars and bars: the m - 1 bar positions
+    among resolution + m - 1 slots); each is scored with a dict of marginals.
+    """
+    m = len(points)
+    slots = resolution + m - 1
+    best = -math.inf
+    for bars in combinations(range(slots), m - 1):
+        cuts = (-1,) + bars + (slots,)
+        counts = [cuts[j + 1] - cuts[j] - 1 for j in range(m)]
+        total = 0.0
+        for axis in range(3):
+            marg = {}
+            for p, c in zip(points, counts):
+                marg[p[axis]] = marg.get(p[axis], 0) + c
+            probs = [c / resolution for c in marg.values() if c]
+            total += theta[axis] * -sum(x * math.log2(x) for x in probs)
+        best = max(best, total)
     return best
 
 

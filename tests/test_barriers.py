@@ -23,7 +23,6 @@ from irrev import (
     laser_table,
     matmul,
     min_rho_over_theta,
-    monomial_irr_lower,
     rho_upper,
     tn,
     tn_table,
@@ -79,13 +78,16 @@ def test_irr_lower_vacuous_flag():
     assert rep.barrier_basic == pytest.approx(2 * rep.irr_lb, abs=1e-12)
 
 
-def test_monomial_irr_lower():
-    rep = monomial_irr_lower(z3())
+def test_irr_lower_z3():
+    rep = irr_lower(z3())
     assert rep.flattening_ranks == (3, 3, 3)
     assert rep.rho.value == pytest.approx(math.log2(3.0), abs=1e-9)
     assert rep.irr_lb == pytest.approx(1.0, abs=1e-9)
-    assert "monomial" in rep.notes
-    assert monomial_irr_lower(w()).irr_lb == pytest.approx(IRR_W, abs=1e-9)
+
+
+def test_irr_lower_rejects_theta_with_search():
+    with pytest.raises(ValueError):
+        irr_lower(w(), Theta(1.0, 0.0, 0.0), search_theta=True)
 
 
 def test_barrier_intermediate():

@@ -1,12 +1,24 @@
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import irrev
 from irrev import cli, from_json, to_json, unit, w
 from irrev.tensor import matmul, z3
+
+# Child interpreters import the same irrev as this process, also when it is
+# found through pytest's `pythonpath` setting rather than PYTHONPATH.
+_CHILD_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(Path(irrev.__file__).parents[1]), os.environ.get("PYTHONPATH")])
+    ),
+}
 
 
 def run_cli(capsys, argv, stdin=None, monkeypatch=None):
@@ -107,6 +119,15 @@ def test_irr_search_theta_notes_solves_and_gap(capsys, monkeypatch):
     )
     assert code == 0
     assert "theta search: 1 solves, duality gap 0" in json.loads(out)["notes"]
+
+
+def test_irr_theta_with_search_theta_exit_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["irr", "-", "--theta", "1,0,0", "--search-theta"])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "--theta" in out.err and "--search-theta" in out.err
 
 
 def test_irr_parse_failure_exit_2(tmp_path, capsys):
@@ -309,6 +330,7 @@ def test_theta_parse_error_exit_2(capsys, monkeypatch):
 def test_module_entrypoint_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "irrev", "gen", "cw", "--q", "1"],
+        env=_CHILD_ENV,
         capture_output=True,
         text=True,
         timeout=60,
@@ -320,6 +342,7 @@ def test_module_entrypoint_subprocess():
 def test_pipe_gen_to_irr_subprocess():
     gen = subprocess.run(
         [sys.executable, "-m", "irrev", "gen", "cw", "--q", "2"],
+        env=_CHILD_ENV,
         capture_output=True,
         text=True,
         timeout=60,
@@ -327,6 +350,7 @@ def test_pipe_gen_to_irr_subprocess():
     irr = subprocess.run(
         [sys.executable, "-m", "irrev", "irr", "-", "--format", "json"],
         input=gen.stdout,
+        env=_CHILD_ENV,
         capture_output=True,
         text=True,
         timeout=120,

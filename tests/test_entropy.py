@@ -26,7 +26,8 @@ from irrev import (
     w,
     z3,
 )
-from conftest import random_unit_tensor
+from conftest import naive_grid_max, random_unit_tensor
+from irrev.entropy import _grid_batches, _grid_max
 
 H13 = math.log2(3.0) - 2.0 / 3.0
 
@@ -205,6 +206,41 @@ def test_grid_oracle_rejects_large_support():
         rho_grid_oracle(z3(), resolution=100)
     with pytest.raises(ValueError):
         rho_grid_oracle(w(), resolution=0)
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+@pytest.mark.parametrize("block", [7, 1 << 14])
+def test_grid_batches_cover_each_composition_once(m, block):
+    for R in (1, 2, 5, 9, 300 if m == 3 else 20):
+        columns = []
+        for counts in _grid_batches(m, R, block):
+            assert counts.shape[0] == m and 0 < counts.shape[1] <= block
+            assert (counts >= 0).all() and (counts.sum(axis=0) == R).all()
+            columns.extend(map(tuple, counts.T.tolist()))
+        assert len(set(columns)) == len(columns) == math.comb(R + m - 1, m - 1)
+
+
+_CELLS = [(a, b, c) for a in range(3) for b in range(3) for c in range(3)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.sampled_from(_CELLS), min_size=1, max_size=6, unique=True),
+    st.integers(1, 12),
+    st.tuples(*[st.one_of(st.just(0.0), st.floats(0.05, 1.0))] * 3).filter(lambda v: sum(v) > 0),
+)
+def test_grid_max_matches_naive_enumeration(points, resolution, weights):
+    points = sorted(points)
+    th = tuple(v / sum(weights) for v in weights)
+    want = naive_grid_max(points, th, resolution)
+    assert _grid_max(points, th, resolution) == pytest.approx(want, rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize("q", range(1, 5))
+def test_grid_oracle_cw_big_matches_closed_form_steps(q):
+    R = 4000
+    want = max(cw_big_marginal_entropy(q, step / R / (3 * q)) for step in range(R + 1))
+    assert rho_grid_oracle(cw_big(q), resolution=R) == pytest.approx(want, rel=0, abs=1e-12)
 
 
 def test_grid_oracle_matches_optimizer_small():
