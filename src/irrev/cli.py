@@ -33,7 +33,6 @@ class CliConfig:
     output_format: str = "text"
     precision: int = 6
     tol: float = 1e-10
-    seed: int = 0
     node_budget: int = diagonal.DEFAULT_NODE_BUDGET
     iter_budget: int = entropy.DEFAULT_ITER_BUDGET
 
@@ -68,7 +67,6 @@ def _common_flags(p: argparse.ArgumentParser) -> None:
                    help="significant digits for printed reals, 2..17 (default 6)")
     p.add_argument("--tol", type=float, default=1e-10,
                    help="optimizer tolerance (default 1e-10)")
-    p.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
     p.add_argument("--node-budget", type=int, default=diagonal.DEFAULT_NODE_BUDGET,
                    help="search node budget for diag")
     p.add_argument("--iter-budget", type=int, default=entropy.DEFAULT_ITER_BUDGET,
@@ -80,7 +78,6 @@ def _config(args) -> CliConfig:
         output_format=args.output_format,
         precision=args.precision,
         tol=args.tol,
-        seed=args.seed,
         node_budget=args.node_budget,
         iter_budget=args.iter_budget,
     )
@@ -360,6 +357,10 @@ def main(argv=None) -> int:
         return EXIT_DEGENERATE
     except (ResourceLimitError, BudgetExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        best = getattr(exc, "best", None)
+        if best is not None:
+            print(f"best: rho {best.value!r} residual {best.residual!r} "
+                  f"iterations {best.iterations}", file=sys.stderr)
         return EXIT_RESOURCE
     except ArithmeticError as exc:
         # A closed form disagreeing with the optimizer, or a broken exact

@@ -23,6 +23,7 @@ from .tensor import Index, Support, Tensor
 
 DEFAULT_TOL = 1e-10
 DEFAULT_ITER_BUDGET = 10**6
+_LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -152,67 +153,87 @@ def _objective_and_scores(P: np.ndarray, enc: _AxisEncoding, th: tuple) -> tuple
 def _line_search(bases: list[np.ndarray], dirs: list[np.ndarray], th: tuple, gamma_max: float) -> float:
     """Exact maximization of the objective along marginal direction dirs.
 
-    The restriction to the segment is concave in the step, so bisection on
-    the derivative sign finds the maximizer; returns gamma_max when the
-    derivative stays nonnegative on the whole segment.
+    On m = base + gamma d, 0 <= gamma <= gamma_max, the objective phi is
+    concave with phi' = -sum_i th_i sum_c d_c log2 m_c (each d sums to zero)
+    and phi'' = -sum_i th_i sum_c d_c^2 / (m_c ln 2).  An entry the
+    direction empties (d_c < 0, m_c zero up to rounding) makes phi' = -inf.
+    Returns gamma_max when phi' >= 0 there; otherwise runs Newton's method on
+    phi' inside a sign-change bracket, bisecting when a step leaves it.
     """
 
-    def dphi(gamma: float) -> float:
-        s = 0.0
+    def derivs(gamma: float) -> tuple[float, float]:
+        d1 = d2 = 0.0
         for i in range(3):
             if th[i] == 0.0:
                 continue
-            m = bases[i] + gamma * dirs[i]
-            mask = m > 0
-            s -= th[i] * float((dirs[i][mask] * np.log2(m[mask])).sum())
-        return s
+            d = dirs[i]
+            m = bases[i] + gamma * d
+            pos = m > 1e-15 * bases[i]
+            if (d[~pos] < 0).any():
+                return -math.inf, math.nan
+            d, m = d[pos], m[pos]
+            d1 -= th[i] * float(d @ np.log2(m))
+            d2 -= th[i] * float((d * d / m).sum())
+        return d1, d2 / _LN2
 
-    hi = gamma_max * (1.0 - 1e-16)
-    if dphi(hi) >= 0:
+    if derivs(gamma_max)[0] >= 0:
         return gamma_max
-    lo = 0.0
+    lo, hi = 0.0, gamma_max
+    gamma = 0.5 * gamma_max
     for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if dphi(mid) > 0:
-            lo = mid
+        d1, d2 = derivs(gamma)
+        if d1 == 0:
+            return gamma
+        if d1 > 0:
+            lo = gamma
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            hi = gamma
+        nxt = gamma - d1 / d2 if d2 < 0 else math.nan
+        if not lo < nxt < hi:
+            nxt = 0.5 * (lo + hi)
+        if abs(nxt - gamma) <= 1e-15 * nxt:
+            return nxt
+        gamma = nxt
+    return gamma
 
 
-def _newton_polish(
+def _newton_step(
     P: np.ndarray, f: float, g: np.ndarray, enc: _AxisEncoding, th: tuple
-) -> np.ndarray | None:
+) -> tuple[np.ndarray, float, np.ndarray, float] | None:
     """One damped Newton step on the stationarity system g_a(P) = lambda.
 
-    Ascent methods stall once the objective saturates at float resolution
-    (the objective is quadratically flat near the optimum, the gap only
-    linearly so); solving for equal scores directly converges quadratically
-    in the gap.  Restricted to the active set; returns None on no progress.
+    Ascent steps stall once the objective saturates at float resolution (it
+    is quadratically flat near the optimum, the gap only linearly so);
+    solving for equal scores converges quadratically in the gap.  On the
+    active set the score Jacobian is -B W B^T, with B the 0/1 incidence of
+    active points and the n coordinates they use on weighted axes, and
+    W_c = th_i / (mu_c ln 2).  So the least-norm step is delta = B y, with
+    [[G W G, c], [c^T, 0]] y = [-(G s + f c), 0], G = B^T B, c = diag G and
+    s_c = th_i log2 mu_c.  Returns (P, f, g, gap) at the first damping
+    1, 1/2, 1/4, 1/8 that lowers the gap, else None.
     """
     active = np.where(P > 1e-14)[0]
-    if len(active) > 512:
+    axes = [i for i in range(3) if th[i] != 0.0]
+    offsets = np.cumsum([0] + [enc.sizes[i] for i in axes])
+    ids = np.stack([enc.idx[i][active] + offsets[j] for j, i in enumerate(axes)], axis=1)
+    used, cols = np.unique(ids, return_inverse=True)
+    cols = cols.reshape(ids.shape)
+    n = len(used)
+    if n + 1 > 513:  # bounds the cost of the dense O(n^3) solve
         return None
-    mus = [np.bincount(enc.idx[i], weights=P, minlength=enc.sizes[i]) for i in range(3)]
-    k = len(active)
-    ln2 = math.log(2.0)
-    J = np.zeros((k, k))
-    for i in range(3):
-        if th[i] == 0.0:
-            continue
-        ai = enc.idx[i][active]
-        J -= (ai[:, None] == ai[None, :]) * (th[i] / (mus[i][ai][:, None] * ln2))
-    A = np.zeros((k + 1, k + 1))
-    A[:k, :k] = J
-    A[:k, k] = -1.0
-    A[k, :k] = 1.0
-    rhs = np.zeros(k + 1)
-    rhs[:k] = f - g[active]
+    mus = [np.bincount(enc.idx[i], weights=P, minlength=enc.sizes[i]) for i in axes]
+    mu = np.concatenate(mus)[used]
+    weight = np.repeat([th[i] for i in axes], np.diff(offsets))[used]
+    pairs = cols[:, :, None] * n + cols[:, None, :]
+    G = np.bincount(pairs.ravel(), minlength=n * n).reshape(n, n)
+    c = np.diag(G)
+    A = np.block([[(G * (weight / (mu * _LN2))) @ G, c[:, None]], [c, 0]])
+    rhs = np.append(-(G @ (weight * np.log2(mu)) + f * c), 0.0)
     try:
-        sol, *_ = np.linalg.lstsq(A, rhs, rcond=None)
+        y = np.linalg.lstsq(A, rhs, rcond=None)[0]
     except np.linalg.LinAlgError:
         return None
-    delta = sol[:k]
+    delta = y[cols].sum(axis=1)
     gap = float(g.max() - f)
     for damp in (1.0, 0.5, 0.25, 0.125):
         P2 = P.copy()
@@ -222,8 +243,9 @@ def _newton_polish(
             continue
         P2 /= total
         f2, g2 = _objective_and_scores(P2, enc, th)
-        if float(g2.max() - f2) < gap:
-            return P2
+        gap2 = float(g2.max() - f2)
+        if gap2 < gap:
+            return P2, f2, g2, gap2
     return None
 
 
@@ -235,15 +257,16 @@ def rho_upper_on_support(
 ) -> RhoResult:
     """Maximize the theta-weighted marginal entropy over distributions on a support.
 
-    Frank-Wolfe iterations with exact line search, in the away-step variant:
-    each step moves toward the best-scoring vertex or away from the worst
-    active one, whichever linearizes better.  Away steps can zero out
-    coordinates exactly, which is what makes boundary optima (points whose
-    optimal mass is zero while their score touches the maximum) reachable at
-    tight tolerances.  If float resolution stalls the line search, a
-    multiplicative-weights ascent accepted on gap decrease takes over, then a
-    Newton polish of the stationarity conditions.  Terminates when the
-    first-order gap is at most tol, certifying |value - max| <= tol.
+    Two kinds of step.  Away-step Frank-Wolfe with an exact line search
+    (`_line_search`) moves toward the best-scoring vertex or away from the
+    worst active one, whichever linearizes better; away steps can zero out
+    coordinates exactly, which makes boundary optima (points whose optimal
+    mass is zero while their score touches the maximum) reachable at tight
+    tolerances.  A Newton step on the stationarity conditions
+    (`_newton_step`) runs every 16th iteration and whenever a Frank-Wolfe
+    step does not raise the objective at float resolution; three iterations
+    in a row without progress raise BudgetExceededError.  Terminates when
+    the first-order gap is at most tol, certifying |value - max| <= tol.
     """
     if theta is None:
         theta = Theta.uniform()
@@ -262,7 +285,9 @@ def rho_upper_on_support(
         dist = SupportDistribution(points=tuple(points), probs=tuple(float(x) for x in probs))
         return RhoResult(value=f, argmax=dist, residual=max(gap, 0.0), iterations=it)
 
-    def afw_step(P: np.ndarray, g: np.ndarray, f: float) -> np.ndarray:
+    def afw_step(P: np.ndarray, f: float, g: np.ndarray, gap: float):
+        """(P, f, g, gap) after one away-step Frank-Wolfe step, or None if
+        the step does not raise the objective at float resolution."""
         bases = [np.bincount(enc.idx[i], weights=P, minlength=enc.sizes[i]) for i in range(3)]
         b = int(g.argmax())
         ga = np.where(P > 0, g, np.inf)
@@ -291,14 +316,12 @@ def rho_upper_on_support(
             P2 = (1.0 + gamma) * P
             P2[a] -= gamma
             P2 = np.maximum(P2, 0.0)
-        return P2 / P2.sum()
-
-    def mw_candidate(P: np.ndarray, g: np.ndarray, eta: float) -> np.ndarray:
-        finite = g[np.isfinite(g)]
-        top = finite.max() if len(finite) else 0.0
-        w = np.where(np.isfinite(g), g, top + 100.0)
-        P2 = P * np.exp2(eta * (w - w.max()))
-        return P2 / P2.sum()
+        P2 /= P2.sum()
+        f2, g2 = _objective_and_scores(P2, enc, th)
+        gap2 = float(g2.max() - f2)
+        if f2 > f or (f2 == f and gap2 < gap):
+            return P2, f2, g2, gap2
+        return None
 
     P = np.full(m, 1.0 / m)
     f, g = _objective_and_scores(P, enc, th)
@@ -307,46 +330,18 @@ def rho_upper_on_support(
     for it in range(1, iter_budget + 1):
         if gap <= tol:
             return result(f, P, gap, it)
-        if it % 16 == 0:
-            # Periodic second-order acceleration: line-search steps contract
-            # the gap only linearly once the active set settles.
-            P2 = _newton_polish(P, f, g, enc, th)
-            if P2 is not None:
-                f2, g2 = _objective_and_scores(P2, enc, th)
-                P, f, g, gap = P2, f2, g2, float(g2.max() - f2)
-                stalls = 0
-                continue
-        P2 = afw_step(P, g, f)
-        f2, g2 = _objective_and_scores(P2, enc, th)
-        gap2 = float(g2.max() - f2)
-        if f2 > f or (f2 == f and gap2 < gap):
-            P, f, g, gap = P2, f2, g2, gap2
-            stalls = 0
-            continue
-        stalls += 1
-        # Line search no longer moves the objective at float resolution;
-        # try multiplicative-weights ascent, accepted on gap decrease.
-        accepted = False
-        eta = 1.0
-        for _ in range(50):
-            P3 = mw_candidate(P, g, eta)
-            f3, g3 = _objective_and_scores(P3, enc, th)
-            gap3 = float(g3.max() - f3)
-            if gap3 < gap or (gap3 == gap and f3 > f):
-                accepted = True
+        # Line-search steps contract the gap only linearly once the active
+        # set settles, hence the periodic Newton step.
+        step = _newton_step(P, f, g, enc, th) if it % 16 == 0 else None
+        if step is None:
+            step = afw_step(P, f, g, gap) or _newton_step(P, f, g, enc, th)
+        if step is None:
+            stalls += 1
+            if stalls >= 3:
                 break
-            eta *= 0.5
-        if accepted:
-            P, f, g, gap = P3, f3, g3, gap3
-            stalls = 0
             continue
-        P3 = _newton_polish(P, f, g, enc, th)
-        if P3 is not None:
-            f3, g3 = _objective_and_scores(P3, enc, th)
-            P, f, g, gap = P3, f3, g3, float(g3.max() - f3)
-            stalls = 0
-        elif stalls >= 3:
-            break
+        P, f, g, gap = step
+        stalls = 0
     raise BudgetExceededError(
         f"no convergence to gap <= {tol} within {iter_budget} iterations",
         best=result(f, P, gap, min(it, iter_budget)),

@@ -10,6 +10,7 @@ import random
 from fractions import Fraction
 from itertools import combinations, product
 
+import numpy as np
 import pytest
 
 from irrev import Support, Tensor, is_free_diagonal
@@ -63,6 +64,51 @@ def naive_grid_max(points, theta, resolution: int) -> float:
             total += theta[axis] * -sum(x * math.log2(x) for x in probs)
         best = max(best, total)
     return best
+
+
+def dense_newton_direction(points, probs, theta):
+    """Newton direction on the stationarity system g_a(P) = lambda, in point space.
+
+    Over the active points A (probability above 1e-14) it solves the
+    (|A| + 1)-system [[J, -1], [1^T, 0]] (delta, nu) = (f - g_A, 0) by least
+    squares, with J_ab = -sum_i theta_i [a_i == b_i] / (mu_i(a_i) ln 2), the
+    Jacobian of the scores g_a = -sum_i theta_i log2 mu_i(a_i).  Marginals,
+    scores and Jacobian are built entry by entry from dicts.  Returns delta
+    on all points, 0 off A.
+    """
+    margs = []
+    for axis in range(3):
+        marg = {}
+        for p, x in zip(points, probs):
+            marg[p[axis]] = marg.get(p[axis], 0.0) + x
+        margs.append(marg)
+    scores = [
+        -sum(th * math.log2(margs[i][p[i]]) for i, th in enumerate(theta) if th)
+        for p, x in zip(points, probs)
+        if x > 1e-14
+    ]
+    f = sum(
+        -th * sum(v * math.log2(v) for v in margs[i].values() if v > 0)
+        for i, th in enumerate(theta)
+        if th
+    )
+    active = [j for j, x in enumerate(probs) if x > 1e-14]
+    k = len(active)
+    A = np.zeros((k + 1, k + 1))
+    for r, a in enumerate(active):
+        for s, b in enumerate(active):
+            A[r, s] = -sum(
+                th / (margs[i][points[a][i]] * math.log(2.0))
+                for i, th in enumerate(theta)
+                if th and points[a][i] == points[b][i]
+            )
+        A[r, k] = -1.0
+        A[k, r] = 1.0
+    rhs = np.array([f - g for g in scores] + [0.0])
+    sol = np.linalg.lstsq(A, rhs, rcond=None)[0]
+    delta = np.zeros(len(points))
+    delta[active] = sol[:k]
+    return delta
 
 
 def rank_mod_p(matrix, p: int = MERSENNE_P) -> int:

@@ -280,8 +280,8 @@ def test_precision_flag(capsys, monkeypatch):
 
 
 def test_deterministic_output(capsys):
-    code1, out1, _ = run_cli(capsys, ["table", "CW", "--qmax", "3", "--seed", "1"])
-    code2, out2, _ = run_cli(capsys, ["table", "CW", "--qmax", "3", "--seed", "1"])
+    code1, out1, _ = run_cli(capsys, ["table", "CW", "--qmax", "3"])
+    code2, out2, _ = run_cli(capsys, ["table", "CW", "--qmax", "3"])
     assert out1 == out2
 
 
@@ -310,6 +310,28 @@ def test_iteration_budget_exit_5(capsys, monkeypatch):
     )
     assert code == 5
     assert err
+
+
+def test_iteration_budget_reports_best_partial_result(capsys, monkeypatch):
+    from irrev import BudgetExceededError, cw_big, rho_upper
+
+    with pytest.raises(BudgetExceededError) as exc:
+        rho_upper(cw_big(3), tol=1e-14, iter_budget=2)
+    best = exc.value.best
+    code, out, err = run_cli(
+        capsys,
+        ["rho", "-", "--tol", "1e-14", "--iter-budget", "2"],
+        stdin=to_json(cw_big(3)),
+        monkeypatch=monkeypatch,
+    )
+    assert code == 5
+    assert out == ""
+    line = err.splitlines()[-1]
+    assert line == (
+        f"best: rho {best.value!r} residual {best.residual!r} iterations {best.iterations}"
+    )
+    assert float(line.split()[2]) == best.value > 0
+    assert float(line.split()[4]) == best.residual > 0
 
 
 def test_power_limit_exit_5(capsys, monkeypatch):

@@ -1,12 +1,14 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from irrev import (
     BudgetExceededError,
+    Support,
     SupportDistribution,
     Tensor,
     Theta,
@@ -16,18 +18,28 @@ from irrev import (
     cw_big_entropy_argmax,
     cw_big_marginal_entropy,
     cw_small_entropy_bound,
+    cyc,
     entropy_bits,
     kron,
     marginal,
     permute_legs,
     rho_grid_oracle,
     rho_upper,
+    rho_upper_on_support,
+    tn,
     unit,
     w,
     z3,
 )
-from conftest import naive_grid_max, random_unit_tensor
-from irrev.entropy import _grid_batches, _grid_max
+from conftest import dense_newton_direction, naive_grid_max, random_unit_tensor
+from irrev.entropy import (
+    _AxisEncoding,
+    _grid_batches,
+    _grid_max,
+    _line_search,
+    _newton_step,
+    _objective_and_scores,
+)
 
 H13 = math.log2(3.0) - 2.0 / 3.0
 
@@ -135,6 +147,71 @@ def test_rho_budget_error_carries_best():
     assert best is not None
     assert 0 < best.value < 3
     assert best.residual > 0
+
+
+def _weighted_marginal_entropy(points, probs, th):
+    dist = SupportDistribution(tuple(points), tuple(float(x) for x in probs))
+    return sum(th[i] * entropy_bits(marginal(dist, i + 1)) for i in range(3))
+
+
+def test_line_search_away_step_stops_before_emptying_a_coordinate():
+    # The away point (0, 1, 0) is alone on coordinate 1 of the low-weight
+    # axis 2.  At gamma_max that marginal entry empties, where the entropy's
+    # slope is -inf; a search that masks the entry takes the whole step and
+    # loses objective.
+    points = [(0, 0, 0), (0, 1, 0), (1, 0, 1)]
+    th = (0.4, 0.2, 0.4)
+    P = np.array([0.355, 0.29, 0.355])
+    a = 1
+    enc = _AxisEncoding(points)
+    bases = [np.bincount(enc.idx[i], weights=P, minlength=enc.sizes[i]) for i in range(3)]
+    dirs = [bases[i] - (np.arange(enc.sizes[i]) == enc.idx[i][a]) for i in range(3)]
+    gamma_max = P[a] / (1.0 - P[a])
+    gamma = _line_search(bases, dirs, th, gamma_max)
+
+    def objective(step):
+        moved = (1.0 + step) * P
+        moved[a] -= step
+        moved = np.maximum(moved, 0.0)
+        return _weighted_marginal_entropy(points, moved / moved.sum(), th)
+
+    assert gamma < gamma_max
+    assert objective(gamma) >= objective(0.0)
+
+
+def test_rho_low_weight_axis_regression():
+    # An away step on this support empties a coordinate of the low-weight
+    # axis; solved exactly, the step must not lower the objective.
+    pts = [(0, 1, 3), (2, 0, 3), (2, 1, 0), (2, 1, 1), (3, 0, 1), (3, 2, 1), (3, 2, 3), (3, 3, 3)]
+    theta = Theta(0.579779681308748, 0.0692958442306114, 0.3509244744606406)
+    res = rho_upper_on_support(Support((4, 4, 4), frozenset(pts)), theta, tol=1e-10)
+    assert res.residual <= 1e-10
+    assert res.value == pytest.approx(1.5765114595, abs=1e-9)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_newton_step_matches_dense_reference(seed):
+    rng = random.Random(seed)
+    t = random_unit_tensor(rng, max_dim=5, max_size=60)
+    th = [(1 / 3, 1 / 3, 1 / 3), (0.5, 0.0, 0.5), (0.2, 0.3, 0.5)][seed % 3]
+    # A point near the optimum, where the undamped step is taken.
+    res = rho_upper(t, Theta(*th), tol=1e-3)
+    points = list(res.argmax.points)
+    P = np.array(res.argmax.probs)
+    enc = _AxisEncoding(points)
+    f, g = _objective_and_scores(P, enc, th)
+    step = _newton_step(P, f, g, enc, th)
+    assert step is not None
+    expected = np.maximum(P + dense_newton_direction(points, P, th), 0.0)
+    expected /= expected.sum()
+    assert np.abs(step[0] - expected).max() <= 1e-12
+    assert step[3] < g.max() - f
+
+
+def test_rho_cyc_tn4_newton_converges():
+    res = rho_upper(cyc(tn(4)))
+    assert res.residual <= 1e-10
+    assert res.iterations <= 100
 
 
 def test_rho_permutation_invariance():
