@@ -6,45 +6,43 @@ Usage:
 
 Prints the small-CW, big-CW, reduced-polynomial-multiplication, laser
 (certified and conjectured rank) and conjectured-rank basic barrier tables,
-each with the tensor family parameter and the barrier value.
+each with the tensor family parameter and the barrier value, through
+`irrev table` at its default ranges.  Runs from a checkout without
+installing the package.
 """
 
 import argparse
 import sys
 import time
+from pathlib import Path
 
-from irrev import better_table, cw_big_table, cw_table, laser_table, tn_table
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from irrev import cli  # noqa: E402
 
-def emit(title, headers, rows, precision):
-    print(f"== {title} ==")
-    print("  ".join(headers))
-    for row in rows:
-        cells = [str(v) for v in row[:-1]] + [format(row[-1], f".{precision}g")]
-        print("  ".join(cells))
-    print()
+TABLES = [
+    ("small Coppersmith-Winograd barrier (2 log2(q+1) / entropy bound)", ["cw"]),
+    ("big Coppersmith-Winograd barrier (2 log2(q+2) / entropy peak)", ["CW"]),
+    ("reduced polynomial multiplication barrier (2 log2(m) / entropy max)", ["tn"]),
+    ("laser-method barrier on cw_q, certified flattening rank", ["laser"]),
+    ("laser-method barrier on cw_q, conjectured rank log2(q+2)",
+     ["laser", "--assume-rank", "conjectured"]),
+    ("basic barrier on cw_q with conjectured rank (minimum at q = 6)", ["better"]),
+]
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--precision", type=int, default=6)
     args = parser.parse_args(argv)
-    p = args.precision
 
     t0 = time.perf_counter()
-    emit("small Coppersmith-Winograd barrier (2 log2(q+1) / entropy bound)",
-         ("q", "barrier"), cw_table(2, 7), p)
-    emit("big Coppersmith-Winograd barrier (2 log2(q+2) / entropy peak)",
-         ("q", "barrier"), cw_big_table(1, 6), p)
-    emit("reduced polynomial multiplication barrier (2 log2(m) / entropy max)",
-         ("m", "table_n", "barrier"), tn_table(2, 7), p)
-    emit("laser-method barrier on cw_q, certified flattening rank",
-         ("q", "barrier"), laser_table(2, 7, "flattening"), p)
-    emit("laser-method barrier on cw_q, conjectured rank log2(q+2)",
-         ("q", "barrier"), laser_table(2, 11, "conjectured"), p)
-    rows = better_table(2, 12)
-    emit("basic barrier on cw_q with conjectured rank (minimum at q = 6)",
-         ("q", "barrier"), rows, p)
+    for title, spec in TABLES:
+        print(f"== {title} ==")
+        code = cli.main(["table", *spec, "--precision", str(args.precision)])
+        if code:
+            return code
+        print()
     print(f"all tables regenerated in {time.perf_counter() - t0:.2f}s")
     return 0
 

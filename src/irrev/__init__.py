@@ -38,7 +38,7 @@ from .entropy import (
     rho_upper_on_support,
 )
 from .errors import BudgetExceededError, DegenerateInputError, ResourceLimitError
-from .linalg import ExactMatrix, flatten, flattening_ranks, is_balanced, max_flattening_rank, rank_exact
+from .linalg import ExactMatrix, flatten, flattening_ranks, max_flattening_rank, rank_exact
 from .tensor import (
     Support,
     Tensor,

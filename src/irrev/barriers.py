@@ -37,7 +37,7 @@ from .entropy import (
 )
 from .errors import DegenerateInputError
 from .linalg import flattening_ranks
-from .tensor import Tensor, cw_big, permute_legs, to_json, tn
+from .tensor import Tensor, cw_big, to_json, tn
 
 DEFAULT_TOL = 1e-10
 
@@ -106,7 +106,7 @@ def irr_lower(
     notes: list[str] = []
     if search_theta:
         search = min_rho_over_theta(t, tol=tol, iter_budget=iter_budget)
-        theta, rho = search
+        theta, rho = search.theta, search.rho
         notes.append(f"theta search: {search.solves} solves, duality gap {search.gap:.2g}")
     else:
         rho = rho_upper(t, theta, tol=tol, iter_budget=iter_budget)
@@ -146,19 +146,18 @@ THETA_SEARCH_MAX_SOLVES = 60
 THETA_SEARCH_MIN_WEIGHT = 1e-3
 
 
-class ThetaSearch(tuple):
-    """The pair (theta, rho) at the best theta found.
-
-    It unpacks like a plain pair and also carries the search's evidence:
-    solves, the number of entropy solves, and gap, the final duality gap
-    (smallest value seen minus the certified lower bound, clamped at 0).
+@dataclass(frozen=True)
+class ThetaSearch:
+    """The best theta found and the rho_upper result there, with the
+    search's evidence: solves, the number of entropy solves, and gap, the
+    final duality gap (smallest value seen minus the certified lower bound,
+    clamped at 0).
     """
 
-    def __new__(cls, theta: Theta, rho: RhoResult, solves: int, gap: float):
-        self = super().__new__(cls, (theta, rho))
-        self.solves = solves
-        self.gap = gap
-        return self
+    theta: Theta
+    rho: RhoResult
+    solves: int
+    gap: float
 
 
 def _cut_minimum(cuts: np.ndarray) -> tuple[float, np.ndarray]:
@@ -215,7 +214,7 @@ def min_rho_over_theta(
     when the next theta was solved already, or after THETA_SEARCH_MAX_SOLVES
     solves.
 
-    Returns the (theta, rho) pair of the smallest value seen, so the result
+    Returns theta and rho of the smallest value seen, so the result
     never loses to uniform theta and its rho is a plain rho_upper result at
     that theta.  Any theta yields a valid bound, so a search stopped by the
     cap only bounds less tightly.
@@ -263,12 +262,6 @@ def barrier_schonhage(irr_lb: float, alpha: int, beta: int) -> float:
     return ((alpha + 2.0 * beta) * irr_lb - alpha) / beta
 
 
-def _cyclically_symmetric(t: Tensor) -> bool:
-    if not (t.dims[0] == t.dims[1] == t.dims[2]):
-        return False
-    return permute_legs(t, (1, 2, 0)) == t
-
-
 def barrier_rect(
     t: Tensor,
     alpha: int,
@@ -281,33 +274,30 @@ def barrier_rect(
     """Barrier for approaches targeting the rectangular tensor <a,b,c> with
     alpha diagonal factors removed, in terms of the cyclic symmetrization.
 
-    A cyclically symmetric t is its own symmetrization.  Otherwise the bound
-    is irr(cyc t) for cyc t = t (x) rot(t) (x) rot^2(t), computed from t
-    alone with two identities: flattening ranks multiply under (x), so every
-    flattening of cyc t has rank r1 r2 r3; and in a fixed basis the entropy
-    maximum adds under (x), so rho_theta(cyc t) is the sum of rho(t) at the
-    three cyclic rotations of theta.  Each distinct rotation is solved once,
-    at tol / 3, so the sum is within tol of its maximum.
+    The bound is irr(cyc t) for cyc t = t (x) rot(t) (x) rot^2(t), computed
+    from t alone with two identities: flattening ranks multiply under (x), so
+    every flattening of cyc t has rank r1 r2 r3; and in a fixed basis the
+    entropy maximum adds under (x), so rho_theta(cyc t) is the sum of rho(t)
+    at the three cyclic rotations of theta.  Each distinct rotation is solved
+    once, at tol / 3, so the sum is within tol of its maximum; uniform theta
+    takes one solve.
     """
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
     if min(a, b, c) < 1 or a * b * c < 2:
         raise ValueError("need abc >= 2")
-    if _cyclically_symmetric(t):
-        irr = irr_lower(t, theta, tol=tol).irr_lb
-    else:
-        t1, t2, t3 = (theta or Theta.uniform()).as_tuple()
-        # Leg i of rot^s(t) is leg (i + s) mod 3 of t, so its axis weights
-        # act on t rotated the other way.
-        rotations = [(t1, t2, t3), (t3, t1, t2), (t2, t3, t1)]
-        rho = {th: rho_upper(t, Theta(*th), tol=tol / 3.0).value for th in set(rotations)}
-        total = sum(rho[th] for th in rotations)
-        if total <= 0.0:
-            raise DegenerateInputError(
-                "entropy maximum is zero; irreversibility bound undefined for this input"
-            )
-        r1, r2, r3 = flattening_ranks(t)
-        irr = math.log2(r1 * r2 * r3) / total
+    t1, t2, t3 = (theta or Theta.uniform()).as_tuple()
+    # Leg i of rot^s(t) is leg (i + s) mod 3 of t, so its axis weights act on
+    # t rotated the other way.
+    rotations = [(t1, t2, t3), (t3, t1, t2), (t2, t3, t1)]
+    rho = {th: rho_upper(t, Theta(*th), tol=tol / 3.0).value for th in set(rotations)}
+    total = sum(rho[th] for th in rotations)
+    if total <= 0.0:
+        raise DegenerateInputError(
+            "entropy maximum is zero; irreversibility bound undefined for this input"
+        )
+    r1, r2, r3 = flattening_ranks(t)
+    irr = math.log2(r1 * r2 * r3) / total
     return 2.0 * irr + (alpha / (math.log2(a * b * c) / 3.0)) * (irr - 1.0)
 
 
@@ -386,7 +376,13 @@ def tn_table(m_lo: int = 2, m_hi: int = 7, tol: float = 1e-9) -> list[tuple[int,
     return rows
 
 
-def laser_table(q_lo: int = 2, q_hi: int = 7, rank_mode: str = "flattening") -> list[tuple[int, float]]:
+def laser_table(
+    q_lo: int = 2, q_hi: int | None = None, rank_mode: str = "flattening"
+) -> list[tuple[int, float]]:
+    """Laser-method barrier for cw_q; q_hi defaults to 11 under the
+    conjectured rank and to 7 under the flattening rank."""
+    if q_hi is None:
+        q_hi = 11 if rank_mode == "conjectured" else 7
     if q_lo < 2:
         raise ValueError("laser table starts at q = 2")
     return [(q, cw_laser_barrier(q, rank_mode)) for q in range(q_lo, q_hi + 1)]

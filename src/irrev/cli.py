@@ -2,7 +2,7 @@
 
 Subcommands: gen (named families), irr (barrier report), rho (entropy
 maximum), diag (free-diagonal search), table (barrier tables), flatrank
-(flattening ranks).
+(flattening ranks).  Each subcommand takes only the flags it reads.
 
 Exit codes: 0 success, 2 usage or parse error, 3 degenerate input, 4
 optimizer/oracle mismatch (including ArithmeticError from a closed-form
@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from . import barriers, diagonal, entropy, linalg, tensor
 from .errors import BudgetExceededError, DegenerateInputError, ResourceLimitError
@@ -27,28 +26,44 @@ EXIT_RESOURCE = 5
 
 ORACLE_AGREEMENT = 1e-3
 
+# Family -> (constructor, its parameter flags in argument order).
+_FAMILIES = {
+    "unit": (tensor.unit, ("n",)),
+    "matmul": (tensor.matmul, ("a", "b", "c")),
+    "cw": (tensor.cw, ("q",)),
+    "CW": (tensor.cw_big, ("q",)),
+    "tn": (tensor.tn, ("m",)),
+    "w": (tensor.w, ()),
+    "z3": (tensor.z3, ()),
+}
+_FAMILY_FLAGS = ("n", "a", "b", "c", "q", "m")
 
-@dataclass
-class CliConfig:
-    output_format: str = "text"
-    precision: int = 6
-    tol: float = 1e-10
-    node_budget: int = diagonal.DEFAULT_NODE_BUDGET
-    iter_budget: int = entropy.DEFAULT_ITER_BUDGET
-
-    def __post_init__(self):
-        if not 2 <= self.precision <= 17:
-            raise ValueError("precision must be in [2, 17]")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+# Table -> (barriers function, column headers, {flag: keyword it sets}).
+# Ranges the flags leave open are the function's defaults.
+_Q_RANGE = {"qmin": "q_lo", "qmax": "q_hi"}
+_TABLES = {
+    "cw": (barriers.cw_table, ("q", "barrier"), _Q_RANGE),
+    "CW": (barriers.cw_big_table, ("q", "barrier"), _Q_RANGE),
+    "tn": (barriers.tn_table, ("m", "table_n", "barrier"), {"mmin": "m_lo", "mmax": "m_hi"}),
+    "laser": (barriers.laser_table, ("q", "barrier"), {**_Q_RANGE, "assume_rank": "rank_mode"}),
+    "better": (barriers.better_table, ("q", "barrier"), _Q_RANGE),
+}
+_TABLE_FLAGS = ("qmin", "qmax", "mmin", "mmax", "assume_rank")
 
 
 def _fmt(x: float, precision: int) -> str:
     return format(x, f".{precision}g")
 
 
-def _round_sig(x: float, precision: int) -> float:
-    return float(_fmt(x, precision))
+def _rounded(doc, precision: int):
+    """doc with every float rounded to precision significant digits."""
+    if isinstance(doc, float):
+        return float(_fmt(doc, precision))
+    if isinstance(doc, dict):
+        return {k: _rounded(v, precision) for k, v in doc.items()}
+    if isinstance(doc, list):
+        return [_rounded(v, precision) for v in doc]
+    return doc
 
 
 def _parse_theta(text: str | None) -> entropy.Theta | None:
@@ -60,30 +75,40 @@ def _parse_theta(text: str | None) -> entropy.Theta | None:
     return entropy.Theta(*(float(p) for p in parts))
 
 
-def _common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--format", dest="output_format", choices=("text", "csv", "json"),
-                   default="text", help="output format (default text)")
+def _flags(dests) -> str:
+    return " ".join("--" + d.replace("_", "-") for d in dests)
+
+
+def _params(args, what: str, dests, takes) -> dict:
+    """The flags among dests given on the command line; one that `what`
+    does not take is a ValueError."""
+    given = {d: getattr(args, d) for d in dests if getattr(args, d) is not None}
+    extra = [d for d in given if d not in takes]
+    if extra:
+        raise ValueError(f"{what} does not take {_flags(extra)}; "
+                         f"it takes {_flags(takes) or 'no parameters'}")
+    return given
+
+
+def _format_flag(p: argparse.ArgumentParser, choices=("text", "json")) -> None:
+    p.add_argument("--format", choices=choices, default="text",
+                   help="output format (default text)")
+
+
+def _precision_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--precision", type=int, default=6,
                    help="significant digits for printed reals, 2..17 (default 6)")
+
+
+def _solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tol", type=float, default=1e-10,
                    help="optimizer tolerance (default 1e-10)")
-    p.add_argument("--node-budget", type=int, default=diagonal.DEFAULT_NODE_BUDGET,
-                   help="search node budget for diag")
     p.add_argument("--iter-budget", type=int, default=entropy.DEFAULT_ITER_BUDGET,
                    help="iteration budget for the entropy optimizer")
 
 
-def _config(args) -> CliConfig:
-    return CliConfig(
-        output_format=args.output_format,
-        precision=args.precision,
-        tol=args.tol,
-        node_budget=args.node_budget,
-        iter_budget=args.iter_budget,
-    )
-
-
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The parser, and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(
         prog="irrev",
         description="Irreversibility lower bounds and matrix-multiplication barriers.",
@@ -91,7 +116,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_gen = sub.add_parser("gen", help="generate a named tensor family member")
-    p_gen.add_argument("family", choices=("unit", "matmul", "cw", "CW", "tn", "w", "z3"))
+    p_gen.add_argument("family", choices=tuple(_FAMILIES))
     p_gen.add_argument("--n", type=int, help="size for unit")
     p_gen.add_argument("--a", type=int, help="matmul rows")
     p_gen.add_argument("--b", type=int, help="matmul inner")
@@ -99,7 +124,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--q", type=int, help="parameter for cw / CW")
     p_gen.add_argument("--m", type=int, help="size for tn")
     p_gen.add_argument("--out", help="output path (default stdout)")
-    _common_flags(p_gen)
 
     p_irr = sub.add_parser("irr", help="irreversibility lower bound and barriers")
     p_irr.add_argument("path", help="tensor file, or - for stdin")
@@ -107,7 +131,9 @@ def _build_parser() -> argparse.ArgumentParser:
     theta_choice.add_argument("--theta", help="axis weights t1,t2,t3 (default uniform)")
     theta_choice.add_argument("--search-theta", action="store_true",
                               help="minimize over the theta simplex (excludes --theta)")
-    _common_flags(p_irr)
+    _format_flag(p_irr)
+    _precision_flag(p_irr)
+    _solver_flags(p_irr)
 
     p_rho = sub.add_parser("rho", help="entropy maximum over support distributions")
     p_rho.add_argument("path", help="tensor file, or - for stdin")
@@ -116,79 +142,42 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="also run the grid oracle and compare")
     p_rho.add_argument("--resolution", type=int, default=1000,
                        help="grid oracle resolution (default 1000)")
-    _common_flags(p_rho)
+    _format_flag(p_rho)
+    _precision_flag(p_rho)
+    _solver_flags(p_rho)
 
     p_diag = sub.add_parser("diag", help="maximum free diagonal of a support power")
     p_diag.add_argument("path", help="tensor file, or - for stdin")
     p_diag.add_argument("--power", type=int, default=1, help="Kronecker power (default 1)")
-    p_diag.add_argument("--budget", type=int, default=None,
-                        help="node budget override for this search")
-    _common_flags(p_diag)
+    p_diag.add_argument("--budget", type=int, default=diagonal.DEFAULT_NODE_BUDGET,
+                        help=f"search node budget (default {diagonal.DEFAULT_NODE_BUDGET})")
+    _format_flag(p_diag)
+    _precision_flag(p_diag)
 
     p_table = sub.add_parser("table", help="reproduce a barrier table")
-    p_table.add_argument("which", choices=("cw", "CW", "tn", "laser", "better"))
-    p_table.add_argument("--qmin", type=int, help="first q (family minimum by default)")
-    p_table.add_argument("--qmax", type=int, help="last q")
-    p_table.add_argument("--mmin", type=int, help="first m for tn (default 2)")
-    p_table.add_argument("--mmax", type=int, help="last m for tn (default 7)")
+    p_table.add_argument("which", choices=tuple(_TABLES))
+    p_table.add_argument("--qmin", type=int, help="first q (cw, CW, laser, better)")
+    p_table.add_argument("--qmax", type=int, help="last q (cw, CW, laser, better)")
+    p_table.add_argument("--mmin", type=int, help="first m (tn)")
+    p_table.add_argument("--mmax", type=int, help="last m (tn)")
     p_table.add_argument("--assume-rank", choices=("flattening", "conjectured"),
-                         default="flattening",
-                         help="laser table rank assumption (default flattening)")
-    _common_flags(p_table)
+                         help="rank assumption (laser; default flattening)")
+    _format_flag(p_table, ("text", "csv", "json"))
+    _precision_flag(p_table)
 
     p_flat = sub.add_parser("flatrank", help="exact ranks of the three flattenings")
     p_flat.add_argument("path", help="tensor file, or - for stdin")
-    _common_flags(p_flat)
+    _format_flag(p_flat)
 
-    return parser
-
-
-def _emit_table(rows, headers, cfg: CliConfig) -> None:
-    if cfg.output_format == "csv":
-        print("param,value")
-        for row in rows:
-            print(f"{row[0]},{_fmt(row[-1], cfg.precision)}")
-    elif cfg.output_format == "json":
-        payload = [
-            {headers[i]: (row[i] if i < len(row) - 1 else _round_sig(row[i], cfg.precision))
-             for i in range(len(row))}
-            for row in rows
-        ]
-        print(json.dumps(payload))
-    else:
-        print("  ".join(headers))
-        for row in rows:
-            cells = [str(v) for v in row[:-1]] + [_fmt(row[-1], cfg.precision)]
-            print("  ".join(cells))
+    return parser, sub.choices
 
 
-def _cmd_gen(args, cfg: CliConfig) -> int:
-    family = args.family
-    if family == "unit":
-        if args.n is None:
-            raise ValueError("gen unit requires --n")
-        t = tensor.unit(args.n)
-    elif family == "matmul":
-        if None in (args.a, args.b, args.c):
-            raise ValueError("gen matmul requires --a --b --c")
-        t = tensor.matmul(args.a, args.b, args.c)
-    elif family == "cw":
-        if args.q is None:
-            raise ValueError("gen cw requires --q")
-        t = tensor.cw(args.q)
-    elif family == "CW":
-        if args.q is None:
-            raise ValueError("gen CW requires --q")
-        t = tensor.cw_big(args.q)
-    elif family == "tn":
-        if args.m is None:
-            raise ValueError("gen tn requires --m")
-        t = tensor.tn(args.m)
-    elif family == "w":
-        t = tensor.w()
-    else:
-        t = tensor.z3()
-    text = tensor.to_json(t)
+def _cmd_gen(args) -> int:
+    make, names = _FAMILIES[args.family]
+    given = _params(args, f"gen {args.family}", _FAMILY_FLAGS, names)
+    if len(given) < len(names):
+        raise ValueError(f"gen {args.family} requires {_flags(names)}")
+    text = tensor.to_json(make(*(given[d] for d in names)))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -197,23 +186,16 @@ def _cmd_gen(args, cfg: CliConfig) -> int:
     return EXIT_OK
 
 
-def _print_report(report: barriers.BarrierReport, cfg: CliConfig) -> None:
-    if cfg.output_format == "json":
-        doc = report.to_json_dict()
-        doc["rho"]["value"] = _round_sig(doc["rho"]["value"], cfg.precision)
-        doc["rho"]["residual"] = _round_sig(doc["rho"]["residual"], cfg.precision)
-        doc["rho"]["argmax"]["probabilities"] = [
-            {"point": rec["point"], "prob": _round_sig(rec["prob"], cfg.precision)}
-            for rec in doc["rho"]["argmax"]["probabilities"]
-        ]
-        doc["theta_used"] = [_round_sig(v, cfg.precision) for v in doc["theta_used"]]
-        doc["irr_lb"] = _round_sig(doc["irr_lb"], cfg.precision)
-        doc["barrier_basic"] = _round_sig(doc["barrier_basic"], cfg.precision)
-        if doc["barrier_laser"] is not None:
-            doc["barrier_laser"] = _round_sig(doc["barrier_laser"], cfg.precision)
-        print(json.dumps(doc))
-        return
-    p = cfg.precision
+def _cmd_irr(args) -> int:
+    t = tensor.read_tensor(args.path)
+    theta = _parse_theta(args.theta)
+    report = barriers.irr_lower(
+        t, theta, tol=args.tol, search_theta=args.search_theta, iter_budget=args.iter_budget
+    )
+    p = args.precision
+    if args.format == "json":
+        print(json.dumps(_rounded(report.to_json_dict(), p)))
+        return EXIT_OK
     print(f"tensor_id        {report.tensor_id}")
     print(f"flattening_ranks {report.flattening_ranks[0]} {report.flattening_ranks[1]} "
           f"{report.flattening_ranks[2]}")
@@ -226,109 +208,87 @@ def _print_report(report: barriers.BarrierReport, cfg: CliConfig) -> None:
         print(f"barrier_laser    {_fmt(report.barrier_laser, p)}")
     if report.notes:
         print(f"notes            {report.notes}")
-
-
-def _cmd_irr(args, cfg: CliConfig) -> int:
-    t = tensor.read_tensor(args.path)
-    theta = _parse_theta(args.theta)
-    report = barriers.irr_lower(
-        t, theta, tol=cfg.tol, search_theta=args.search_theta, iter_budget=cfg.iter_budget
-    )
-    _print_report(report, cfg)
     return EXIT_OK
 
 
-def _cmd_rho(args, cfg: CliConfig) -> int:
+def _cmd_rho(args) -> int:
     t = tensor.read_tensor(args.path)
     theta = _parse_theta(args.theta)
-    res = entropy.rho_upper(t, theta, tol=cfg.tol, iter_budget=cfg.iter_budget)
+    p = args.precision
+    res = entropy.rho_upper(t, theta, tol=args.tol, iter_budget=args.iter_budget)
     oracle_value = None
     if args.oracle:
         oracle_value = entropy.rho_grid_oracle(t, theta, resolution=args.resolution)
-    if cfg.output_format == "json":
+    if args.format == "json":
         doc = {
-            "value": _round_sig(res.value, cfg.precision),
-            "residual": _round_sig(res.residual, cfg.precision),
+            "value": res.value,
+            "residual": res.residual,
             "iterations": res.iterations,
             "argmax": {
                 "probabilities": [
-                    {"point": list(pt), "prob": _round_sig(x, cfg.precision)}
+                    {"point": list(pt), "prob": x}
                     for pt, x in zip(res.argmax.points, res.argmax.probs)
                 ]
             },
         }
         if oracle_value is not None:
-            doc["oracle"] = _round_sig(oracle_value, cfg.precision)
-        print(json.dumps(doc))
+            doc["oracle"] = oracle_value
+        print(json.dumps(_rounded(doc, p)))
     else:
-        print(f"rho        {_fmt(res.value, cfg.precision)}")
+        print(f"rho        {_fmt(res.value, p)}")
         print(f"residual   {_fmt(res.residual, 2)}")
         print(f"iterations {res.iterations}")
         if oracle_value is not None:
-            print(f"oracle     {_fmt(oracle_value, cfg.precision)}")
+            print(f"oracle     {_fmt(oracle_value, p)}")
     if oracle_value is not None and abs(oracle_value - res.value) > ORACLE_AGREEMENT:
         print(
-            f"oracle mismatch: optimizer {_fmt(res.value, cfg.precision)} vs "
-            f"grid {_fmt(oracle_value, cfg.precision)}",
+            f"oracle mismatch: optimizer {_fmt(res.value, p)} vs grid {_fmt(oracle_value, p)}",
             file=sys.stderr,
         )
         return EXIT_ORACLE_MISMATCH
     return EXIT_OK
 
 
-def _cmd_diag(args, cfg: CliConfig) -> int:
+def _cmd_diag(args) -> int:
     t = tensor.read_tensor(args.path)
-    budget = args.budget if args.budget is not None else cfg.node_budget
-    res = diagonal.monomial_subrank_power(t, args.power, node_budget=budget)
-    if cfg.output_format == "json":
-        print(json.dumps({
+    res = diagonal.monomial_subrank_power(t, args.power, node_budget=args.budget)
+    if args.format == "json":
+        print(json.dumps(_rounded({
             "size": res.size,
-            "per_copy_rate": _round_sig(res.per_copy_rate, cfg.precision),
+            "per_copy_rate": res.per_copy_rate,
             "exact": res.exact,
             "witness": [list(p) for p in res.witness],
-        }))
+        }, args.precision)))
     else:
         print(f"size          {res.size}")
-        print(f"per_copy_rate {_fmt(res.per_copy_rate, cfg.precision)}")
+        print(f"per_copy_rate {_fmt(res.per_copy_rate, args.precision)}")
         print(f"exact         {res.exact}")
         print(f"witness       {' '.join(repr(p) for p in res.witness)}")
     return EXIT_OK
 
 
-def _cmd_table(args, cfg: CliConfig) -> int:
-    which = args.which
-    if which == "cw":
-        q_lo = args.qmin if args.qmin is not None else 2
-        q_hi = args.qmax if args.qmax is not None else 7
-        rows = barriers.cw_table(q_lo, q_hi)
-        _emit_table(rows, ("q", "barrier"), cfg)
-    elif which == "CW":
-        q_lo = args.qmin if args.qmin is not None else 1
-        q_hi = args.qmax if args.qmax is not None else 6
-        rows = barriers.cw_big_table(q_lo, q_hi)
-        _emit_table(rows, ("q", "barrier"), cfg)
-    elif which == "tn":
-        m_lo = args.mmin if args.mmin is not None else 2
-        m_hi = args.mmax if args.mmax is not None else 7
-        rows = barriers.tn_table(m_lo, m_hi)
-        _emit_table(rows, ("m", "table_n", "barrier"), cfg)
-    elif which == "laser":
-        q_lo = args.qmin if args.qmin is not None else 2
-        q_hi = args.qmax if args.qmax is not None else (11 if args.assume_rank == "conjectured" else 7)
-        rows = barriers.laser_table(q_lo, q_hi, args.assume_rank)
-        _emit_table(rows, ("q", "barrier"), cfg)
+def _cmd_table(args) -> int:
+    make, headers, keywords = _TABLES[args.which]
+    given = _params(args, f"table {args.which}", _TABLE_FLAGS, keywords)
+    rows = make(**{keywords[d]: v for d, v in given.items()})
+    p = args.precision
+    if args.format == "csv":
+        print("param,value")
+        for row in rows:
+            print(f"{row[0]},{_fmt(row[-1], p)}")
+    elif args.format == "json":
+        print(json.dumps(_rounded([dict(zip(headers, row)) for row in rows], p)))
     else:
-        q_lo = args.qmin if args.qmin is not None else 2
-        q_hi = args.qmax if args.qmax is not None else 12
-        rows = barriers.better_table(q_lo, q_hi)
-        _emit_table(rows, ("q", "barrier"), cfg)
+        print("  ".join(headers))
+        for row in rows:
+            print("  ".join([str(v) for v in row[:-1]] + [_fmt(row[-1], p)]))
     return EXIT_OK
 
 
-def _cmd_flatrank(args, cfg: CliConfig) -> int:
+def _cmd_flatrank(args) -> int:
     t = tensor.read_tensor(args.path)
     ranks = linalg.flattening_ranks(t)
-    if cfg.output_format == "json":
+    if args.format == "json":
         print(json.dumps({"flattening_ranks": list(ranks), "max": max(ranks)}))
     else:
         print(f"flattening_ranks {ranks[0]} {ranks[1]} {ranks[2]}")
@@ -347,11 +307,15 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    parser, commands = _build_parser()
+    args, extra = parser.parse_known_args(argv)
+    if extra:
+        # Reported by the subcommand, whose usage line lists the flags it takes.
+        commands[args.command].error(f"unrecognized arguments: {' '.join(extra)}")
     try:
-        cfg = _config(args)
-        return _COMMANDS[args.command](args, cfg)
+        if not 2 <= getattr(args, "precision", 6) <= 17:
+            raise ValueError("precision must be in [2, 17]")
+        return _COMMANDS[args.command](args)
     except DegenerateInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE

@@ -1,4 +1,4 @@
-"""Exact linear algebra over the rationals: flattenings, rank, balancedness.
+"""Exact linear algebra over the rationals: flattenings and rank.
 
 Rank is computed by fraction-free (Bareiss-style) elimination on sparse
 integer rows, so intermediate values stay integral with polynomially bounded
@@ -8,8 +8,6 @@ bit growth.
 from __future__ import annotations
 
 import math
-import random
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
@@ -127,44 +125,3 @@ def flattening_ranks(t: Tensor) -> tuple[int, int, int]:
 def max_flattening_rank(t: Tensor) -> int:
     """Largest of the three flattening ranks; lower-bounds asymptotic rank."""
     return max(flattening_ranks(t))
-
-
-def _contract(t: Tensor, axis: int, v: list[Fraction]) -> dict[tuple[int, int], Fraction]:
-    out: dict[tuple[int, int], Fraction] = {}
-    for (i, j, k), c in t.entries.items():
-        coord = (i, j, k)[axis - 1]
-        key = tuple(x for a, x in enumerate((i, j, k)) if a != axis - 1)
-        out[key] = out.get(key, Fraction(0)) + v[coord] * c
-    return {key: val for key, val in out.items() if val != 0}
-
-
-def is_balanced(t: Tensor, trials: int = 8, seed: int = 0) -> bool:
-    """Whether t has full-rank flattenings and a full-rank slice in each direction.
-
-    The slice test is randomized (Schwartz-Zippel over random integer
-    vectors) with one-sided error: True is always correct, False may be a
-    miss and is reported with a warning when all trials fail.
-    """
-    n1, n2, n3 = t.dims
-    if not (n1 == n2 == n3):
-        raise ValueError(f"balancedness needs cubic dims, got {t.dims}")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    n = n1
-    if any(r != n for r in flattening_ranks(t)):
-        return False
-    rng = random.Random(seed)
-    for axis in (1, 2, 3):
-        for _ in range(trials):
-            v = [Fraction(rng.randint(-99, 99)) for _ in range(n)]
-            slice_entries = _contract(t, axis, v)
-            if slice_entries and rank_exact(ExactMatrix(n, n, slice_entries)) == n:
-                break
-        else:
-            warnings.warn(
-                f"no full-rank slice found on axis {axis} after {trials} trials; "
-                "reporting unbalanced (one-sided check)",
-                stacklevel=2,
-            )
-            return False
-    return True

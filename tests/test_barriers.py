@@ -254,6 +254,11 @@ def test_laser_tables():
         assert got == pytest.approx(want, abs=1e-6)
 
 
+def test_laser_table_default_range_follows_rank_mode():
+    assert laser_table() == laser_table(2, 7, "flattening")
+    assert laser_table(rank_mode="conjectured") == laser_table(2, 11, "conjectured")
+
+
 def test_table_range_validation():
     with pytest.raises(ValueError):
         cw_table(1, 7)
@@ -268,11 +273,11 @@ def test_table_range_validation():
 
 
 def test_min_rho_over_theta():
-    _, res = min_rho_over_theta(w(), tol=1e-9)
+    res = min_rho_over_theta(w(), tol=1e-9).rho
     assert res.value <= H13 + 1e-9
     # the search can never lose to the uniform default
     t = Tensor((2, 2, 2), {(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1, (1, 1, 0): 1})
-    _, res2 = min_rho_over_theta(t, tol=1e-9)
+    res2 = min_rho_over_theta(t, tol=1e-9).rho
     uniform = irr_lower(t).rho.value
     assert res2.value <= uniform + 1e-9
 
@@ -321,7 +326,8 @@ THETA_REGRESSIONS = [
 def test_min_rho_over_theta_finds_minimum(points, minimum):
     tol = 1e-10
     t = Tensor((4, 4, 4), {p: 1 for p in points})
-    theta, res = min_rho_over_theta(t, tol=tol)
+    search = min_rho_over_theta(t, tol=tol)
+    theta, res = search.theta, search.rho
     assert res.value == pytest.approx(minimum, abs=1e-8)
     # Independently of the search: no theta of a 12-step grid, and no
     # neighbour of theta at step 1e-3, has a smaller entropy maximum.

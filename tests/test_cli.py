@@ -381,3 +381,72 @@ def test_pipe_gen_to_irr_subprocess():
     doc = json.loads(irr.stdout)
     assert doc["irr_lb"] == pytest.approx(1.0, abs=1e-6)
     assert doc["barrier_laser"] == pytest.approx(2.0, abs=1e-6)
+
+
+def _exit_code(argv):
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+# Flag combinations that used to exit 0 with a flag ignored: (argv, the
+# rejected flag, a flag the command does take, which stderr names).
+IGNORED_FLAGS = [
+    (["table", "tn", "--qmax", "3"], "--qmax", "--mmax"),
+    (["table", "CW", "--tol", "1", "--iter-budget", "1"], "--tol", "--qmax"),
+    (["flatrank", "{w}", "--format", "csv", "--precision", "3", "--tol", "5"], "--format", "'json'"),
+    (["irr", "{w}", "--format", "csv"], "--format", "'json'"),
+    (["gen", "w", "--format", "csv"], "--format", "--out"),
+    (["gen", "cw", "--q", "2", "--m", "9", "--n", "4"], "--m", "--q"),
+    (["diag", "{w}", "--node-budget", "5", "--budget", "100000", "--tol", "7",
+      "--iter-budget", "3"], "--node-budget", "--budget"),
+    (["table", "cw", "--assume-rank", "conjectured", "--mmax", "3"], "--assume-rank", "--qmin"),
+]
+
+
+@pytest.mark.parametrize("argv,rejected,taken", IGNORED_FLAGS)
+def test_flag_the_command_does_not_read_exits_2(tmp_path, capsys, argv, rejected, taken):
+    path = tmp_path / "w.json"
+    path.write_text(to_json(w()) + "\n")
+    code = _exit_code([str(path) if a == "{w}" else a for a in argv])
+    out = capsys.readouterr()
+    assert code == 2
+    assert out.out == ""
+    assert rejected in out.err and taken in out.err
+
+
+def _floats(doc):
+    if isinstance(doc, float):
+        yield doc
+    elif isinstance(doc, dict):
+        for v in doc.values():
+            yield from _floats(v)
+    elif isinstance(doc, list):
+        for v in doc:
+            yield from _floats(v)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["irr", "-"],
+        ["irr", "-", "--search-theta"],
+        ["rho", "-", "--oracle", "--resolution", "300"],
+        ["diag", "-", "--power", "2"],
+        ["table", "tn"],
+        ["table", "laser", "--assume-rank", "conjectured"],
+    ],
+)
+def test_json_precision_rounds_every_float(capsys, monkeypatch, argv):
+    from irrev import cw_big
+
+    code, out, _ = run_cli(
+        capsys, [*argv, "--format", "json", "--precision", "3"],
+        stdin=to_json(cw_big(1)), monkeypatch=monkeypatch,
+    )
+    assert code == 0
+    values = list(_floats(json.loads(out)))
+    assert values
+    for x in values:
+        assert float(format(x, ".3g")) == x

@@ -7,13 +7,11 @@ from hypothesis import strategies as st
 
 from irrev import (
     ExactMatrix,
-    Tensor,
     cw,
     cw_big,
     dsum,
     flatten,
     flattening_ranks,
-    is_balanced,
     kron,
     matmul,
     max_flattening_rank,
@@ -116,30 +114,6 @@ def test_flattening_rank_additive_under_dsum(seed):
         assert rank_exact(flatten(total, axis)) == rank_exact(flatten(s, axis)) + rank_exact(
             flatten(t, axis)
         )
-
-
-def test_is_balanced_families():
-    assert is_balanced(unit(3)) is True
-    assert is_balanced(matmul(2, 2, 2)) is True
-    assert is_balanced(cw(2)) is True
-    # W has full flattenings and its generic slice has determinant -v0^2,
-    # so a full-rank slice exists on every axis.
-    assert is_balanced(w()) is True
-
-
-def test_is_balanced_negative_and_errors():
-    t = Tensor((2, 2, 2), {(0, 0, 0): 1, (1, 1, 0): 1})  # axis-3 flattening rank 1
-    assert is_balanced(t) is False
-    with pytest.raises(ValueError):
-        is_balanced(matmul(1, 2, 3))
-    with pytest.raises(ValueError):
-        is_balanced(unit(2), trials=0)
-
-
-def test_is_balanced_deterministic_in_seed():
-    assert is_balanced(matmul(2, 2, 2), trials=4, seed=7) == is_balanced(
-        matmul(2, 2, 2), trials=4, seed=7
-    )
 
 
 def test_exact_matrix_validation():
