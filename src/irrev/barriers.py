@@ -328,11 +328,18 @@ def cw_better_barrier(q: int) -> float:
 # Table generators
 
 
+def _table_range(table: str, var: str, lo: int, hi: int, first: int) -> range:
+    if lo < first:
+        raise ValueError(f"{table} table starts at {var} = {first}")
+    if lo > hi:
+        raise ValueError(f"{table} table range {var} = {lo}..{hi} is empty")
+    return range(lo, hi + 1)
+
+
 def cw_table(q_lo: int = 2, q_hi: int = 7) -> list[tuple[int, float]]:
     """Basic barrier for the small Coppersmith-Winograd family."""
-    if q_lo < 2:
-        raise ValueError("cw table starts at q = 2")
-    return [(q, 2.0 * math.log2(q + 1) / cw_small_entropy_bound(q)) for q in range(q_lo, q_hi + 1)]
+    return [(q, 2.0 * math.log2(q + 1) / cw_small_entropy_bound(q))
+            for q in _table_range("cw", "q", q_lo, q_hi, 2)]
 
 
 def cw_big_table(
@@ -346,10 +353,8 @@ def cw_big_table(
     Each row is the closed form 2 log2(q+2) / f(argmax), cross-checked
     against the general entropy optimizer on the actual support.
     """
-    if q_lo < 1:
-        raise ValueError("cw_big table starts at q = 1")
     rows = []
-    for q in range(q_lo, q_hi + 1):
+    for q in _table_range("cw_big", "q", q_lo, q_hi, 1):
         peak = cw_big_marginal_entropy(q, cw_big_entropy_argmax(q))
         opt = rho_upper(cw_big(q), tol=tol)
         if abs(peak - opt.value) > cross_check_tol:
@@ -367,10 +372,8 @@ def tn_table(m_lo: int = 2, m_hi: int = 7, tol: float = 1e-9) -> list[tuple[int,
     m - 1 is the row index used by the conventional family table, which is
     shifted by one relative to the size.
     """
-    if m_lo < 2:
-        raise ValueError("tn table starts at m = 2")
     rows = []
-    for m in range(m_lo, m_hi + 1):
+    for m in _table_range("tn", "m", m_lo, m_hi, 2):
         rho = rho_upper(tn(m), tol=tol)
         rows.append((m, m - 1, 2.0 * math.log2(m) / rho.value))
     return rows
@@ -383,12 +386,8 @@ def laser_table(
     conjectured rank and to 7 under the flattening rank."""
     if q_hi is None:
         q_hi = 11 if rank_mode == "conjectured" else 7
-    if q_lo < 2:
-        raise ValueError("laser table starts at q = 2")
-    return [(q, cw_laser_barrier(q, rank_mode)) for q in range(q_lo, q_hi + 1)]
+    return [(q, cw_laser_barrier(q, rank_mode)) for q in _table_range("laser", "q", q_lo, q_hi, 2)]
 
 
 def better_table(q_lo: int = 2, q_hi: int = 12) -> list[tuple[int, float]]:
-    if q_lo < 2:
-        raise ValueError("better table starts at q = 2")
-    return [(q, cw_better_barrier(q)) for q in range(q_lo, q_hi + 1)]
+    return [(q, cw_better_barrier(q)) for q in _table_range("better", "q", q_lo, q_hi, 2)]

@@ -35,6 +35,8 @@ class Theta:
     t3: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.t1, self.t2, self.t3))):
+            raise ValueError("theta components must be finite")
         if min(self.t1, self.t2, self.t3) < 0:
             raise ValueError("theta components must be nonnegative")
         if abs(self.t1 + self.t2 + self.t3 - 1.0) > 1e-12:
@@ -270,8 +272,8 @@ def rho_upper_on_support(
     """
     if theta is None:
         theta = Theta.uniform()
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
     if iter_budget < 1:
         raise ValueError("iter_budget must be positive")
     th = theta.as_tuple()

@@ -270,6 +270,11 @@ def test_table_range_validation():
         laser_table(1, 5)
     with pytest.raises(ValueError):
         better_table(1, 5)
+    for table, lo in ((cw_table, 2), (cw_big_table, 1), (tn_table, 2), (laser_table, 2),
+                      (better_table, 2)):
+        assert len(table(lo + 1, lo + 1)) == 1
+        with pytest.raises(ValueError, match=rf"{lo + 2}\.\.{lo + 1} is empty"):
+            table(lo + 2, lo + 1)
 
 
 def test_min_rho_over_theta():

@@ -261,6 +261,17 @@ def test_table_bad_range_exit_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("which,lo,hi", [
+    ("cw", "--qmin", "--qmax"), ("CW", "--qmin", "--qmax"), ("tn", "--mmin", "--mmax"),
+    ("laser", "--qmin", "--qmax"), ("better", "--qmin", "--qmax"),
+])
+def test_table_empty_range_exit_2(capsys, which, lo, hi):
+    code, out, err = run_cli(capsys, ["table", which, lo, "5", hi, "3"])
+    assert code == 2
+    assert out == ""
+    assert "5..3 is empty" in err
+
+
 def test_flatrank(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, ["flatrank", "-"], stdin=to_json(z3()), monkeypatch=monkeypatch)
     assert code == 0
@@ -347,6 +358,23 @@ def test_theta_parse_error_exit_2(capsys, monkeypatch):
         capsys, ["rho", "-", "--theta", "1,0"], stdin=to_json(w()), monkeypatch=monkeypatch
     )
     assert code == 2
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--theta", "nan,0.5,0.5"), ("--theta", "0.5,0.5,inf"), ("--tol", "nan"), ("--tol", "inf"),
+])
+@pytest.mark.parametrize("command", ["rho", "irr"])
+def test_non_finite_theta_or_tol_exits_2(tmp_path, capfd, command, flag, value):
+    # capfd reads file descriptors 1 and 2, so it also sees the DLASCL lines
+    # LAPACK writes from C when a NaN reaches the optimizer's least squares.
+    path = tmp_path / "w.json"
+    path.write_text(to_json(w()) + "\n")
+    code = cli.main([command, str(path), flag, value])
+    out = capfd.readouterr()
+    assert code == 2
+    assert out.out == ""
+    assert out.err.startswith("error: ") and out.err.count("\n") == 1
+    assert "finite" in out.err
 
 
 def test_module_entrypoint_subprocess():

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from irrev import (
     ExactMatrix,
+    Tensor,
     cw,
     cw_big,
     dsum,
@@ -21,6 +23,7 @@ from irrev import (
     w,
     z3,
 )
+from irrev import linalg
 from conftest import rank_mod_p, random_rational_tensor
 
 
@@ -123,3 +126,86 @@ def test_exact_matrix_validation():
         ExactMatrix(2, 2, {(2, 0): 1})
     with pytest.raises(ValueError):
         ExactMatrix(0, 2, {})
+
+
+def _sum_of_two_simple(r):
+    """u1 (x) v1 (x) w1 + u2 (x) v2 (x) w2 on a random box: every flattening
+    has rank at most 2, below min(rows, cols) whenever both exceed 2."""
+    while True:
+        dims = tuple(r.randint(2, 5) for _ in range(3))
+        vecs = [[[Fraction(r.randint(-3, 3), r.randint(1, 3)) for _ in range(n)] for n in dims]
+                for _ in range(2)]
+        entries = {}
+        for i, j, k in product(*(range(n) for n in dims)):
+            v = sum(u[i] * v_[j] * w_[k] for u, v_, w_ in vecs)
+            if v:
+                entries[(i, j, k)] = v
+        try:
+            return Tensor(dims, entries)
+        except ValueError:
+            continue
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**9), st.booleans())
+def test_flattening_ranks_match_rank_exact(seed, two_simple):
+    r = random.Random(seed)
+    t = _sum_of_two_simple(r) if two_simple else random_rational_tensor(r, max_dim=5, max_size=40)
+    assert flattening_ranks(t) == tuple(rank_exact(flatten(t, a)) for a in (1, 2, 3))
+
+
+@pytest.fixture
+def exact_calls(monkeypatch):
+    calls = []
+
+    def counting(matrix):
+        calls.append((matrix.rows, matrix.cols))
+        return rank_exact(matrix)
+
+    monkeypatch.setattr(linalg, "rank_exact", counting)
+    return calls
+
+
+@pytest.mark.parametrize("corner,ranks", [(1, (1, 2, 2)), (1 + linalg.P, (2, 2, 2))])
+def test_short_rank_mod_p_reaches_exact_fallback(exact_calls, corner, ranks):
+    # Axis 1 flattens to [[1, 1], [1, corner]] on two columns, each holding
+    # two entries.  Its rank mod P is 1 < min(2, 2) for both corners, while
+    # the rank over Q is 1 for corner 1 and 2 for corner 1 + P (determinant P).
+    t = Tensor((2, 2, 2), {(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 0): 1, (1, 1, 1): corner})
+    assert flattening_ranks(t) == ranks
+    assert exact_calls == [(2, 4)]
+
+
+def test_denominator_divisible_by_p_reaches_exact_fallback(exact_calls):
+    entries = {p: Fraction(1 + sum(p) * (sum(p) + 1)) for p in product(range(2), repeat=3)}
+    entries[(1, 0, 1)] = Fraction(1, linalg.P)
+    t = Tensor((2, 2, 2), entries)
+    assert flattening_ranks(t) == (2, 2, 2)
+    assert len(exact_calls) == 3
+
+
+@pytest.mark.parametrize("dims", [(3, 4, 5), (5, 2, 2), (2, 9, 3)])
+def test_dense_full_rank_needs_no_exact_fallback(exact_calls, dims):
+    r = random.Random(7)
+    t = Tensor(dims, {p: Fraction(r.randint(1, 50), r.randint(1, 50))
+                      for p in product(*(range(n) for n in dims))})
+    n1, n2, n3 = dims
+    assert flattening_ranks(t) == (min(n1, n2 * n3), min(n2, n3 * n1), min(n3, n1 * n2))
+    assert exact_calls == []
+
+
+def test_dense_work_limit_sends_larger_flattenings_to_exact_fallback(exact_calls, monkeypatch):
+    # Cells x pivots per axis of a dense 3x4x5 tensor: 3*20*3, 4*15*4, 5*12*5.
+    monkeypatch.setattr(linalg, "DENSE_WORK_LIMIT", 4 * 15 * 4)
+    r = random.Random(7)
+    t = Tensor((3, 4, 5), {p: Fraction(r.randint(1, 50), r.randint(1, 50))
+                           for p in product(range(3), range(4), range(5))})
+    assert flattening_ranks(t) == (3, 4, 5)
+    assert exact_calls == [(5, 12)]
+
+
+def test_free_families_need_no_exact_fallback(exact_calls):
+    for t in (w(), tn(4), matmul(1, 2, 2), cw_big(3), kron(tn(3), z3())):
+        flattening_ranks(t)
+    assert flattening_ranks(kron(cw(2), matmul(2, 2, 2))) == (12, 12, 12)
+    assert exact_calls == []
