@@ -1,9 +1,8 @@
 """Exact linear algebra over the rationals: flattenings and rank.
 
-`flattening_ranks` counts, then eliminates over F_P in numpy, and keeps a
-result only where it is provably exact.  Otherwise `rank_exact` decides, by
-fraction-free (Bareiss-style) elimination on sparse integer rows, whose values
-stay integral with polynomially bounded bit growth.
+Rank is computed by fraction-free (Bareiss-style) elimination on sparse
+integer rows, so intermediate values stay integral with polynomially bounded
+bit growth.
 """
 
 from __future__ import annotations
@@ -18,12 +17,7 @@ import numpy as np
 
 from .tensor import Tensor
 
-# Prime below 2**31, so a product of two residues fits in int64.
-P = 2147483629
-# Bound on cells x pivots of the dense elimination mod P, about 0.25 s in
-# numpy on one x86_64 core.  Larger flattenings go to `rank_exact`: a sparse
-# one costs it less (1000 x 6000 with 6000 entries: 89 s mod P, 5.5 s there).
-DENSE_WORK_LIMIT = 1 << 26
+P = 2147483629  # prime below 2**31: a product of two residues fits in int64
 
 
 @dataclass(frozen=True)
@@ -129,32 +123,24 @@ def rank_exact(matrix: ExactMatrix) -> int:
 
 
 def _full_row_rank_mod_p(a: np.ndarray) -> bool:
-    """Whether a matrix of residues mod P has full row rank over F_P."""
+    """Whether residues mod P have full row rank; each pivot rewrites in place
+    only the rows with a nonzero in its column."""
     while len(a):
-        nonzero = np.flatnonzero(a[0])
-        if not nonzero.size:
+        pc = np.argmax(a[0] != 0)
+        if not a[0, pc]:
             return False
-        pc = nonzero[0]
         pivot_row = a[0] * pow(int(a[0, pc]), -1, P) % P
-        a = (a[1:] - a[1:, pc, None] * pivot_row) % P
+        a = a[1:]
+        hit = np.flatnonzero(a[:, pc])
+        a[hit] = (a[hit] - a[hit, pc, None] * pivot_row) % P
     return True
 
 
 def flattening_ranks(t: Tensor) -> tuple[int, int, int]:
-    """Exact ranks of the three flattenings, read from t.entries axis by axis.
-
-    When each column holds one entry, the columns are multiples of distinct
-    unit vectors and the rank is the number of nonzero rows; every free
-    support is here (the named families and their kron/cyc products).  Else
-    each num/den becomes num * den^-1 mod P in a dense int64 array of nonzero
-    rows x nonzero columns.  Reduction mod P maps each minor to its residue,
-    so the rank over F_P is at most the rank over Q, itself at most
-    min(rows, cols): reaching that bound makes it exact.  Short of the bound,
-    when P divides a denominator, or past DENSE_WORK_LIMIT, `rank_exact`
-    decides.
-    """
-    residues = None
-    ranks = []
+    """Exact flattening ranks: the number of nonzero rows when each column holds one
+    entry; else the rank over F_P of the dense nonzero-rows x nonzero-columns array if
+    it reaches min(rows, cols) >= rank over Q >= rank mod P; else `rank_exact`."""
+    residues, ranks = None, []
     for axis in (1, 2, 3):
         a, b, c = axis - 1, axis % 3, (axis + 1) % 3
         rows = {p[a] for p in t.entries}
@@ -162,12 +148,10 @@ def flattening_ranks(t: Tensor) -> tuple[int, int, int]:
         if len(cols) == len(t.entries):
             ranks.append(len(rows))
             continue
-        fits = len(rows) * len(cols) * min(len(rows), len(cols)) <= DENSE_WORK_LIMIT
-        if fits and residues is None and all(v.denominator % P for v in t.entries.values()):
+        if residues is None and all(v.denominator % P for v in t.entries.values()):
             residues = [v.numerator * pow(v.denominator, -1, P) % P for v in t.entries.values()]
-        if fits and residues is not None:
-            row_of = {r: n for n, r in enumerate(rows)}
-            col_of = {k: n for n, k in enumerate(cols)}
+        if residues is not None:
+            row_of, col_of = ({k: n for n, k in enumerate(keys)} for keys in (rows, cols))
             m = np.zeros((len(rows), len(cols)), dtype=np.int64)
             m[[row_of[p[a]] for p in t.entries], [col_of[p[b], p[c]] for p in t.entries]] = residues
             if _full_row_rank_mod_p(m if len(rows) <= len(cols) else m.T):

@@ -194,14 +194,15 @@ def test_dense_full_rank_needs_no_exact_fallback(exact_calls, dims):
     assert exact_calls == []
 
 
-def test_dense_work_limit_sends_larger_flattenings_to_exact_fallback(exact_calls, monkeypatch):
-    # Cells x pivots per axis of a dense 3x4x5 tensor: 3*20*3, 4*15*4, 5*12*5.
-    monkeypatch.setattr(linalg, "DENSE_WORK_LIMIT", 4 * 15 * 4)
-    r = random.Random(7)
-    t = Tensor((3, 4, 5), {p: Fraction(r.randint(1, 50), r.randint(1, 50))
-                           for p in product(range(3), range(4), range(5))})
-    assert flattening_ranks(t) == (3, 4, 5)
-    assert exact_calls == [(5, 12)]
+def test_sparse_flattening_needs_no_exact_fallback(exact_calls):
+    # The diagonal (i, i, 0) plus (1, 0, 0) and (2, 1, 0): on axes 1 and 2 two
+    # columns hold two entries each, and each flattening is triangular with a
+    # nonzero diagonal, so its rank mod P is full.
+    n = 300
+    entries = {(i, i, 0): Fraction(i + 1, 7) for i in range(n)}
+    entries[(1, 0, 0)] = entries[(2, 1, 0)] = Fraction(-3)
+    assert flattening_ranks(Tensor((n, n, 1), entries)) == (n, n, 1)
+    assert exact_calls == []
 
 
 def test_free_families_need_no_exact_fallback(exact_calls):
