@@ -258,6 +258,9 @@ def _cmd_diag(args) -> int:
             "per_copy_rate": res.per_copy_rate,
             "exact": res.exact,
             "witness": [list(p) for p in res.witness],
+            "nodes": res.nodes,
+            "bound_prunes": res.bound_prunes,
+            "box_prunes": res.box_prunes,
         }, args.precision)))
     else:
         print(f"size          {res.size}")

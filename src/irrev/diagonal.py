@@ -29,11 +29,15 @@ DEFAULT_POWER_POINT_LIMIT = 200_000
 
 @dataclass(frozen=True)
 class DiagonalResult:
-    """Best free diagonal found; exact means the search tree was exhausted."""
+    """Best free diagonal found; exact means the search tree was exhausted.
+    nodes counts the nodes visited, the prunes the branches cut by each test."""
 
     size: int
     witness: tuple[Index, ...]
     exact: bool
+    nodes: int
+    bound_prunes: int
+    box_prunes: int
 
 
 @dataclass(frozen=True)
@@ -44,6 +48,9 @@ class PowerDiagonalResult:
     per_copy_rate: float
     exact: bool
     witness: tuple[Index, ...]
+    nodes: int
+    bound_prunes: int
+    box_prunes: int
 
 
 def is_free_diagonal(support: Support, points) -> bool:
@@ -67,71 +74,76 @@ class _Budget(Exception):
     pass
 
 
+def _slices(pts: list[Index], axis: int) -> list[int]:
+    """Per point i, the bit mask of the points sharing its coordinate on `axis`."""
+    rows: dict[int, list[int]] = {}
+    for i, p in enumerate(pts):
+        rows.setdefault(p[axis], []).append(i)
+    masks = {}
+    for c, idx in rows.items():
+        bits = bytearray(len(pts) // 8 + 1)
+        for i in idx:
+            bits[i >> 3] |= 1 << (i & 7)
+        masks[c] = int.from_bytes(bits, "little")
+    return [masks[p[axis]] for p in pts]
+
+
 def max_free_diagonal(support: Support, node_budget: int = DEFAULT_NODE_BUDGET) -> DiagonalResult:
     """Exact branch-and-bound search for a maximum free diagonal.
 
-    Points are scanned in lexicographic order; a branch is pruned when the
-    current size plus the per-axis count of distinct coordinates still
-    available among the remaining candidates cannot beat the incumbent.
-    Adjoining a point that traps a foreign support point inside the projected
-    box is refused outright: box violations can never be repaired later,
-    because any trapped point shares a coordinate with the diagonal.
-
-    The size found lower-bounds the monomial subrank, not the border subrank:
-    on supp(<2,2,2>) it is 2, although <3> degenerates from <2,2,2>.
+    Point sets are int bitsets over the sorted support (bit i is pts[i]). A
+    node holds the diagonal D, the masks Ma of the points whose axis-a
+    coordinate D uses, and the candidates: the points after D's last one in
+    no Ma, taken lowest bit first (lexicographic order). Invariant:
+    M0 & M1 & M2 == D, the projected box meets the support only in D. So a
+    point trapped by adjoining p has a coordinate outside D's projections,
+    which is p's: it lies in one of p's slices, and p is refused iff
+    N0 & N1 & N2 != D | p with Na = Ma | slice_a(p). A refusal is final, as a
+    trapped point shares a coordinate with D. A branch is pruned when |D|
+    plus the per-axis count of coordinates among the candidates cannot beat
+    the incumbent. node_budget counts nodes, as do the result's counters.
     """
     if node_budget < 1:
         raise ValueError("node_budget must be positive")
     pts = sorted(support.points)
-    pos = {p: i for i, p in enumerate(pts)}
-    support_set = support.points
-    best: list[Index] = []
-    nodes = 0
-    chosen: list[Index] = []
-    used: list[set[int]] = [set(), set(), set()]
+    s0, s1, s2 = slices = [_slices(pts, a) for a in range(3)]
+    best_size = best_mask = nodes = bound_prunes = box_prunes = 0
 
-    def box_ok(p: Index) -> bool:
-        u = [used[a] | {p[a]} for a in range(3)]
-        c = set(chosen)
-        for s in support_set:
-            if s != p and s not in c and s[0] in u[0] and s[1] in u[1] and s[2] in u[2]:
-                return False
-        return True
-
-    def walk(start: int) -> None:
-        nonlocal nodes, best
-        nodes += 1
-        if nodes > node_budget:
+    def walk(cand: int, size: int, chosen: int, m0: int, m1: int, m2: int) -> None:
+        nonlocal best_size, best_mask, nodes, bound_prunes, box_prunes
+        if nodes == node_budget:
             raise _Budget
-        if len(chosen) > len(best):
-            best = list(chosen)
-        candidates = [
-            p for p in pts[start:] if all(p[a] not in used[a] for a in range(3))
-        ]
-        if not candidates:
+        nodes += 1
+        if size > best_size:
+            best_size, best_mask = size, chosen
+        if not cand:
             return
-        bound = len(chosen) + min(
-            len({p[a] for p in candidates}) for a in range(3)
-        )
-        if bound <= len(best):
-            return
-        for p in candidates:
-            if not box_ok(p):
+        room = best_size - size
+        for sa in slices:  # prune iff some axis has at most `room` coordinates left
+            left, k = cand, 0
+            while left and k <= room:
+                left &= ~sa[(left & -left).bit_length() - 1]
+                k += 1
+            if not left and k <= room:
+                bound_prunes += 1
+                return
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            i = low.bit_length() - 1
+            n0, n1, n2 = m0 | s0[i], m1 | s1[i], m2 | s2[i]
+            if n0 & n1 & n2 != chosen | low:
+                box_prunes += 1
                 continue
-            chosen.append(p)
-            for a in range(3):
-                used[a].add(p[a])
-            walk(pos[p] + 1)
-            for a in range(3):
-                used[a].remove(p[a])
-            chosen.pop()
+            walk(cand & ~(n0 | n1 | n2), size + 1, chosen | low, n0, n1, n2)
 
     exact = True
     try:
-        walk(0)
+        walk((1 << len(pts)) - 1, 0, 0, 0, 0, 0)
     except _Budget:
         exact = False
-    return DiagonalResult(size=len(best), witness=tuple(best), exact=exact)
+    witness = tuple(pts[i] for i, b in enumerate(bin(best_mask)[:1:-1]) if b == "1")
+    return DiagonalResult(best_size, witness, exact, nodes, bound_prunes, box_prunes)
 
 
 def power_support(t: Tensor, k: int, max_points: int = DEFAULT_POWER_POINT_LIMIT) -> Support:
@@ -166,5 +178,5 @@ def monomial_subrank_power(
     found = max_free_diagonal(sup, node_budget=node_budget)
     rate = math.log2(found.size) / k if found.size > 0 else -math.inf
     return PowerDiagonalResult(
-        size=found.size, per_copy_rate=rate, exact=found.exact, witness=found.witness
+        found.size, rate, found.exact, found.witness, found.nodes, found.bound_prunes, found.box_prunes
     )

@@ -42,6 +42,74 @@ def brute_force_max_free_diagonal(points) -> int:
     return best
 
 
+class _Budget(Exception):
+    pass
+
+
+def reference_max_free_diagonal(support, node_budget=10**8):
+    """The set-based free-diagonal search that the bitset search replaced.
+
+    Returns (size, witness, exact, nodes, bound_prunes, box_prunes).  The
+    walk is the old one: candidates rescanned from the sorted points at each
+    node, and the box check rescanning the whole support.  The node that
+    would exceed the budget is not counted as visited.
+    """
+    if node_budget < 1:
+        raise ValueError("node_budget must be positive")
+    pts = sorted(support.points)
+    pos = {p: i for i, p in enumerate(pts)}
+    support_set = support.points
+    best = []
+    nodes = bound_prunes = box_prunes = 0
+    chosen = []
+    used = [set(), set(), set()]
+
+    def box_ok(p):
+        u = [used[a] | {p[a]} for a in range(3)]
+        c = set(chosen)
+        for s in support_set:
+            if s != p and s not in c and s[0] in u[0] and s[1] in u[1] and s[2] in u[2]:
+                return False
+        return True
+
+    def walk(start):
+        nonlocal nodes, best, bound_prunes, box_prunes
+        nodes += 1
+        if nodes > node_budget:
+            raise _Budget
+        if len(chosen) > len(best):
+            best = list(chosen)
+        candidates = [
+            p for p in pts[start:] if all(p[a] not in used[a] for a in range(3))
+        ]
+        if not candidates:
+            return
+        bound = len(chosen) + min(
+            len({p[a] for p in candidates}) for a in range(3)
+        )
+        if bound <= len(best):
+            bound_prunes += 1
+            return
+        for p in candidates:
+            if not box_ok(p):
+                box_prunes += 1
+                continue
+            chosen.append(p)
+            for a in range(3):
+                used[a].add(p[a])
+            walk(pos[p] + 1)
+            for a in range(3):
+                used[a].remove(p[a])
+            chosen.pop()
+
+    exact = True
+    try:
+        walk(0)
+    except _Budget:
+        exact = False
+    return len(best), tuple(best), exact, min(nodes, node_budget), bound_prunes, box_prunes
+
+
 def naive_grid_max(points, theta, resolution: int) -> float:
     """Largest weighted marginal entropy over the distributions on `points`
     whose probabilities are multiples of 1/resolution.

@@ -210,6 +210,20 @@ def test_diag_command(capsys, monkeypatch):
     assert doc["per_copy_rate"] == pytest.approx(2.0)
 
 
+def test_diag_json_counters(capsys, monkeypatch):
+    argv = ["diag", "-", "--power", "2", "--budget", "1000"]
+    code, out, _ = run_cli(capsys, argv + ["--format", "json"], stdin=to_json(z3()),
+                           monkeypatch=monkeypatch)
+    doc = json.loads(out)
+    assert code == 0 and doc["exact"] is False
+    assert (doc["nodes"], doc["size"]) == (1000, 4)
+    assert doc["bound_prunes"] > 0 and doc["box_prunes"] > 0
+    # the text format has no counters
+    code, out, _ = run_cli(capsys, argv, stdin=to_json(z3()), monkeypatch=monkeypatch)
+    assert [line.split()[0] for line in out.splitlines()] == [
+        "size", "per_copy_rate", "exact", "witness"]
+
+
 def test_diag_matmul222(capsys, monkeypatch):
     code, out, _ = run_cli(
         capsys,

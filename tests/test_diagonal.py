@@ -2,10 +2,14 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from irrev import (
     ResourceLimitError,
+    Support,
     cw,
+    cw_big,
     is_free_diagonal,
     matmul,
     max_free_diagonal,
@@ -17,7 +21,12 @@ from irrev import (
     w,
     z3,
 )
-from conftest import brute_force_max_free_diagonal, random_unit_tensor
+from irrev.diagonal import DEFAULT_NODE_BUDGET
+from conftest import (
+    brute_force_max_free_diagonal,
+    random_unit_tensor,
+    reference_max_free_diagonal,
+)
 
 H13 = math.log2(3.0) - 2.0 / 3.0
 
@@ -81,7 +90,7 @@ def test_search_matches_brute_force_random():
 
 def test_budget_degrades_to_inexact():
     res = max_free_diagonal(unit(6).support(), node_budget=2)
-    assert not res.exact
+    assert not res.exact and res.nodes == 2
     assert res.size <= 6
     with pytest.raises(ValueError):
         max_free_diagonal(unit(2).support(), node_budget=0)
@@ -140,3 +149,69 @@ def test_sandwich_rate_below_entropy_bound():
             res = monomial_subrank_power(t, k)
             if res.size:
                 assert res.per_copy_rate <= bound + 1e-9
+
+
+def _square(sup: Support) -> Support:
+    """supp(t (x) t) from supp(t), with row-major composite indices."""
+    d = sup.dims
+    return Support(
+        tuple(n * n for n in d),
+        frozenset(
+            tuple(p[a] * d[a] + q[a] for a in range(3)) for p in sup.points for q in sup.points
+        ),
+    )
+
+
+def _assert_same_tree(sup: Support, budget: int) -> None:
+    res = max_free_diagonal(sup, budget)
+    counts = (res.size, res.witness, res.exact, res.nodes, res.bound_prunes, res.box_prunes)
+    assert counts == reference_max_free_diagonal(sup, budget)
+
+
+@pytest.mark.parametrize(
+    "t, k, budget",
+    [
+        (w(), 2, DEFAULT_NODE_BUDGET),
+        (w(), 3, DEFAULT_NODE_BUDGET),
+        (z3(), 2, DEFAULT_NODE_BUDGET),
+        (cw(2), 2, DEFAULT_NODE_BUDGET),
+        (cw_big(1), 2, DEFAULT_NODE_BUDGET),
+        (tn(3), 2, DEFAULT_NODE_BUDGET),
+        (w(), 4, 20_000),
+        (tn(4), 2, 20_000),
+    ],
+    ids=["w^2", "w^3", "z3^2", "cw2^2", "cw_big1^2", "tn3^2", "w^4@20k", "tn4^2@20k"],
+)
+def test_search_tree_matches_reference(t, k, budget):
+    # Same witness, exact flag, node count and prunes as the set-based walk,
+    # so every --budget still means the same work.
+    _assert_same_tree(power_support(t, k), budget)
+
+
+def test_z3_square_node_count_pinned():
+    res = max_free_diagonal(power_support(z3(), 2))
+    assert (res.size, res.exact, res.nodes) == (4, True, 11125)
+
+
+_small_supports = st.sets(
+    st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=12
+).map(lambda pts: Support((4, 4, 4), frozenset(pts)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_small_supports, st.sampled_from([1, 7, 50, DEFAULT_NODE_BUDGET]))
+def test_search_tree_matches_reference_random(sup, budget):
+    _assert_same_tree(sup, budget)
+    # Exact searches on squares of 7-12 points reach a million nodes, which
+    # takes the reference minutes; below 7 points they stay under 40k.
+    if budget < DEFAULT_NODE_BUDGET or len(sup.points) <= 6:
+        _assert_same_tree(_square(sup), budget)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_small_supports, st.sampled_from([1, 2, 7, 50, DEFAULT_NODE_BUDGET]))
+def test_witness_free_and_exact_size_brute_force(sup, budget):
+    res = max_free_diagonal(sup, budget)
+    assert is_free_diagonal(sup, res.witness) and len(res.witness) == res.size
+    if res.exact:
+        assert res.size == brute_force_max_free_diagonal(sup.points)
