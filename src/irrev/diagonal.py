@@ -151,10 +151,10 @@ def power_support(t: Tensor, k: int, max_points: int = DEFAULT_POWER_POINT_LIMIT
     if k < 1:
         raise ValueError("power must be >= 1")
     base = sorted(t.entries)
-    if len(base) ** k > max_points:
-        raise ResourceLimitError(
-            f"|supp|^k = {len(base) ** k} exceeds the {max_points} point limit"
-        )
+    # A Tensor is not simple, so |supp| >= 2 and |supp|^k > max_points once k
+    # reaches max_points.bit_length(): the capped power decides without a huge one.
+    if len(base) ** min(k, max_points.bit_length()) > max_points:
+        raise ResourceLimitError(f"|supp|^k with k = {k} exceeds the {max_points} point limit")
     dims = tuple(d**k for d in t.dims)
     points = set()
     for combo in product(base, repeat=k):

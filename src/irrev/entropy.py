@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import BudgetExceededError
-from .tensor import Index, Support, Tensor
+from .tensor import Index, Support, Tensor, cw, cw_big
 
 DEFAULT_TOL = 1e-10
 DEFAULT_ITER_BUDGET = 10**6
@@ -67,9 +67,6 @@ class SupportDistribution:
             raise ValueError("probabilities must be nonnegative")
         if abs(sum(self.probs) - 1.0) > 1e-12:
             raise ValueError("probabilities must sum to 1")
-
-    def as_dict(self) -> dict[Index, float]:
-        return dict(zip(self.points, self.probs))
 
 
 def marginal(dist: SupportDistribution, axis: int) -> dict[int, float]:
@@ -365,25 +362,17 @@ def rho_upper(
 
 
 def _cw_big_param(t: Tensor) -> int | None:
-    n1, n2, n3 = t.dims
-    if not (n1 == n2 == n3) or n1 < 3:
-        return None
-    q = n1 - 2
-    expected = {(0, 0, q + 1), (0, q + 1, 0), (q + 1, 0, 0)}
-    for i in range(1, q + 1):
-        expected.update({(0, i, i), (i, 0, i), (i, i, 0)})
-    return q if set(t.entries) == expected else None
+    """q if supp(t) is supp(cw_big(q)); the count test spares building cw_big(q)."""
+    q = t.dims[0] - 2
+    match = t.dims == (q + 2,) * 3 and len(t.entries) == 3 * q + 3
+    return q if match and t.entries.keys() == cw_big(q).entries.keys() else None
 
 
 def _cw_small_param(t: Tensor) -> int | None:
-    n1, n2, n3 = t.dims
-    if not (n1 == n2 == n3) or n1 < 2:
-        return None
-    q = n1 - 1
-    expected = set()
-    for i in range(1, q + 1):
-        expected.update({(0, i, i), (i, 0, i), (i, i, 0)})
-    return q if set(t.entries) == expected else None
+    """q if supp(t) is supp(cw(q)); the count test spares building cw(q)."""
+    q = t.dims[0] - 1
+    match = t.dims == (q + 1,) * 3 and len(t.entries) == 3 * q
+    return q if match and t.entries.keys() == cw(q).entries.keys() else None
 
 
 # Columns per block of the grid oracle.  Smaller blocks pay more Python-level

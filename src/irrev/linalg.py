@@ -159,8 +159,3 @@ def flattening_ranks(t: Tensor) -> tuple[int, int, int]:
                 continue
         ranks.append(rank_exact(flatten(t, axis)))
     return tuple(ranks)
-
-
-def max_flattening_rank(t: Tensor) -> int:
-    """Largest of the three flattening ranks; lower-bounds asymptotic rank."""
-    return max(flattening_ranks(t))

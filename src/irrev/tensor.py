@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -32,10 +33,11 @@ MAX_DIM = 1 << 22
 
 
 def _check_index(point: Index, dims: tuple[int, int, int]) -> None:
+    # Exactly int: bool and float indices are rejected, never coerced.
     i, j, k = point
-    n1, n2, n3 = dims
-    if not (0 <= i < n1 and 0 <= j < n2 and 0 <= k < n3):
-        raise ValueError(f"index {point} out of range for dims {dims}")
+    if not (type(i) is type(j) is type(k) is int
+            and 0 <= i < dims[0] and 0 <= j < dims[1] and 0 <= k < dims[2]):
+        raise ValueError(f"index {point!r} must be integers in range for dims {dims}")
 
 
 @dataclass(frozen=True)
@@ -61,15 +63,14 @@ class Tensor:
     entries: Mapping[Index, Fraction]
 
     def __init__(self, dims: Iterable[int], entries) -> None:
-        n1, n2, n3 = (int(d) for d in dims)
-        if min(n1, n2, n3) < 1:
-            raise ValueError(f"dims must be positive, got {dims!r}")
+        dims = tuple(dims)
+        if len(dims) != 3 or not all(type(d) is int and d > 0 for d in dims):
+            raise ValueError(f"dims must be three positive integers, got {dims!r}")
         items = entries.items() if isinstance(entries, Mapping) else entries
         norm: dict[Index, Fraction] = {}
         for key, coeff in items:
-            i, j, k = (int(x) for x in key)
-            point = (i, j, k)
-            _check_index(point, (n1, n2, n3))
+            point = tuple(key)
+            _check_index(point, dims)
             c = coeff if isinstance(coeff, Fraction) else Fraction(coeff)
             if c == 0:
                 raise ValueError(f"zero coefficient at {point}")
@@ -80,7 +81,7 @@ class Tensor:
             raise ValueError("tensor has no entries")
         if _is_simple(norm):
             raise ValueError("simple tensors u (x) v (x) w are not supported")
-        object.__setattr__(self, "dims", (n1, n2, n3))
+        object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "entries", MappingProxyType(norm))
 
     def __setattr__(self, name, value):
@@ -101,33 +102,15 @@ class Tensor:
         return f"Tensor(dims={self.dims}, nnz={len(self.entries)})"
 
 
-def _rows_proportional(rows: dict[int, dict]) -> bool:
-    it = iter(rows.values())
-    ref = next(it)
-    ref_keys = set(ref)
-    for row in it:
-        if set(row) != ref_keys:
-            return False
-        ratio = None
-        for c, v in row.items():
-            r = v / ref[c]
-            if ratio is None:
-                ratio = r
-            elif r != ratio:
-                return False
-    return True
-
-
 def _is_simple(entries: dict[Index, Fraction]) -> bool:
-    # u (x) v (x) w  <=>  all three flattenings have rank one.
-    for axis in range(3):
-        rows: dict[int, dict] = {}
-        for point, c in entries.items():
-            col = tuple(point[a] for a in range(3) if a != axis)
-            rows.setdefault(point[axis], {})[col] = c
-        if not _rows_proportional(rows):
-            return False
-    return True
+    """u (x) v (x) w iff the support is the product of its projections and, for a
+    fixed entry c0 = c(i0, j0, k0), c(i,j,k) c0^2 = c(i,j0,k0) c(i0,j,k0) c(i0,j0,k)."""
+    n1, n2, n3 = (len({p[axis] for p in entries}) for axis in range(3))
+    if n1 * n2 * n3 != len(entries):
+        return False
+    (i0, j0, k0), c0 = next(iter(entries.items()))
+    return all(c * c0 * c0 == entries[i, j0, k0] * entries[i0, j, k0] * entries[i0, j0, k]
+               for (i, j, k), c in entries.items())
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +255,11 @@ _INTEGER = re.compile(r"-?[0-9]+")
 def _coefficient_part(x, point: Index) -> int:
     """num or den of an entry: a decimal integer string or a JSON integer."""
     if type(x) is str and _INTEGER.fullmatch(x):
-        return int(x)
+        try:
+            return int(x)
+        except ValueError:  # only Python's cap on digits in an int string
+            raise ValueError(f"num and den have at most {sys.get_int_max_str_digits()} "
+                             f"digits at {point}") from None
     # Exact type: JSON true and false decode to bool, a subclass of int.
     if type(x) is int:
         return x
@@ -287,19 +274,14 @@ def from_json(text: str) -> Tensor:
         raise ValueError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or set(doc) != {"dims", "entries"}:
         raise ValueError('tensor file must be {"dims": [...], "entries": [...]}')
-    dims = doc["dims"]
-    if not (isinstance(dims, list) and len(dims) == 3 and all(type(d) is int for d in dims)):
-        raise ValueError("dims must be a list of three integers")
-    raw = doc["entries"]
-    if not isinstance(raw, list):
-        raise ValueError("entries must be a list")
+    dims, raw = doc["dims"], doc["entries"]
+    if not (isinstance(dims, list) and isinstance(raw, list)):
+        raise ValueError("dims and entries must be lists")
     entries: list[tuple[Index, Fraction]] = []
     for rec in raw:
         if not isinstance(rec, dict) or not {"i", "j", "k", "num", "den"} <= set(rec):
             raise ValueError(f"bad entry record: {rec!r}")
         point = (rec["i"], rec["j"], rec["k"])
-        if not (type(point[0]) is type(point[1]) is type(point[2]) is int):
-            raise ValueError(f"indices must be integers, got {point!r}")
         num, den = _coefficient_part(rec["num"], point), _coefficient_part(rec["den"], point)
         if den <= 0:
             raise ValueError(f"denominator must be positive at {point}")
@@ -310,14 +292,7 @@ def from_json(text: str) -> Tensor:
 def read_tensor(path: str) -> Tensor:
     """Read a tensor file; '-' reads from stdin."""
     if path == "-":
-        import sys
-
         return from_json(sys.stdin.read())
     with open(path, "r", encoding="utf-8") as fh:
         return from_json(fh.read())
 
-
-def write_tensor(t: Tensor, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(to_json(t))
-        fh.write("\n")

@@ -21,7 +21,6 @@ from irrev import (
     cw_big_marginal_entropy,
     cw_big_table,
     cw_table,
-    flatten,
     flattening_ranks,
     irr_lower,
     is_free_diagonal,
@@ -38,6 +37,7 @@ from irrev import (
     w,
     z3,
 )
+from irrev.linalg import flatten
 
 H13 = math.log2(3.0) - 2.0 / 3.0
 

@@ -492,3 +492,33 @@ def test_json_precision_rounds_every_float(capsys, monkeypatch, argv):
     assert values
     for x in values:
         assert float(format(x, ".3g")) == x
+
+
+@pytest.mark.parametrize("power", ["9100", "1000000"])
+def test_power_far_over_limit_exit_5_with_short_message(capsys, monkeypatch, power):
+    code, out, err = run_cli(
+        capsys, ["diag", "-", "--power", power], stdin=to_json(w()), monkeypatch=monkeypatch
+    )
+    assert code == 5 and out == ""
+    assert len(err.splitlines()) == 1 and len(err) < 200
+    assert power in err
+
+
+def _w_with_num(num) -> str:
+    doc = json.loads(to_json(w()))
+    doc["entries"][0]["num"] = num
+    return json.dumps(doc)
+
+
+def test_num_digit_limit_exit_2(capsys, monkeypatch):
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        pytest.skip("int string conversion is unlimited in this interpreter")
+    t = from_json(_w_with_num("9" * limit))
+    assert t.entries[(0, 0, 1)] == 10**limit - 1
+    for num in ("9" * (limit + 1), "-" + "9" * (limit + 1)):
+        code, out, err = run_cli(
+            capsys, ["flatrank", "-"], stdin=_w_with_num(num), monkeypatch=monkeypatch
+        )
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and str(limit) in err

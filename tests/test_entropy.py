@@ -34,6 +34,8 @@ from irrev import (
 from conftest import dense_newton_direction, naive_grid_max, random_unit_tensor
 from irrev.entropy import (
     _AxisEncoding,
+    _cw_big_param,
+    _cw_small_param,
     _grid_batches,
     _grid_max,
     _line_search,
@@ -404,3 +406,22 @@ def test_objective_concavity_midpoint(seed):
     a, b = rand_dist(), rand_dist()
     mid = [(x + y) / 2 for x, y in zip(a, b)]
     assert objective(mid) >= (objective(a) + objective(b)) / 2 - 1e-12
+
+
+def test_cw_recognizers_find_the_families_only():
+    for q in range(1, 8):
+        assert _cw_small_param(cw(q)) == q
+        assert _cw_big_param(cw(q)) is None
+    for q in range(1, 7):
+        assert _cw_big_param(cw_big(q)) == q
+        assert _cw_small_param(cw_big(q)) is None
+    for t in (kron(tn(3), tn(3)), cyc(cw_big(1))):
+        assert _cw_small_param(t) is None and _cw_big_param(t) is None
+    # One support point moved off the family's support, same dims and count.
+    for family, recognize, moved in ((cw, _cw_small_param, (0, 1, 2)),
+                                     (cw_big, _cw_big_param, (0, 2, 1))):
+        entries = dict(family(3).entries)
+        del entries[(0, 1, 1)]
+        entries[moved] = 1
+        t = Tensor(family(3).dims, entries)
+        assert recognize(t) is None

@@ -1,0 +1,12 @@
+"""The README's Library block runs as written."""
+
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_library_block_runs():
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], str(README), "exec"), {})

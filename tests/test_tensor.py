@@ -25,6 +25,8 @@ from irrev import (
     z3,
 )
 from conftest import random_rational_tensor
+from irrev.linalg import ExactMatrix, rank_exact
+from irrev.tensor import _is_simple
 
 
 def test_unit_small():
@@ -341,3 +343,62 @@ def test_kron_dsum_sizes_random(seed):
     ds = dsum(s, t)
     assert len(ds.entries) == len(s.entries) + len(t.entries)
     assert ds.dims == tuple(a + b for a, b in zip(s.dims, t.dims))
+
+
+def _all_flattenings_rank_one(entries) -> bool:
+    """Oracle for simplicity: every flattening, built here, has rank 1."""
+    dims = [max(p[a] for p in entries) + 1 for a in range(3)]
+    for a in range(3):
+        b, c = (a + 1) % 3, (a + 2) % 3
+        m = ExactMatrix(dims[a], dims[b] * dims[c],
+                        {(p[a], p[b] * dims[c] + p[c]): v for p, v in entries.items()})
+        if rank_exact(m) != 1:
+            return False
+    return True
+
+
+_nonzero = st.fractions(min_value=-4, max_value=4, max_denominator=5).filter(bool)
+_axis_subset = st.sets(st.integers(0, 2), min_size=1)
+
+
+@st.composite
+def _rank_one_entries(draw, perturb):
+    """Rank-one coefficients u_i v_j w_k on a product set in a 3x3x3 box; with
+    perturb, one coefficient is then changed to another nonzero value."""
+    axes = [draw(_axis_subset) for _ in range(3)]
+    u, v, x = ({i: draw(_nonzero) for i in axis} for axis in axes)
+    entries = {(i, j, k): u[i] * v[j] * x[k] for i, j, k in product(*axes)}
+    if perturb:
+        p = draw(st.sampled_from(sorted(entries)))
+        entries[p] = draw(_nonzero.filter(lambda c: c != entries[p]))
+    return entries
+
+
+_sparse_entries = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2)), _nonzero,
+    min_size=1, max_size=8,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_rank_one_entries(False), _rank_one_entries(True), _sparse_entries))
+def test_is_simple_matches_flattening_rank_oracle(entries):
+    simple = _all_flattenings_rank_one(entries)
+    assert _is_simple(entries) == simple
+    if simple:
+        with pytest.raises(ValueError, match="simple"):
+            Tensor((3, 3, 3), entries)
+    else:
+        assert Tensor((3, 3, 3), entries).entries == entries
+
+
+@pytest.mark.parametrize("dims, entries", [
+    ((2.7, 2, 2), {(0.9, 0, 1): 1, (0, 1.5, 0): 1, (1, 0, 0): 1}),  # would truncate to W
+    ((2.0, 2, 2), {(0, 0, 1): 1, (0, 1, 0): 1, (1, 0, 0): 1}),
+    ((2, True, 2), {(0, 0, 1): 1, (0, 1, 0): 1, (1, 0, 0): 1}),
+    ((2, 2, 2), {(0, 0, 1.0): 1, (0, 1, 0): 1, (1, 0, 0): 1}),
+    ((2, 2, 2), {(0, 0, True): 1, (0, 1, 0): 1, (1, 0, 0): 1}),
+])
+def test_tensor_rejects_float_and_bool_dims_and_indices(dims, entries):
+    with pytest.raises(ValueError):
+        Tensor(dims, entries)
