@@ -69,6 +69,7 @@ class BarrierReport:
                 },
                 "residual": self.rho.residual,
                 "iterations": self.rho.iterations,
+                "steps": self.rho.steps,
             },
             "theta_used": list(self.theta_used.as_tuple()),
             "irr_lb": self.irr_lb,

@@ -224,6 +224,7 @@ def _cmd_rho(args) -> int:
             "value": res.value,
             "residual": res.residual,
             "iterations": res.iterations,
+            "steps": res.steps,
             "argmax": {
                 "probabilities": [
                     {"point": list(pt), "prob": x}

@@ -107,13 +107,17 @@ class RhoResult:
 
     value is the achieved objective (bits); residual is the first-order
     optimality gap at termination, so the true maximum lies within residual
-    of value.
+    of value.  steps counts the accepted steps by kind: "newton" (damped
+    Newton), "drop" (a Newton or away step that empties a point exactly),
+    "toward" and "away" (Frank-Wolfe); on convergence they sum to
+    iterations - 1.
     """
 
     value: float
     argmax: SupportDistribution
     residual: float
     iterations: int
+    steps: dict[str, int]
 
 
 class _AxisEncoding:
@@ -198,28 +202,35 @@ def _line_search(bases: list[np.ndarray], dirs: list[np.ndarray], th: tuple, gam
 
 def _newton_step(
     P: np.ndarray, f: float, g: np.ndarray, enc: _AxisEncoding, th: tuple
-) -> tuple[np.ndarray, float, np.ndarray, float] | None:
-    """One damped Newton step on the stationarity system g_a(P) = lambda.
+) -> tuple[np.ndarray, float, np.ndarray, float, str] | None:
+    """One Newton step on the stationarity system g_a(P) = lambda.
 
     Ascent steps stall once the objective saturates at float resolution (it
     is quadratically flat near the optimum, the gap only linearly so);
     solving for equal scores converges quadratically in the gap.  On the
-    active set the score Jacobian is -B W B^T, with B the 0/1 incidence of
-    active points and the n coordinates they use on weighted axes, and
-    W_c = th_i / (mu_c ln 2).  So the least-norm step is delta = B y, with
-    [[G W G, c], [c^T, 0]] y = [-(G s + f c), 0], G = B^T B, c = diag G and
-    s_c = th_i log2 mu_c.  Returns (P, f, g, gap) at the first damping
-    1, 1/2, 1/4, 1/8 that lowers the gap, else None.
+    active set (mass above 1e-14) the score Jacobian is -B W B^T, with B
+    the 0/1 incidence of active points and the n coordinates they use on
+    weighted axes, and W_c = th_i / (mu_c ln 2).  So the least-norm step is
+    delta = B y, with [[G W G, c], [c^T, 0]] y = [-(G s + f c), 0],
+    G = B^T B, c = diag G and s_c = th_i log2 mu_c.  Refuses (None) before
+    building anything when n + 1 > 513, which bounds the dense O(n^3) solve.
+
+    Candidates, in order: if some active mass would go negative along delta,
+    the step to the ratio-test boundary reach = min_a P_a / (-delta_a), with
+    the first point to hit zero set to exactly 0 ("drop"); then the step
+    clamped at zero and renormalized at damping 1, 1/2, 1/4, 1/8 ("newton").
+    Points outside the active set keep their mass.  Returns (P, f, g, gap,
+    kind) for the first candidate that lowers the gap, else None.
     """
     active = np.where(P > 1e-14)[0]
     axes = [i for i in range(3) if th[i] != 0.0]
-    offsets = np.cumsum([0] + [enc.sizes[i] for i in axes])
-    ids = np.stack([enc.idx[i][active] + offsets[j] for j, i in enumerate(axes)], axis=1)
-    used, cols = np.unique(ids, return_inverse=True)
-    cols = cols.reshape(ids.shape)
-    n = len(used)
-    if n + 1 > 513:  # bounds the cost of the dense O(n^3) solve
+    used = np.concatenate([np.bincount(enc.idx[i][active], minlength=enc.sizes[i]) > 0 for i in axes])
+    n = int(np.count_nonzero(used))
+    if n + 1 > 513:
         return None
+    offsets = np.cumsum([0] + [enc.sizes[i] for i in axes])
+    col_of = np.cumsum(used) - 1
+    cols = np.stack([col_of[enc.idx[i][active] + offsets[j]] for j, i in enumerate(axes)], axis=1)
     mus = [np.bincount(enc.idx[i], weights=P, minlength=enc.sizes[i]) for i in axes]
     mu = np.concatenate(mus)[used]
     weight = np.repeat([th[i] for i in axes], np.diff(offsets))[used]
@@ -233,10 +244,20 @@ def _newton_step(
     except np.linalg.LinAlgError:
         return None
     delta = y[cols].sum(axis=1)
+    x = P[active]
     gap = float(g.max() - f)
-    for damp in (1.0, 0.5, 0.25, 0.125):
+    trials = [(damp, "newton") for damp in (1.0, 0.5, 0.25, 0.125)]
+    neg = np.flatnonzero(x + delta < 0)
+    if len(neg):
+        ratios = x[neg] / -delta[neg]
+        first = neg[ratios.argmin()]
+        trials.insert(0, (float(ratios.min()), "drop"))
+    for damp, kind in trials:
+        moved = np.maximum(x + damp * delta, 0.0)
+        if kind == "drop":
+            moved[first] = 0.0
         P2 = P.copy()
-        P2[active] = np.maximum(P2[active] + damp * delta, 0.0)
+        P2[active] = moved
         total = P2.sum()
         if total <= 0:
             continue
@@ -244,7 +265,7 @@ def _newton_step(
         f2, g2 = _objective_and_scores(P2, enc, th)
         gap2 = float(g2.max() - f2)
         if gap2 < gap:
-            return P2, f2, g2, gap2
+            return P2, f2, g2, gap2, kind
     return None
 
 
@@ -256,16 +277,17 @@ def rho_upper_on_support(
 ) -> RhoResult:
     """Maximize the theta-weighted marginal entropy over distributions on a support.
 
-    Two kinds of step.  Away-step Frank-Wolfe with an exact line search
-    (`_line_search`) moves toward the best-scoring vertex or away from the
-    worst active one, whichever linearizes better; away steps can zero out
-    coordinates exactly, which makes boundary optima (points whose optimal
-    mass is zero while their score touches the maximum) reachable at tight
-    tolerances.  A Newton step on the stationarity conditions
-    (`_newton_step`) runs every 16th iteration and whenever a Frank-Wolfe
-    step does not raise the objective at float resolution; three iterations
-    in a row without progress raise BudgetExceededError.  Terminates when
-    the first-order gap is at most tol, certifying |value - max| <= tol.
+    Every iteration first tries a Newton step on the stationarity
+    conditions (`_newton_step`), taken only if it lowers the gap; its
+    ratio-test candidate drops a point at the boundary, so boundary optima
+    (points whose optimal mass is zero while their score touches the
+    maximum) take a few steps.  When Newton is refused, away-step
+    Frank-Wolfe with an exact line search (`_line_search`) moves toward the
+    best-scoring vertex or away from the worst active one, whichever
+    linearizes better, and is taken if it raises the objective.  An
+    iteration where neither step makes progress raises BudgetExceededError.
+    Terminates when the first-order gap is at most tol, certifying
+    |value - max| <= tol.
     """
     if theta is None:
         theta = Theta.uniform()
@@ -282,14 +304,16 @@ def rho_upper_on_support(
         probs = np.maximum(P, 0.0)
         probs = probs / probs.sum()
         dist = SupportDistribution(points=tuple(points), probs=tuple(float(x) for x in probs))
-        return RhoResult(value=f, argmax=dist, residual=max(gap, 0.0), iterations=it)
+        return RhoResult(value=f, argmax=dist, residual=max(gap, 0.0), iterations=it, steps=steps)
 
     def afw_step(P: np.ndarray, f: float, g: np.ndarray, gap: float):
-        """(P, f, g, gap) after one away-step Frank-Wolfe step, or None if
-        the step does not raise the objective at float resolution."""
+        """(P, f, g, gap, kind) after one away-step Frank-Wolfe step, or
+        None if the step does not raise the objective at float resolution."""
         bases = [np.bincount(enc.idx[i], weights=P, minlength=enc.sizes[i]) for i in range(3)]
         b = int(g.argmax())
-        ga = np.where(P > 0, g, np.inf)
+        # Away from an active point only: dust (mass at most 1e-14, left by
+        # a clamped Newton step) cannot move the objective.
+        ga = np.where(P > 1e-14, g, np.inf)
         a = int(ga.argmin())
         toward = g[b] - f >= f - g[a] or P[a] >= 1.0 - 1e-12
         dirs = []
@@ -306,43 +330,46 @@ def rho_upper_on_support(
         if toward:
             P2 = (1.0 - gamma) * P
             P2[b] += gamma
-        elif gamma >= gamma_max * (1.0 - 1e-12):
+            kind = "toward"
+        elif gamma >= gamma_max * (1.0 - 1e-12) and all(
+            th[i] == 0.0 or bases[i][enc.idx[i][a]] > P[a] * (1.0 + 1e-12) for i in range(3)
+        ):
             # Drop step: zero the away coordinate exactly, or rounding dust
-            # keeps it active and wedges later iterations.
+            # keeps it active and wedges later iterations.  Not for a point
+            # alone on a coordinate of a weighted axis: the entropy's slope
+            # is infinite there, so its optimal mass is positive (if below
+            # float resolution) and zero would make the gap infinite.
             P2 = P.copy()
             P2[a] = 0.0
+            kind = "drop"
         else:
             P2 = (1.0 + gamma) * P
             P2[a] -= gamma
             P2 = np.maximum(P2, 0.0)
+            kind = "away"
         P2 /= P2.sum()
         f2, g2 = _objective_and_scores(P2, enc, th)
         gap2 = float(g2.max() - f2)
         if f2 > f or (f2 == f and gap2 < gap):
-            return P2, f2, g2, gap2
+            return P2, f2, g2, gap2, kind
         return None
 
     P = np.full(m, 1.0 / m)
     f, g = _objective_and_scores(P, enc, th)
     gap = float(g.max() - f)
-    stalls = 0
+    steps = dict.fromkeys(("newton", "drop", "toward", "away"), 0)
     for it in range(1, iter_budget + 1):
         if gap <= tol:
             return result(f, P, gap, it)
-        # Line-search steps contract the gap only linearly once the active
-        # set settles, hence the periodic Newton step.
-        step = _newton_step(P, f, g, enc, th) if it % 16 == 0 else None
+        # Both steps are deterministic, so a refused iteration would repeat.
+        step = _newton_step(P, f, g, enc, th) or afw_step(P, f, g, gap)
         if step is None:
-            step = afw_step(P, f, g, gap) or _newton_step(P, f, g, enc, th)
-        if step is None:
-            stalls += 1
-            if stalls >= 3:
-                break
-            continue
-        P, f, g, gap = step
-        stalls = 0
+            break
+        P, f, g, gap, kind = step
+        steps[kind] += 1
+    how = f"stalled after {it}" if step is None else f"within {iter_budget}"
     raise BudgetExceededError(
-        f"no convergence to gap <= {tol} within {iter_budget} iterations",
+        f"no convergence to gap <= {tol} {how} iterations",
         best=result(f, P, gap, min(it, iter_budget)),
     )
 

@@ -134,6 +134,29 @@ def naive_grid_max(points, theta, resolution: int) -> float:
     return best
 
 
+def certificate_gap(points, probs, theta) -> tuple[float, float]:
+    """(f, max score - f) of a distribution on points, built from dicts.
+
+    f is the theta-weighted marginal entropy in bits, and a point's score is
+    -sum_i theta_i log2 marginal_i(point_i), +inf on an empty marginal
+    entry.  By concavity, max score - f bounds the distance from f to the
+    maximum.
+    """
+    margs = [{} for _ in range(3)]
+    for p, x in zip(points, probs):
+        for i in range(3):
+            margs[i][p[i]] = margs[i].get(p[i], 0.0) + x
+    f = -sum(th * sum(v * math.log2(v) for v in margs[i].values() if v > 0)
+             for i, th in enumerate(theta) if th)
+
+    def score(p):
+        if any(th and margs[i][p[i]] <= 0 for i, th in enumerate(theta)):
+            return math.inf
+        return -sum(th * math.log2(margs[i][p[i]]) for i, th in enumerate(theta) if th)
+
+    return f, max(map(score, points)) - f
+
+
 def dense_newton_direction(points, probs, theta):
     """Newton direction on the stationarity system g_a(P) = lambda, in point space.
 

@@ -306,7 +306,7 @@ def test_report_json_fields():
         "barrier_laser",
         "notes",
     }
-    assert set(doc["rho"]) == {"value", "argmax", "residual", "iterations"}
+    assert set(doc["rho"]) == {"value", "argmax", "residual", "iterations", "steps"}
     assert doc["flattening_ranks"] == [3, 3, 3]
     probs = doc["rho"]["argmax"]["probabilities"]
     assert len(probs) == 6

@@ -11,6 +11,8 @@ import irrev
 from irrev import cli, from_json, to_json, unit, w
 from irrev.tensor import matmul, z3
 
+from conftest import certificate_gap
+
 # Child interpreters import the same irrev as this process, also when it is
 # found through pytest's `pythonpath` setting rather than PYTHONPATH.
 _CHILD_ENV = {
@@ -146,6 +148,41 @@ def test_rho_values(capsys, monkeypatch):
     assert "rho        1.58496" in out
     code, out, _ = run_cli(capsys, ["rho", "-"], stdin=to_json(z3()), monkeypatch=monkeypatch)
     assert "rho        1.58496" in out
+
+
+def test_rho_small_axis_weight_converges(capsys, monkeypatch):
+    # At axis weight 2.8e-9 Frank-Wolfe steps stall (exit 5); the Newton
+    # step's ratio test drops the two points the optimum leaves empty.
+    pts = [(0, 0, 0), (0, 0, 1), (0, 2, 3), (0, 3, 3), (1, 0, 1), (2, 0, 0)]
+    text = to_json(irrev.Tensor((3, 4, 4), {p: 1 for p in pts}))
+    theta = (2.8e-9, 0.50005, 0.4999499972)
+    code, out, _ = run_cli(
+        capsys,
+        ["rho", "-", "--theta", ",".join(map(str, theta)), "--format", "json", "--precision", "17"],
+        stdin=text,
+        monkeypatch=monkeypatch,
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["residual"] <= 1e-10
+    probs = doc["argmax"]["probabilities"]
+    gap = certificate_gap([tuple(e["point"]) for e in probs], [e["prob"] for e in probs], theta)[1]
+    assert gap <= 1e-10 + 1e-12
+
+
+def test_json_steps_by_kind(capsys, monkeypatch):
+    for cmd in ("rho", "irr"):
+        code, out, _ = run_cli(
+            capsys,
+            [cmd, "-", "--format", "json"],
+            stdin=to_json(irrev.cw_big(1)),
+            monkeypatch=monkeypatch,
+        )
+        assert code == 0
+        doc = json.loads(out)
+        rho = doc["rho"] if cmd == "irr" else doc
+        assert set(rho["steps"]) == {"newton", "drop", "toward", "away"}
+        assert sum(rho["steps"].values()) == rho["iterations"] - 1 > 0
 
 
 def test_rho_oracle_agreement(capsys, monkeypatch):

@@ -1,5 +1,6 @@
 import math
 import random
+from itertools import product
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from irrev import (
     w,
     z3,
 )
-from conftest import dense_newton_direction, naive_grid_max, random_unit_tensor
+from conftest import certificate_gap, dense_newton_direction, naive_grid_max, random_unit_tensor
 from irrev.entropy import (
     _AxisEncoding,
     _cw_big_param,
@@ -214,6 +215,87 @@ def test_rho_cyc_tn4_newton_converges():
     res = rho_upper(cyc(tn(4)))
     assert res.residual <= 1e-10
     assert res.iterations <= 100
+
+
+def _assert_certified(res, th, tol=1e-10):
+    f, gap = certificate_gap(res.argmax.points, res.argmax.probs, th)
+    assert res.value == pytest.approx(f, abs=1e-12)
+    assert gap <= tol + 1e-12
+
+
+def _random_support(rng, m, dims):
+    cells = list(product(*(range(d) for d in dims)))
+    return Support(dims, frozenset(rng.sample(cells, m)))
+
+
+def test_rho_random_100_point_supports_converge_in_100_iterations():
+    # Many points end at zero mass.  Away steps drop them one at a time
+    # (up to 7,204 iterations on these supports); a Newton step cut at its
+    # ratio test drops them with the Newton direction.
+    for seed in range(20):
+        rng = random.Random(f"sparse100:{seed}")
+        dims = tuple(rng.randint(8, 24) for _ in range(3))
+        res = rho_upper_on_support(_random_support(rng, 100, dims))
+        assert res.iterations <= 100
+        _assert_certified(res, Theta.uniform().as_tuple())
+
+
+def test_rho_converges_at_weights_zero_or_at_least_1e_3():
+    rng = random.Random(12)
+    for _ in range(60):
+        support = _random_support(rng, rng.randint(3, 10), (4, 4, 4))
+        a, b = (rng.choice([0.0, 1e-3, 2e-3, 1e-2, rng.uniform(1e-3, 0.5)]) for _ in range(2))
+        th = [a, b, 1.0 - a - b]
+        rng.shuffle(th)
+        res = rho_upper_on_support(support, Theta(*th))
+        assert res.residual <= 1e-10
+        _assert_certified(res, th)
+
+
+def test_rho_keeps_a_point_alone_on_a_weighted_coordinate():
+    # (1, 2, 2) alone holds coordinate 2 of the axis of weight 1e-12, so its
+    # optimal mass is positive but underflows; an away step taken to its end
+    # must not zero it, or the gap becomes infinite and no step refills it.
+    points = [(0, 2, 0), (1, 0, 3), (1, 2, 2), (1, 2, 3), (2, 2, 1), (3, 2, 3)]
+    th = (0.2133072500126265, 0.7866927499863735, 1e-12)
+    res = rho_upper_on_support(Support((4, 4, 4), frozenset(points)), Theta(*th))
+    assert res.residual <= 1e-10
+    _assert_certified(res, th)
+
+
+def test_newton_step_stops_at_ratio_test_and_drops_the_point():
+    points = [(0, 2, 0), (1, 0, 1), (2, 0, 1), (2, 0, 2)]
+    th = (1 / 3, 1 / 3, 1 / 3)
+    P = np.full(4, 0.25)
+    delta = dense_newton_direction(points, P, th)
+    # The full step takes a mass below zero; the ratio test stops where the
+    # first one reaches it.
+    assert (P + delta).min() < 0
+    reach, j = min((P[a] / -delta[a], a) for a in range(4) if delta[a] < 0)
+    enc = _AxisEncoding(points)
+    f, g = _objective_and_scores(P, enc, th)
+    step = _newton_step(P, f, g, enc, th)
+    assert step is not None
+    assert step[0][j] == 0.0
+    expected = P + reach * delta
+    expected[j] = 0.0
+    assert np.abs(step[0] - expected / expected.sum()).max() <= 1e-12
+    assert certificate_gap(points, step[0], th)[1] < certificate_gap(points, P, th)[1]
+
+
+def test_newton_step_keeps_dust_masses():
+    # A mass at most 1e-14 is outside the active set the step solves on; the
+    # step must leave it, not zero it.
+    points = [(0, 2, 0), (1, 0, 1), (2, 0, 1), (2, 0, 2)]
+    th = (1 / 3, 1 / 3, 1 / 3)
+    P = np.array([0.386, 0.307, 1e-16, 0.307])
+    P /= P.sum()
+    enc = _AxisEncoding(points)
+    f, g = _objective_and_scores(P, enc, th)
+    step = _newton_step(P, f, g, enc, th)
+    assert step is not None
+    assert step[0][2] == pytest.approx(P[2], rel=1e-9, abs=0.0)
+    assert certificate_gap(points, step[0], th)[1] < certificate_gap(points, P, th)[1]
 
 
 def test_rho_permutation_invariance():
