@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, ResourceLimitError
 from .tensor import Index, Support, Tensor, cw, cw_big
 
 DEFAULT_TOL = 1e-10
@@ -402,11 +402,11 @@ def _cw_small_param(t: Tensor) -> int | None:
     return q if match and t.entries.keys() == cw(q).entries.keys() else None
 
 
-# Columns per block of the grid oracle.  Smaller blocks pay more Python-level
-# overhead per composition, larger ones fall out of cache and raise peak
-# memory: on a 2-vCPU x86_64 machine the benchmark's oracle workload ran
-# about 15% slower at 2**12 and at 2**16 columns than at 2**14, and 2**16
-# raised its peak RSS from 44.5 to 55.4 MB.
+# Largest resolution, and count of lines or CW_q point-steps, the grid oracle scores.
+ORACLE_GRID_LIMIT = 1 << 22
+# Columns per block of the grid oracle: on a 2-vCPU x86_64 machine the
+# benchmark's oracle workload ran 7% slower at 2**12 and 10% at 2**16, with
+# peak RSS 42.3, 44.7 and 53.7 MB at 2**12, 2**14 and 2**16.
 _GRID_BLOCK = 1 << 14
 
 
@@ -527,18 +527,38 @@ def _grid_max(points: Sequence[Index], th: tuple, resolution: int) -> float:
     """Largest weighted marginal entropy over all distributions on `points`
     whose probabilities are multiples of 1/resolution.
 
-    Works on integer counts, in blocks of at most `_GRID_BLOCK` = 2**14
-    compositions: each marginal is an integer sum of count rows, and each
-    entropy term is a lookup in a table of (c/R) log2 (c/R) for c = 0..R
-    (0 at c = 0), so no grid point takes a division or a logarithm.
+    Integer counts, entropy terms looked up in a table of (c/R) log2 (c/R).
+    The counts of all points but the last two are enumerated: the rows of
+    `_grid_batches(m - 1, R)` but the last, S, which the last two share.  f
+    is concave, so discretely concave on each line x + (S - x): bisecting
+    on the sign of f(x + 1) - f(x) finds the line's maximum (up to signs at
+    rounding level) in about C(R + m - 2, m - 2) log2(R) column evaluations.
+    The value returned is f at the points found, a value f takes on the grid.
     """
-    R = resolution
-    c = np.arange(1, R + 1) / R
-    table = np.zeros(R + 1)
-    table[1:] = c * np.log2(c)
+    R, m = resolution, len(points)
+    if m == 1:
+        return 0.0  # the one grid point is a point mass
+    table = _xlog2x_rows(np.arange(R + 1) / R)
+    drop = table[:-1] - table[1:]
     groups = _axis_groups(points)
+    # f(x + 1) - f(x) = sum th_i (drop[rest_a + x] - drop[rest_b + S - 1 - x])
+    # over the axes whose groups a and b part the last two points.
+    sides = [(th[i], [r for r in a if r < m - 2], [r for r in b if r < m - 2])
+             for i in range(3) for a in groups[i] for b in groups[i]
+             if th[i] != 0.0 and m - 2 in a and m - 1 in b and a != b]
     best = -math.inf
-    for counts in _grid_batches(len(points), R):
+    for batch in _grid_batches(m - 1, R):
+        lead, S = batch[:-1], batch[-1]
+        rests = [(w, lead[a].sum(axis=0), lead[b].sum(axis=0) + S - 1) for w, a, b in sides]
+        lo, hi, todo = np.zeros_like(S), S.copy(), np.flatnonzero(S)
+        while len(todo):
+            x = (lo[todo] + hi[todo]) // 2
+            rise = sum((w * (drop[a[todo] + x] - drop[b[todo] - x]) for w, a, b in rests), 0 * x)
+            up = rise > 0
+            lo[todo[up]] = x[up] + 1
+            hi[todo[~up]] = x[~up]
+            todo = todo[lo[todo] < hi[todo]]
+        counts = np.vstack([lead, lo, S - lo])
         best = max(best, float(_columns_objective(counts, groups, th, table.take).max()))
     return best
 
@@ -546,14 +566,15 @@ def _grid_max(points: Sequence[Index], th: tuple, resolution: int) -> float:
 def rho_grid_oracle(t: Tensor, theta: Theta | None = None, resolution: int = 1000) -> float:
     """Brute-force lower estimate of the entropy maximum, for cross-checking.
 
-    Dense mode enumerates all distributions with denominator `resolution` on
-    supports of at most 6 points: integer count blocks of about 2**14
-    compositions, scored by lookups in a table of (c/R) log2 (c/R) (see
-    `_grid_max`).  For the Coppersmith-Winograd families (recognized
-    structurally) and uniform theta, concavity plus support symmetry reduce
-    the search to the symmetric family, handled at any size: all
-    resolution + 1 steps of it are scored in one vectorized pass.  None of
-    this shares code with the optimizer.
+    Dense mode returns the maximum over all distributions with denominator
+    `resolution` on supports of at most 6 points, bisecting the split
+    between the last two by concavity (see `_grid_max`).  For the
+    Coppersmith-Winograd families (recognized structurally) and uniform
+    theta, concavity plus support symmetry reduce the search to the
+    symmetric family, handled at any size: all resolution + 1 steps of it
+    are scored in one vectorized pass.  None of this shares code with the
+    optimizer.  Grids over ORACLE_GRID_LIMIT raise ResourceLimitError
+    before anything is allocated.
     """
     if theta is None:
         theta = Theta.uniform()
@@ -565,6 +586,8 @@ def rho_grid_oracle(t: Tensor, theta: Theta | None = None, resolution: int = 100
     if theta.is_uniform():
         q = _cw_big_param(t)
         if q is not None and q >= 1:
+            if len(points) * (resolution + 1) > ORACLE_GRID_LIMIT:
+                raise ResourceLimitError(f"grid oracle: resolution {resolution} too large for CW_{q}")
             # Each of the 3q middle points carries x, each corner 1/3 - q x.
             x = np.arange(resolution + 1) / resolution / (3 * q)
             rows = np.array([x if p.count(0) == 1 else 1.0 / 3.0 - q * x for p in points])
@@ -580,6 +603,8 @@ def rho_grid_oracle(t: Tensor, theta: Theta | None = None, resolution: int = 100
         raise ValueError(
             "support too large for the dense grid oracle and no symmetry reduction applies"
         )
+    if max(resolution, math.comb(resolution + len(points) - 2, len(points) - 2)) > ORACLE_GRID_LIMIT:
+        raise ResourceLimitError(f"grid oracle: resolution {resolution} too large for this tensor")
     return _grid_max(points, th, resolution)
 
 

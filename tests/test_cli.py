@@ -9,6 +9,7 @@ import pytest
 
 import irrev
 from irrev import cli, from_json, to_json, unit, w
+from irrev.entropy import ORACLE_GRID_LIMIT
 from irrev.tensor import matmul, z3
 
 from conftest import certificate_gap
@@ -539,6 +540,17 @@ def test_power_far_over_limit_exit_5_with_short_message(capsys, monkeypatch, pow
     assert code == 5 and out == ""
     assert len(err.splitlines()) == 1 and len(err) < 200
     assert power in err
+
+
+@pytest.mark.parametrize("resolution", [str(ORACLE_GRID_LIMIT + 1), str(10**12)])
+def test_oracle_resolution_over_limit_exit_5(capsys, monkeypatch, resolution):
+    code, out, err = run_cli(
+        capsys, ["rho", "-", "--oracle", "--resolution", resolution],
+        stdin=to_json(w()), monkeypatch=monkeypatch,
+    )
+    assert code == 5 and out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert resolution in err
 
 
 def _w_with_num(num) -> str:

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from irrev import (
     BudgetExceededError,
+    ResourceLimitError,
     Support,
     SupportDistribution,
     Tensor,
@@ -34,6 +36,7 @@ from irrev import (
 )
 from conftest import certificate_gap, dense_newton_direction, naive_grid_max, random_unit_tensor
 from irrev.entropy import (
+    ORACLE_GRID_LIMIT,
     _AxisEncoding,
     _cw_big_param,
     _cw_small_param,
@@ -395,6 +398,56 @@ def test_grid_max_matches_naive_enumeration(points, resolution, weights):
     th = tuple(v / sum(weights) for v in weights)
     want = naive_grid_max(points, th, resolution)
     assert _grid_max(points, th, resolution) == pytest.approx(want, rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize("m, resolution", [(3, 300), (4, 40), (5, 12), (6, 12)])
+def test_grid_max_matches_naive_enumeration_at_workload_shapes(m, resolution):
+    rng = random.Random(1000 * m + resolution)
+    for weights in [(1.0, 1.0, 1.0), (rng.random(), rng.random(), rng.random())]:
+        points = sorted(rng.sample(_CELLS, m))
+        th = tuple(v / sum(weights) for v in weights)
+        want = naive_grid_max(points, th, resolution)
+        assert _grid_max(points, th, resolution) == pytest.approx(want, rel=0, abs=1e-12)
+
+
+def test_grid_max_plateaus():
+    uniform = (1 / 3, 1 / 3, 1 / 3)
+    # unit(2) peaks at exactly 1.0 on even grids, unit(3) at the naive value.
+    for resolution in (2, 300, 1000):
+        assert _grid_max(sorted(unit(2).entries), uniform, resolution) == 1.0
+    points = sorted(unit(3).entries)
+    assert _grid_max(points, uniform, 30) == naive_grid_max(points, uniform, 30)
+    assert _grid_max(points, uniform, 999) == pytest.approx(math.log2(3), rel=0, abs=1e-15)
+    # The last two points differ only on an axis of weight 0, so f is
+    # constant along every bisected line.
+    for points, th in [
+        ([(0, 0, 0), (1, 1, 0), (1, 1, 1)], (0.5, 0.5, 0.0)),
+        ([(0, 0, 0), (0, 1, 1), (1, 0, 0), (1, 1, 1)], (1.0, 0.0, 0.0)),
+    ]:
+        for resolution in (1, 7, 40):
+            want = naive_grid_max(points, th, resolution)
+            assert _grid_max(points, th, resolution) == pytest.approx(want, rel=0, abs=1e-12)
+
+
+def test_grid_oracle_refuses_grids_over_the_limit_before_allocating():
+    six = Tensor((3, 3, 3), {p: 1 for p in [(0, 0, 1), (0, 1, 0), (1, 0, 0), (1, 1, 2),
+                                             (2, 1, 1), (2, 2, 2)]})
+    cases = [
+        (w(), ORACLE_GRID_LIMIT + 1),  # resolution
+        (w(), 10**12),
+        (unit(2), ORACLE_GRID_LIMIT + 1),  # a single line
+        (six, 200),  # C(204, 4) lines
+        (cw_big(6), ORACLE_GRID_LIMIT // 21),  # 21 points x (R + 1) steps
+    ]
+    for t, resolution in cases:
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match="grid oracle"):
+                rho_grid_oracle(t, resolution=resolution)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 @pytest.mark.parametrize("q", range(1, 5))

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from irrev import (
     ResourceLimitError,
+    Support,
     Tensor,
     cw,
     cw_big,
@@ -26,6 +27,7 @@ from irrev import (
 )
 from conftest import random_rational_tensor
 from irrev.linalg import ExactMatrix, rank_exact
+from irrev import tensor as tensor_module
 from irrev.tensor import _is_simple
 
 
@@ -402,3 +404,23 @@ def test_is_simple_matches_flattening_rank_oracle(entries):
 def test_tensor_rejects_float_and_bool_dims_and_indices(dims, entries):
     with pytest.raises(ValueError):
         Tensor(dims, entries)
+
+
+@pytest.mark.parametrize("points", [
+    set(),
+    {(0, 0, 2), (0, 1, 0)},  # out of range
+    {(0, 0, 1.0), (0, 1, 0)},
+    {(0, 0, True), (0, 1, 0)},
+])
+def test_support_rejects_bad_points(points):
+    with pytest.raises(ValueError):
+        Support((2, 2, 2), frozenset(points))
+
+
+def test_tensor_support_checks_no_point_again(monkeypatch):
+    t = w()
+    calls = []
+    monkeypatch.setattr(tensor_module, "_check_index", lambda *args: calls.append(args))
+    s = t.support()
+    assert calls == []
+    assert s == Support(t.dims, frozenset(t.entries)) and len(calls) == 3
