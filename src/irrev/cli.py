@@ -56,14 +56,20 @@ def _fmt(x: float, precision: int) -> str:
 
 
 def _rounded(doc, precision: int):
-    """doc with every float rounded to precision significant digits."""
-    if isinstance(doc, float):
-        return float(_fmt(doc, precision))
-    if isinstance(doc, dict):
-        return {k: _rounded(v, precision) for k, v in doc.items()}
-    if isinstance(doc, list):
-        return [_rounded(v, precision) for v in doc]
-    return doc
+    """doc with every float rounded to precision significant digits.  At 17
+    digits every double reads back as itself, so doc is returned as it is."""
+    if precision == 17:
+        return doc
+    spec = f".{precision}g"
+    def walk(x):
+        if isinstance(x, float):
+            return float(format(x, spec))
+        if isinstance(x, dict):
+            return {k: walk(v) for k, v in x.items()}
+        if isinstance(x, list):
+            return [walk(v) for v in x]
+        return x
+    return walk(doc)
 
 
 def _parse_theta(text: str | None) -> entropy.Theta | None:
@@ -107,69 +113,64 @@ def _solver_flags(p: argparse.ArgumentParser) -> None:
                    help="iteration budget for the entropy optimizer")
 
 
-def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
-    """The parser, and its subcommand parsers by name."""
-    parser = argparse.ArgumentParser(
-        prog="irrev",
-        description="Irreversibility lower bounds and matrix-multiplication barriers.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _gen_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("family", choices=tuple(_FAMILIES))
+    p.add_argument("--n", type=int, help="size for unit")
+    p.add_argument("--a", type=int, help="matmul rows")
+    p.add_argument("--b", type=int, help="matmul inner")
+    p.add_argument("--c", type=int, help="matmul cols")
+    p.add_argument("--q", type=int, help="parameter for cw / CW")
+    p.add_argument("--m", type=int, help="size for tn")
+    p.add_argument("--out", help="output path (default stdout)")
 
-    p_gen = sub.add_parser("gen", help="generate a named tensor family member")
-    p_gen.add_argument("family", choices=tuple(_FAMILIES))
-    p_gen.add_argument("--n", type=int, help="size for unit")
-    p_gen.add_argument("--a", type=int, help="matmul rows")
-    p_gen.add_argument("--b", type=int, help="matmul inner")
-    p_gen.add_argument("--c", type=int, help="matmul cols")
-    p_gen.add_argument("--q", type=int, help="parameter for cw / CW")
-    p_gen.add_argument("--m", type=int, help="size for tn")
-    p_gen.add_argument("--out", help="output path (default stdout)")
 
-    p_irr = sub.add_parser("irr", help="irreversibility lower bound and barriers")
-    p_irr.add_argument("path", help="tensor file, or - for stdin")
-    theta_choice = p_irr.add_mutually_exclusive_group()
+def _irr_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("path", help="tensor file, or - for stdin")
+    theta_choice = p.add_mutually_exclusive_group()
     theta_choice.add_argument("--theta", help="axis weights t1,t2,t3 (default uniform)")
     theta_choice.add_argument("--search-theta", action="store_true",
                               help="minimize over the theta simplex (excludes --theta)")
-    _format_flag(p_irr)
-    _precision_flag(p_irr)
-    _solver_flags(p_irr)
+    _format_flag(p)
+    _precision_flag(p)
+    _solver_flags(p)
 
-    p_rho = sub.add_parser("rho", help="entropy maximum over support distributions")
-    p_rho.add_argument("path", help="tensor file, or - for stdin")
-    p_rho.add_argument("--theta", help="axis weights t1,t2,t3 (default uniform)")
-    p_rho.add_argument("--oracle", action="store_true",
-                       help="also run the grid oracle and compare")
-    p_rho.add_argument("--resolution", type=int, default=1000,
-                       help="grid oracle resolution (default 1000)")
-    _format_flag(p_rho)
-    _precision_flag(p_rho)
-    _solver_flags(p_rho)
 
-    p_diag = sub.add_parser("diag", help="maximum free diagonal of a support power")
-    p_diag.add_argument("path", help="tensor file, or - for stdin")
-    p_diag.add_argument("--power", type=int, default=1, help="Kronecker power (default 1)")
-    p_diag.add_argument("--budget", type=int, default=diagonal.DEFAULT_NODE_BUDGET,
-                        help=f"search node budget (default {diagonal.DEFAULT_NODE_BUDGET})")
-    _format_flag(p_diag)
-    _precision_flag(p_diag)
+def _rho_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("path", help="tensor file, or - for stdin")
+    p.add_argument("--theta", help="axis weights t1,t2,t3 (default uniform)")
+    p.add_argument("--oracle", action="store_true",
+                   help="also run the grid oracle and compare")
+    p.add_argument("--resolution", type=int, default=1000,
+                   help="grid oracle resolution (default 1000)")
+    _format_flag(p)
+    _precision_flag(p)
+    _solver_flags(p)
 
-    p_table = sub.add_parser("table", help="reproduce a barrier table")
-    p_table.add_argument("which", choices=tuple(_TABLES))
-    p_table.add_argument("--qmin", type=int, help="first q (cw, CW, laser, better)")
-    p_table.add_argument("--qmax", type=int, help="last q (cw, CW, laser, better)")
-    p_table.add_argument("--mmin", type=int, help="first m (tn)")
-    p_table.add_argument("--mmax", type=int, help="last m (tn)")
-    p_table.add_argument("--assume-rank", choices=("flattening", "conjectured"),
-                         help="rank assumption (laser; default flattening)")
-    _format_flag(p_table, ("text", "csv", "json"))
-    _precision_flag(p_table)
 
-    p_flat = sub.add_parser("flatrank", help="exact ranks of the three flattenings")
-    p_flat.add_argument("path", help="tensor file, or - for stdin")
-    _format_flag(p_flat)
+def _diag_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("path", help="tensor file, or - for stdin")
+    p.add_argument("--power", type=int, default=1, help="Kronecker power (default 1)")
+    p.add_argument("--budget", type=int, default=diagonal.DEFAULT_NODE_BUDGET,
+                   help=f"search node budget (default {diagonal.DEFAULT_NODE_BUDGET})")
+    _format_flag(p)
+    _precision_flag(p)
 
-    return parser, sub.choices
+
+def _table_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("which", choices=tuple(_TABLES))
+    p.add_argument("--qmin", type=int, help="first q (cw, CW, laser, better)")
+    p.add_argument("--qmax", type=int, help="last q (cw, CW, laser, better)")
+    p.add_argument("--mmin", type=int, help="first m (tn)")
+    p.add_argument("--mmax", type=int, help="last m (tn)")
+    p.add_argument("--assume-rank", choices=("flattening", "conjectured"),
+                   help="rank assumption (laser; default flattening)")
+    _format_flag(p, ("text", "csv", "json"))
+    _precision_flag(p)
+
+
+def _flatrank_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("path", help="tensor file, or - for stdin")
+    _format_flag(p)
 
 
 def _cmd_gen(args) -> int:
@@ -300,26 +301,44 @@ def _cmd_flatrank(args) -> int:
     return EXIT_OK
 
 
+# Subcommand -> (help line, argument builder, handler).
 _COMMANDS = {
-    "gen": _cmd_gen,
-    "irr": _cmd_irr,
-    "rho": _cmd_rho,
-    "diag": _cmd_diag,
-    "table": _cmd_table,
-    "flatrank": _cmd_flatrank,
+    "gen": ("generate a named tensor family member", _gen_args, _cmd_gen),
+    "irr": ("irreversibility lower bound and barriers", _irr_args, _cmd_irr),
+    "rho": ("entropy maximum over support distributions", _rho_args, _cmd_rho),
+    "diag": ("maximum free diagonal of a support power", _diag_args, _cmd_diag),
+    "table": ("reproduce a barrier table", _table_args, _cmd_table),
+    "flatrank": ("exact ranks of the three flattenings", _flatrank_args, _cmd_flatrank),
 }
 
 
 def main(argv=None) -> int:
-    parser, commands = _build_parser()
-    args, extra = parser.parse_known_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    if argv and argv[0] in _COMMANDS:
+        # Only the invoked subcommand's parser is built.
+        command = argv[0]
+        parser = argparse.ArgumentParser(prog=f"irrev {command}")
+        _COMMANDS[command][1](parser)
+        args, extra = parser.parse_known_args(argv[1:])
+    else:
+        # -h, no command or an unknown one: the full parser prints the help or the error.
+        top = argparse.ArgumentParser(
+            prog="irrev",
+            description="Irreversibility lower bounds and matrix-multiplication barriers.",
+        )
+        sub = top.add_subparsers(dest="command", required=True)
+        for name, (help_line, add_args, _) in _COMMANDS.items():
+            add_args(sub.add_parser(name, help=help_line))
+        args, extra = top.parse_known_args(argv)
+        command = args.command
+        parser = sub.choices[command]
     if extra:
         # Reported by the subcommand, whose usage line lists the flags it takes.
-        commands[args.command].error(f"unrecognized arguments: {' '.join(extra)}")
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         if not 2 <= getattr(args, "precision", 6) <= 17:
             raise ValueError("precision must be in [2, 17]")
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[command][2](args)
     except DegenerateInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE

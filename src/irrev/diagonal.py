@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 
 from .errors import ResourceLimitError
 from .tensor import Index, Support, Tensor
@@ -155,15 +154,12 @@ def power_support(t: Tensor, k: int, max_points: int = DEFAULT_POWER_POINT_LIMIT
     # reaches max_points.bit_length(): the capped power decides without a huge one.
     if len(base) ** min(k, max_points.bit_length()) > max_points:
         raise ResourceLimitError(f"|supp|^k with k = {k} exceeds the {max_points} point limit")
-    dims = tuple(d**k for d in t.dims)
-    points = set()
-    for combo in product(base, repeat=k):
-        idx = [0, 0, 0]
-        for a in range(3):
-            for p in combo:
-                idx[a] = idx[a] * t.dims[a] + p[a]
-        points.add(tuple(idx))
-    return Support(dims, frozenset(points))
+    d0, d1, d2 = t.dims
+    points = [(0, 0, 0)]
+    for _ in range(k):  # one more factor, as the last (least significant) digit
+        points = [(i * d0 + a, j * d1 + b, l * d2 + c) for i, j, l in points for a, b, c in base]
+    # Distinct and in range, built from t's checked points.
+    return Support._unchecked((d0**k, d1**k, d2**k), frozenset(points))
 
 
 def monomial_subrank_power(

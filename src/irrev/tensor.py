@@ -53,6 +53,14 @@ class Support:
         for p in self.points:
             _check_index(p, self.dims)
 
+    @classmethod
+    def _unchecked(cls, dims: tuple[int, int, int], points: frozenset[Index]) -> Support:
+        """A Support of points already known to be valid, built without __post_init__."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "dims", dims)
+        object.__setattr__(s, "points", points)
+        return s
+
 
 class Tensor:
     """Immutable sparse 3-tensor with nonzero rational coefficients."""
@@ -88,11 +96,8 @@ class Tensor:
         raise AttributeError("Tensor is immutable")
 
     def support(self) -> Support:
-        # Built without Support.__post_init__: __init__ checked every point.
-        s = object.__new__(Support)
-        object.__setattr__(s, "dims", self.dims)
-        object.__setattr__(s, "points", frozenset(self.entries))
-        return s
+        # __init__ checked every point.
+        return Support._unchecked(self.dims, frozenset(self.entries))
 
     def __eq__(self, other):
         if not isinstance(other, Tensor):
@@ -246,14 +251,18 @@ def cyc(t: Tensor) -> Tensor:
 
 def to_json(t: Tensor) -> str:
     """Serialize to the tensor file format (entries sorted lexicographically)."""
-    entries = [
-        {"i": i, "j": j, "k": k, "num": str(c.numerator), "den": str(c.denominator)}
+    # The bytes of json.dumps with separators (", ", ": "): every field is an
+    # int or a decimal integer string, so nothing needs escaping.
+    entries = ", ".join(
+        f'{{"i": {i}, "j": {j}, "k": {k}, "num": "{c.numerator}", "den": "{c.denominator}"}}'
         for (i, j, k), c in sorted(t.entries.items())
-    ]
-    return json.dumps({"dims": list(t.dims), "entries": entries}, separators=(", ", ": "))
+    )
+    d0, d1, d2 = t.dims
+    return f'{{"dims": [{d0}, {d1}, {d2}], "entries": [{entries}]}}'
 
 
 _INTEGER = re.compile(r"-?[0-9]+")
+_RECORD_KEYS = frozenset(("i", "j", "k", "num", "den"))
 
 
 def _coefficient_part(x, point: Index) -> int:
@@ -270,6 +279,13 @@ def _coefficient_part(x, point: Index) -> int:
     raise ValueError(f"num and den must be integer strings or integers at {point}, got {x!r}")
 
 
+def _coefficient(num, den, point: Index) -> Fraction:
+    n, d = _coefficient_part(num, point), _coefficient_part(den, point)
+    if d <= 0:
+        raise ValueError(f"denominator must be positive at {point}")
+    return Fraction(n, d)
+
+
 def from_json(text: str) -> Tensor:
     """Parse the tensor file format, validating structure and coefficient rules."""
     try:
@@ -281,15 +297,23 @@ def from_json(text: str) -> Tensor:
     dims, raw = doc["dims"], doc["entries"]
     if not (isinstance(dims, list) and isinstance(raw, list)):
         raise ValueError("dims and entries must be lists")
+    # One Fraction per distinct (num, den) string pair.  Only str pairs are
+    # keys: True == 1 would let a bool hit an int pair's entry.
+    coeffs: dict[tuple[str, str], Fraction] = {}
     entries: list[tuple[Index, Fraction]] = []
     for rec in raw:
-        if not isinstance(rec, dict) or not {"i", "j", "k", "num", "den"} <= set(rec):
+        if not (isinstance(rec, dict) and rec.keys() >= _RECORD_KEYS):
             raise ValueError(f"bad entry record: {rec!r}")
         point = (rec["i"], rec["j"], rec["k"])
-        num, den = _coefficient_part(rec["num"], point), _coefficient_part(rec["den"], point)
-        if den <= 0:
-            raise ValueError(f"denominator must be positive at {point}")
-        entries.append((point, Fraction(num, den)))
+        num, den = rec["num"], rec["den"]
+        if type(num) is str and type(den) is str:
+            c = coeffs.get((num, den))
+            if c is None:
+                c = coeffs[num, den] = _coefficient(num, den, point)
+        else:
+            c = _coefficient(num, den, point)
+        entries.append((point, c))
+    # Tensor checks the indices, zero coefficients and duplicates.
     return Tensor(dims, entries)
 
 

@@ -5,6 +5,7 @@ algorithms: exhaustive subset search for free diagonals, prime-field
 elimination for rank, dict-based objective evaluation for entropy.
 """
 
+import json
 import math
 import random
 from fractions import Fraction
@@ -260,6 +261,16 @@ def random_rational_tensor(rng: random.Random, max_dim=3, max_size=6) -> Tensor:
             return Tensor(dims, entries)
         except ValueError:
             continue
+
+
+def reference_to_json(t: Tensor) -> str:
+    """The tensor file text built by json.dumps: entries sorted by index,
+    num and den as decimal strings, separators ", " and ": "."""
+    entries = [
+        {"i": i, "j": j, "k": k, "num": str(c.numerator), "den": str(c.denominator)}
+        for (i, j, k), c in sorted(t.entries.items())
+    ]
+    return json.dumps({"dims": list(t.dims), "entries": entries}, separators=(", ", ": "))
 
 
 @pytest.fixture

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
@@ -348,3 +349,13 @@ def test_min_rho_over_theta_finds_minimum(points, minimum):
                 probes.append(Theta(*nb))
     for probe in probes:
         assert res.value <= rho_upper(t, probe, tol=tol).value + 2 * tol
+
+
+def test_tensor_content_id_pinned():
+    from irrev.barriers import tensor_content_id
+
+    rational = Tensor((2, 3, 2), {(0, 0, 0): Fraction(-3, 7), (1, 2, 1): Fraction(1234, 5),
+                                  (0, 2, 1): Fraction(-100, 33), (1, 0, 0): 7})
+    assert tensor_content_id(w()) == "594e9e022d61"
+    assert tensor_content_id(cw(2)) == "b4e5bd0b8cf7"
+    assert tensor_content_id(rational) == "d2b570d10f12"

@@ -1,11 +1,17 @@
+import argparse
 import io
 import json
+import math
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import irrev
 from irrev import cli, from_json, to_json, unit, w
@@ -571,3 +577,90 @@ def test_num_digit_limit_exit_2(capsys, monkeypatch):
         )
         assert code == 2 and out == ""
         assert len(err.splitlines()) == 1 and str(limit) in err
+
+
+# After valid "1"/"1" and 1/1 records, each of these coefficient fields must
+# still be refused: from_json reuses the Fraction of an equal string pair, and
+# True == 1 == 1.0 must not let a bool or a float reuse an integer pair's.
+@pytest.mark.parametrize("num,den", [
+    (True, "1"), ("1", True), (1.0, "1"), ("-0", "1"), ("1", "0"), (True, True), (1.0, 1),
+])
+def test_bad_coefficient_after_cached_pair_exit_2(capsys, monkeypatch, num, den):
+    doc = json.loads(to_json(w()))
+    doc["entries"].append({"i": 1, "j": 1, "k": 0, "num": 1, "den": 1})
+    doc["entries"].append({"i": 1, "j": 1, "k": 1, "num": num, "den": den})
+    text = json.dumps(doc)
+    with pytest.raises(ValueError):
+        from_json(text)
+    code, out, err = run_cli(capsys, ["flatrank", "-"], stdin=text, monkeypatch=monkeypatch)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "(1, 1, 1)" in err
+
+
+@pytest.mark.parametrize("argv,code,stream,text", [
+    ([], 2, "err", "irrev: error: the following arguments are required: command"),
+    (["-h"], 0, "out", "usage: irrev [-h] {gen,irr,rho,diag,table,flatrank} ..."),
+    (["nope"], 2, "err", "irrev: error: argument command: invalid choice: 'nope'"),
+    (["--foo", "irr", "x"], 2, "err", "irrev irr: error: unrecognized arguments: --foo"),
+    (["irr", "-h"], 0, "out", "usage: irrev irr [-h]"),
+    (["irr"], 2, "err", "irrev irr: error: the following arguments are required: path"),
+])
+def test_top_level_dispatch(capsys, argv, code, stream, text):
+    assert _exit_code(argv) == code
+    assert text in getattr(capsys.readouterr(), stream)
+
+
+# Each subcommand's option strings, and arguments that its parser accepts.
+SUBCOMMANDS = {
+    "gen": (["-h", "--help", "--n", "--a", "--b", "--c", "--q", "--m", "--out"], ["w"]),
+    "irr": (["-h", "--help", "--theta", "--search-theta", "--format", "--precision", "--tol",
+             "--iter-budget"], ["{w}"]),
+    "rho": (["-h", "--help", "--theta", "--oracle", "--resolution", "--format", "--precision",
+             "--tol", "--iter-budget"], ["{w}"]),
+    "diag": (["-h", "--help", "--power", "--budget", "--format", "--precision"], ["{w}"]),
+    "table": (["-h", "--help", "--qmin", "--qmax", "--mmin", "--mmax", "--assume-rank",
+               "--format", "--precision"], ["cw"]),
+    "flatrank": (["-h", "--help", "--format"], ["{w}"]),
+}
+
+
+@pytest.mark.parametrize("cmd", list(SUBCOMMANDS))
+def test_subcommand_parser_usage_options_and_unknown_flag(tmp_path, capsys, cmd):
+    options, positional = SUBCOMMANDS[cmd]
+    assert list(cli._COMMANDS) == list(SUBCOMMANDS)
+    parser = argparse.ArgumentParser(prog=f"irrev {cmd}")
+    cli._COMMANDS[cmd][1](parser)
+    assert [s for a in parser._actions for s in a.option_strings] == options
+    assert _exit_code([cmd, "-h"]) == 0
+    assert capsys.readouterr().out.startswith(f"usage: irrev {cmd} [-h]")
+    path = tmp_path / "w.json"
+    path.write_text(to_json(w()) + "\n")
+    argv = [cmd, *(str(path) if a == "{w}" else a for a in positional), "--bogus"]
+    assert _exit_code(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith(f"usage: irrev {cmd} [-h]")
+    assert out.err.endswith(f"irrev {cmd}: error: unrecognized arguments: --bogus\n")
+
+
+def _rounded_reference(doc, precision):
+    """Every float rounded through its precision-digit string, at every precision."""
+    if isinstance(doc, float):
+        return float(format(doc, f".{precision}g"))
+    if isinstance(doc, dict):
+        return {k: _rounded_reference(v, precision) for k, v in doc.items()}
+    if isinstance(doc, list):
+        return [_rounded_reference(v, precision) for v in doc]
+    return doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1))
+def test_rounded_at_17_is_the_identity(bits_a, bits_b):
+    a, b = (struct.unpack("<d", struct.pack("<Q", bits))[0] for bits in (bits_a, bits_b))
+    specials = [5e-324, -5e-324, 2.2250738585072009e-308, -0.0, 0.0, 1.7976931348623157e308,
+                math.inf, np.float64(0.1), np.float64(-0.0), np.float64(a)]
+    doc = {"a": a, "list": [b, {"x": specials}], "n": 3, "s": "t", "t": (a,), "none": None}
+    assert cli._rounded(doc, 17) is doc
+    assert json.dumps(doc) == json.dumps(_rounded_reference(doc, 17))
+    for p in (2, 6, 16):
+        assert json.dumps(cli._rounded(doc, p)) == json.dumps(_rounded_reference(doc, p))

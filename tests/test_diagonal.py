@@ -11,6 +11,7 @@ from irrev import (
     cw,
     cw_big,
     is_free_diagonal,
+    kron,
     matmul,
     max_free_diagonal,
     monomial_subrank_power,
@@ -21,6 +22,7 @@ from irrev import (
     w,
     z3,
 )
+from irrev import tensor as tensor_module
 from irrev.diagonal import DEFAULT_NODE_BUDGET
 from conftest import (
     brute_force_max_free_diagonal,
@@ -104,6 +106,18 @@ def test_power_support_sizes():
         power_support(z3(), 9)
     with pytest.raises(ValueError):
         power_support(w(), 0)
+
+
+@pytest.mark.parametrize("t,k", [(w(), 4), (tn(3), 3), (cw_big(1), 2), (matmul(1, 2, 2), 3)])
+def test_power_support_is_the_kron_power_support(monkeypatch, t, k):
+    power = t
+    for _ in range(k - 1):
+        power = kron(power, t)
+    calls = []
+    monkeypatch.setattr(tensor_module, "_check_index", lambda *args: calls.append(args))
+    sup = power_support(t, k)
+    assert calls == []
+    assert sup == Support(power.dims, frozenset(power.entries))
 
 
 def test_diagonal_powers_of_unit():

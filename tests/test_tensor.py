@@ -4,7 +4,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from irrev import (
@@ -25,7 +25,7 @@ from irrev import (
     w,
     z3,
 )
-from conftest import random_rational_tensor
+from conftest import random_rational_tensor, reference_to_json
 from irrev.linalg import ExactMatrix, rank_exact
 from irrev import tensor as tensor_module
 from irrev.tensor import _is_simple
@@ -424,3 +424,51 @@ def test_tensor_support_checks_no_point_again(monkeypatch):
     s = t.support()
     assert calls == []
     assert s == Support(t.dims, frozenset(t.entries)) and len(calls) == 3
+
+
+_BIG_COEFFS = st.builds(
+    Fraction, st.integers(-10**30, 10**30).filter(bool), st.integers(1, 10**20)
+)
+_BIG_POINTS = st.tuples(st.integers(0, 11), st.integers(0, 123), st.integers(0, 2))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.dictionaries(_BIG_POINTS, _BIG_COEFFS, min_size=2, max_size=40))
+def test_to_json_matches_json_dumps_reference(entries):
+    try:
+        t = Tensor((12, 124, 3), entries)
+    except ValueError:  # simple
+        assume(False)
+    text = to_json(t)
+    assert text == reference_to_json(t)
+    assert from_json(text) == t
+
+
+def _doc_with(*records) -> str:
+    doc = json.loads(to_json(w()))
+    doc["entries"].extend({"i": i, "j": j, "k": k, "num": n, "den": d} for i, j, k, n, d in records)
+    return json.dumps(doc)
+
+
+def test_from_json_repeated_string_pair_gives_equal_coefficients():
+    t = from_json(_doc_with((1, 1, 1, "2", "4"), (1, 1, 0, "2", "4"), (0, 1, 1, "-1", "2")))
+    assert t.entries[(1, 1, 1)] == t.entries[(1, 1, 0)] == Fraction(1, 2)
+    assert t.entries[(0, 1, 1)] == Fraction(-1, 2)
+    assert t.entries[(0, 0, 1)] == 1
+    # Mixed and integer pairs are valid too and are never taken for string ones.
+    t = from_json(_doc_with((1, 1, 1, 3, "1"), (1, 1, 0, "3", 1), (0, 1, 1, 3, 1)))
+    assert t.entries[(1, 1, 1)] == t.entries[(1, 1, 0)] == t.entries[(0, 1, 1)] == 3
+
+
+@pytest.mark.parametrize("record", [
+    (0, 0, 1, "1", "1"),  # duplicate of w's first point, same cached pair
+    (1, 1, 1, "1", "1"),  # then the same point again below
+    (2, 0, 0, "1", "1"),
+    (0, -1, 0, "1", "1"),
+    (1, 1, True, "1", "1"),
+    (1, 1.0, 1, "1", "1"),
+])
+def test_from_json_rejects_bad_points_with_cached_coefficients(record):
+    records = [record, record] if record[:3] == (1, 1, 1) else [record]
+    with pytest.raises(ValueError, match="duplicate|index"):
+        from_json(_doc_with(*records))
