@@ -315,7 +315,8 @@ _COMMANDS = {
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if argv and argv[0] in _COMMANDS:
-        # Only the invoked subcommand's parser is built.
+        # Only the invoked subcommand's parser is built: the top-level parser
+        # around it would cost as much again as the subcommand's own.
         command = argv[0]
         parser = argparse.ArgumentParser(prog=f"irrev {command}")
         _COMMANDS[command][1](parser)

@@ -297,7 +297,8 @@ def from_json(text: str) -> Tensor:
     dims, raw = doc["dims"], doc["entries"]
     if not (isinstance(dims, list) and isinstance(raw, list)):
         raise ValueError("dims and entries must be lists")
-    # One Fraction per distinct (num, den) string pair.  Only str pairs are
+    # One Fraction per distinct (num, den) string pair: files of small-integer
+    # coefficients repeat few pairs over many records.  Only str pairs are
     # keys: True == 1 would let a bool hit an int pair's entry.
     coeffs: dict[tuple[str, str], Fraction] = {}
     entries: list[tuple[Index, Fraction]] = []
