@@ -35,7 +35,7 @@ from .entropy import (
     rho_upper,
     _cw_small_param,
 )
-from .errors import DegenerateInputError
+from .errors import BudgetExceededError, DegenerateInputError
 from .linalg import flattening_ranks
 from .tensor import Tensor, cw_big, to_json, tn
 
@@ -89,7 +89,6 @@ def irr_lower(
     theta: Theta | None = None,
     tol: float = DEFAULT_TOL,
     search_theta: bool = False,
-    tensor_id: str = "",
     iter_budget: int = 10**6,
 ) -> BarrierReport:
     """Irreversibility lower bound for t, with the basic barrier 2 * irr_lb.
@@ -108,7 +107,8 @@ def irr_lower(
     if search_theta:
         search = min_rho_over_theta(t, tol=tol, iter_budget=iter_budget)
         theta, rho = search.theta, search.rho
-        notes.append(f"theta search: {search.solves} solves, duality gap {search.gap:.2g}")
+        early = f" ({search.stalled} stopped early, cuts only)" if search.stalled else ""
+        notes.append(f"theta search: {search.solves} solves{early}, duality gap {search.gap:.2g}")
     else:
         rho = rho_upper(t, theta, tol=tol, iter_budget=iter_budget)
     if rho.value <= 0.0:
@@ -124,7 +124,7 @@ def irr_lower(
         laser = cw_laser_barrier(q, "flattening")
         notes.append(f"laser barrier attached for recognized cw_{q} support")
     return BarrierReport(
-        tensor_id=tensor_id or tensor_content_id(t),
+        tensor_id=tensor_content_id(t),
         flattening_ranks=ranks,
         rho=rho,
         theta_used=theta,
@@ -137,27 +137,24 @@ def irr_lower(
 
 # Cap on the entropy solves of one theta search.  The cutting-plane search
 # closes the gap in one solve on cyclically symmetric supports and in at most
-# 40 on the random 4- to 8-point supports tried; the cap only bounds the cost
+# 44 on 500 random 4- to 10-point supports tried; the cap only bounds the cost
 # of a support where float noise keeps the gap open.
 THETA_SEARCH_MAX_SOLVES = 60
-# The search solves at no axis weight in (0, this).  With an axis weight e > 0
-# the optimal marginals can put mass near 2**(-1/e) on some coordinates, and
-# the entropy solver's iteration count grows like 1/e (about 400 iterations
-# at 1e-3, over 10^4 at 1e-5); at 0 the axis drops out.
-THETA_SEARCH_MIN_WEIGHT = 1e-3
 
 
 @dataclass(frozen=True)
 class ThetaSearch:
     """The best theta found and the rho_upper result there, with the
-    search's evidence: solves, the number of entropy solves, and gap, the
-    final duality gap (smallest value seen minus the certified lower bound,
+    search's evidence: solves, the number of entropy solves; stalled, how
+    many of them stopped early and gave only their cut; and gap, the final
+    duality gap (smallest value seen minus the certified lower bound,
     clamped at 0).
     """
 
     theta: Theta
     rho: RhoResult
     solves: int
+    stalled: int
     gap: float
 
 
@@ -169,8 +166,7 @@ def _cut_minimum(cuts: np.ndarray) -> tuple[float, np.ndarray]:
     of its linearity regions: a simplex corner, a point of a simplex edge
     where two cuts tie, or a point where three cuts tie.  In homogeneous
     coordinates each is the cross product of two plane normals, normalised to
-    sum 1; all of them are tried.  The next theta is the best of these
-    vertices whose weights are each 0 or at least THETA_SEARCH_MIN_WEIGHT.
+    sum 1; all of them are tried, and the best is the next theta.
     """
     eye = np.eye(3)
     cands = [eye]
@@ -190,9 +186,8 @@ def _cut_minimum(cuts: np.ndarray) -> tuple[float, np.ndarray]:
     theta = np.maximum(theta, 0.0)
     theta /= theta.sum(axis=1, keepdims=True)
     model = (theta @ cuts.T).max(axis=1)
-    admissible = ((theta == 0.0) | (theta >= THETA_SEARCH_MIN_WEIGHT)).all(axis=1)
-    nxt = np.flatnonzero(admissible)[model[admissible].argmin()]
-    return float(model.min()), theta[nxt]
+    nxt = model.argmin()
+    return float(model[nxt]), theta[nxt]
 
 
 def min_rho_over_theta(
@@ -210,10 +205,14 @@ def min_rho_over_theta(
     minimum of phi; by LP duality and concavity of entropy, the mixture of
     the P_k with the LP's dual weights has min_i H_i >= LB.  The smallest
     value seen is the upper bound UB.  The search starts at uniform theta and
-    moves to the cut model's minimiser among the thetas whose weights are
-    each 0 or at least THETA_SEARCH_MIN_WEIGHT.  It stops once UB - LB <= tol,
-    when the next theta was solved already, or after THETA_SEARCH_MAX_SOLVES
+    moves to the cut model's minimiser.  It stops once UB - LB <= tol, when
+    the next theta was solved already, or after THETA_SEARCH_MAX_SOLVES
     solves.
+
+    A solve after the first that raises BudgetExceededError still gives the
+    cut of its best P, since every P on the support has theta . h(P) <=
+    phi(theta); its value is never the reported one.  A first solve that
+    raises ends the search with that error.
 
     Returns theta and rho of the smallest value seen, so the result
     never loses to uniform theta and its rho is a plain rho_upper result at
@@ -224,10 +223,16 @@ def min_rho_over_theta(
     seen = {theta}
     best: tuple[Theta, RhoResult] | None = None
     cuts: list[list[float]] = []
+    stalled = 0
     for solves in range(1, THETA_SEARCH_MAX_SOLVES + 1):
-        rho = rho_upper(t, theta, tol=tol, iter_budget=iter_budget)
-        if best is None or rho.value < best[1].value:
-            best = (theta, rho)
+        try:
+            rho = rho_upper(t, theta, tol=tol, iter_budget=iter_budget)
+            if best is None or rho.value < best[1].value:
+                best = (theta, rho)
+        except BudgetExceededError as exc:
+            if best is None:
+                raise
+            rho, stalled = exc.best, stalled + 1
         cuts.append([entropy_bits(marginal(rho.argmax, axis)) for axis in (1, 2, 3)])
         lower, point = _cut_minimum(np.array(cuts))
         gap = best[1].value - lower
@@ -237,7 +242,7 @@ def min_rho_over_theta(
         if theta in seen:
             break  # a repeated solve adds no cut
         seen.add(theta)
-    return ThetaSearch(best[0], best[1], solves, max(gap, 0.0))
+    return ThetaSearch(best[0], best[1], solves, stalled, max(gap, 0.0))
 
 
 # ---------------------------------------------------------------------------

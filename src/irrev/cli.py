@@ -38,15 +38,16 @@ _FAMILIES = {
 }
 _FAMILY_FLAGS = ("n", "a", "b", "c", "q", "m")
 
-# Table -> (barriers function, column headers, {flag: keyword it sets}).
-# Ranges the flags leave open are the function's defaults.
+# Table -> (barriers function name, column headers, {flag: keyword it sets}).
+# Ranges the flags leave open are the function's defaults.  The function is
+# looked up at call time, so a wrapper put on it in `barriers` sees the call.
 _Q_RANGE = {"qmin": "q_lo", "qmax": "q_hi"}
 _TABLES = {
-    "cw": (barriers.cw_table, ("q", "barrier"), _Q_RANGE),
-    "CW": (barriers.cw_big_table, ("q", "barrier"), _Q_RANGE),
-    "tn": (barriers.tn_table, ("m", "table_n", "barrier"), {"mmin": "m_lo", "mmax": "m_hi"}),
-    "laser": (barriers.laser_table, ("q", "barrier"), {**_Q_RANGE, "assume_rank": "rank_mode"}),
-    "better": (barriers.better_table, ("q", "barrier"), _Q_RANGE),
+    "cw": ("cw_table", ("q", "barrier"), _Q_RANGE),
+    "CW": ("cw_big_table", ("q", "barrier"), _Q_RANGE),
+    "tn": ("tn_table", ("m", "table_n", "barrier"), {"mmin": "m_lo", "mmax": "m_hi"}),
+    "laser": ("laser_table", ("q", "barrier"), {**_Q_RANGE, "assume_rank": "rank_mode"}),
+    "better": ("better_table", ("q", "barrier"), _Q_RANGE),
 }
 _TABLE_FLAGS = ("qmin", "qmax", "mmin", "mmax", "assume_rank")
 
@@ -273,9 +274,9 @@ def _cmd_diag(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    make, headers, keywords = _TABLES[args.which]
+    name, headers, keywords = _TABLES[args.which]
     given = _params(args, f"table {args.which}", _TABLE_FLAGS, keywords)
-    rows = make(**{keywords[d]: v for d, v in given.items()})
+    rows = getattr(barriers, name)(**{keywords[d]: v for d, v in given.items()})
     p = args.precision
     if args.format == "csv":
         print("param,value")

@@ -49,8 +49,8 @@ class Theta:
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.t1, self.t2, self.t3)
 
-    def is_uniform(self, tol: float = 1e-12) -> bool:
-        return all(abs(v - 1.0 / 3.0) <= tol for v in self.as_tuple())
+    def is_uniform(self) -> bool:
+        return all(abs(v - 1.0 / 3.0) <= 1e-12 for v in self.as_tuple())
 
 
 @dataclass(frozen=True)
@@ -108,9 +108,9 @@ class RhoResult:
     value is the achieved objective (bits); residual is the first-order
     optimality gap at termination, so the true maximum lies within residual
     of value.  steps counts the accepted steps by kind: "newton" (damped
-    Newton), "drop" (a Newton or away step that empties a point exactly),
-    "toward" and "away" (Frank-Wolfe); on convergence they sum to
-    iterations - 1.
+    Newton), "drop" (a Newton step cut at the ratio test, which empties a
+    point exactly), "toward" and "away" (Frank-Wolfe); on convergence they
+    sum to iterations - 1.
     """
 
     value: float
@@ -331,17 +331,6 @@ def rho_upper_on_support(
             P2 = (1.0 - gamma) * P
             P2[b] += gamma
             kind = "toward"
-        elif gamma >= gamma_max * (1.0 - 1e-12) and all(
-            th[i] == 0.0 or bases[i][enc.idx[i][a]] > P[a] * (1.0 + 1e-12) for i in range(3)
-        ):
-            # Drop step: zero the away coordinate exactly, or rounding dust
-            # keeps it active and wedges later iterations.  Not for a point
-            # alone on a coordinate of a weighted axis: the entropy's slope
-            # is infinite there, so its optimal mass is positive (if below
-            # float resolution) and zero would make the gap infinite.
-            P2 = P.copy()
-            P2[a] = 0.0
-            kind = "drop"
         else:
             P2 = (1.0 + gamma) * P
             P2[a] -= gamma

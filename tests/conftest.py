@@ -14,7 +14,7 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
-from irrev import Support, Tensor, is_free_diagonal
+from irrev import BudgetExceededError, Support, Tensor, is_free_diagonal, rho_upper
 
 MERSENNE_P = (1 << 31) - 1
 
@@ -271,6 +271,22 @@ def reference_to_json(t: Tensor) -> str:
         for (i, j, k), c in sorted(t.entries.items())
     ]
     return json.dumps({"dims": list(t.dims), "entries": entries}, separators=(", ", ": "))
+
+
+def stalling_rho_upper(*stalls: int):
+    """A stand-in for rho_upper whose calls numbered in `stalls` (from 1)
+    raise BudgetExceededError, with the real result as their best."""
+    calls = 0
+
+    def solve(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        res = rho_upper(*args, **kwargs)
+        if calls in stalls:
+            raise BudgetExceededError(f"stalled after {res.iterations} iterations", best=res)
+        return res
+
+    return solve
 
 
 @pytest.fixture

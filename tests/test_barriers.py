@@ -31,6 +31,9 @@ from irrev import (
     w,
     z3,
 )
+from irrev import barriers
+
+from conftest import stalling_rho_upper
 
 H13 = math.log2(3.0) - 2.0 / 3.0
 IRR_W = 1.0 / H13  # 1.0889736868180786
@@ -349,6 +352,35 @@ def test_min_rho_over_theta_finds_minimum(points, minimum):
                 probes.append(Theta(*nb))
     for probe in probes:
         assert res.value <= rho_upper(t, probe, tol=tol).value + 2 * tol
+
+
+# Two supports whose minimum over theta sits at a weight of 0, so a step of
+# 1e-3 away from it leaves the simplex.  With solves barred at weights in
+# (0, 1e-3) the search stopped with gaps of 8.1e-5 and 5.9e-7; without the
+# bar, one solve on each stalls near a zero weight and gives only its cut.
+THETA_ZERO_WEIGHT_MINIMA = [
+    ([(0, 1, 3), (0, 2, 3), (1, 2, 2), (1, 3, 3), (3, 0, 1)], math.log2(3.0)),
+    ([(0, 2, 0), (0, 3, 0), (1, 1, 1), (1, 2, 2), (1, 3, 0), (3, 1, 0)], 1.5),
+]
+
+
+@pytest.mark.parametrize("points,minimum", THETA_ZERO_WEIGHT_MINIMA)
+def test_min_rho_over_theta_closes_gap_at_zero_weight(points, minimum):
+    search = min_rho_over_theta(Tensor((4, 4, 4), {p: 1 for p in points}), tol=1e-10)
+    assert search.gap <= 1e-10
+    assert search.rho.value == pytest.approx(minimum, abs=1e-10)
+
+
+def test_min_rho_over_theta_keeps_the_cut_of_a_stalled_solve(monkeypatch):
+    t = Tensor((2, 3, 2), {(0, 0, 0): 1, (0, 1, 1): 1, (1, 2, 0): 1})
+    plain = min_rho_over_theta(t)
+    monkeypatch.setattr(barriers, "rho_upper", stalling_rho_upper(2))
+    search = min_rho_over_theta(t)
+    assert (plain.stalled, search.stalled) == (0, 1)
+    assert search.gap <= 1e-10
+    assert search.rho.residual <= 1e-10
+    assert search.rho.value == pytest.approx(plain.rho.value, abs=1e-10)
+    assert search.rho.value == rho_upper(t, search.theta).value
 
 
 def test_tensor_content_id_pinned():

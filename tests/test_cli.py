@@ -14,11 +14,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import irrev
-from irrev import cli, from_json, to_json, unit, w
+from irrev import Tensor, barriers, cli, from_json, to_json, unit, w
 from irrev.entropy import ORACLE_GRID_LIMIT
 from irrev.tensor import matmul, z3
 
-from conftest import certificate_gap
+from conftest import certificate_gap, stalling_rho_upper
 
 # Child interpreters import the same irrev as this process, also when it is
 # found through pytest's `pythonpath` setting rather than PYTHONPATH.
@@ -130,6 +130,24 @@ def test_irr_search_theta_notes_solves_and_gap(capsys, monkeypatch):
     assert "theta search: 1 solves, duality gap 0" in json.loads(out)["notes"]
 
 
+def test_irr_search_theta_notes_solves_stopped_early(capsys, monkeypatch):
+    monkeypatch.setattr(barriers, "rho_upper", stalling_rho_upper(2))
+    t = Tensor((2, 3, 2), {(0, 0, 0): 1, (0, 1, 1): 1, (1, 2, 0): 1})
+    code, out, _ = run_cli(capsys, ["irr", "-", "--search-theta"], stdin=to_json(t),
+                           monkeypatch=monkeypatch)
+    assert code == 0
+    assert "theta search: 4 solves (1 stopped early, cuts only), duality gap 0" in out
+
+
+def test_irr_search_theta_first_solve_stalled_exit_5(capsys, monkeypatch):
+    monkeypatch.setattr(barriers, "rho_upper", stalling_rho_upper(1))
+    code, out, err = run_cli(capsys, ["irr", "-", "--search-theta"], stdin=to_json(w()),
+                             monkeypatch=monkeypatch)
+    assert code == 5
+    assert out == ""
+    assert err.splitlines()[-1].startswith("best: rho ")
+
+
 def test_irr_theta_with_search_theta_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["irr", "-", "--theta", "1,0,0", "--search-theta"])
@@ -216,8 +234,6 @@ def test_rho_oracle_mismatch_exit_4(capsys, monkeypatch):
 
 
 def test_table_cross_check_mismatch_exit_4(capsys, monkeypatch):
-    from irrev import barriers
-
     monkeypatch.setattr(barriers, "cw_big_marginal_entropy", lambda q, x: 1.0)
     code, out, err = run_cli(capsys, ["table", "CW", "--qmax", "1"])
     assert code == 4
@@ -288,6 +304,14 @@ def test_table_cw_csv(capsys):
     assert lines[1] == "2,2"
     assert lines[2].startswith("3,2.0253")
     assert "\r" not in out
+
+
+def test_table_calls_the_function_bound_in_barriers_now(capsys, monkeypatch):
+    # A wrapper put on barriers.cw_table after import (as a tracer does) sees the call.
+    monkeypatch.setattr(barriers, "cw_table", lambda q_lo=2, q_hi=7: [(q_lo, 1.5)])
+    code, out, _ = run_cli(capsys, ["table", "cw", "--format", "csv"])
+    assert code == 0
+    assert out.splitlines() == ["param,value", "2,1.5"]
 
 
 def test_table_laser_conjectured(capsys):

@@ -257,8 +257,9 @@ def test_rho_converges_at_weights_zero_or_at_least_1e_3():
 
 def test_rho_keeps_a_point_alone_on_a_weighted_coordinate():
     # (1, 2, 2) alone holds coordinate 2 of the axis of weight 1e-12, so its
-    # optimal mass is positive but underflows; an away step taken to its end
-    # must not zero it, or the gap becomes infinite and no step refills it.
+    # optimal mass is positive but underflows, and zero would make the gap
+    # infinite.  The away step taken to its end is clamped at zero and
+    # leaves rounding dust there, which keeps the gap finite.
     points = [(0, 2, 0), (1, 0, 3), (1, 2, 2), (1, 2, 3), (2, 2, 1), (3, 2, 3)]
     th = (0.2133072500126265, 0.7866927499863735, 1e-12)
     res = rho_upper_on_support(Support((4, 4, 4), frozenset(points)), Theta(*th))
