@@ -200,20 +200,86 @@ def _line_search(bases: list[np.ndarray], dirs: list[np.ndarray], th: tuple, gam
     return gamma
 
 
-def _newton_step(
-    P: np.ndarray, f: float, g: np.ndarray, enc: _AxisEncoding, th: tuple
-) -> tuple[np.ndarray, float, np.ndarray, float, str] | None:
-    """One Newton step on the stationarity system g_a(P) = lambda.
+class _ActiveSystem:
+    """The parts of the Newton system that depend only on the active set.
+
+    B is the 0/1 incidence of the active points (mass above 1e-14) and the
+    n coordinates they use on weighted axes, G = B^T B and c = diag G.
+    `basis` indexes columns of G, independent exactly where those of B are
+    (null(G) = null(B)), that span its range: those whose diagonal survives
+    an unpivoted QR of G, |R_jj| > 1e-9 max |R_jj|.  `cols` holds each
+    active point's columns as positions in the basis, len(basis) for one
+    outside it.  A and rhs hold the bordered system on the basis.  `basis`
+    is None, and nothing is built, when n + 1 > 513: a rebuild there costs
+    about 28 ms at one BLAS thread, some 40 away steps, and a solve that
+    drops many points rebuilds on nearly every step.
+    """
+
+    def __init__(self, active: np.ndarray, enc: _AxisEncoding, th: tuple):
+        self.active = active
+        self.axes = [i for i in range(3) if th[i] != 0.0]
+        self.used = np.concatenate(
+            [np.bincount(enc.idx[i][active], minlength=enc.sizes[i]) > 0 for i in self.axes]
+        )
+        n = int(np.count_nonzero(self.used))
+        self.basis = None
+        if n + 1 > 513:
+            return
+        offsets = np.cumsum([0] + [enc.sizes[i] for i in self.axes])
+        col_of = np.cumsum(self.used) - 1
+        cols = np.stack([col_of[enc.idx[i][active] + offsets[j]] for j, i in enumerate(self.axes)], axis=1)
+        self.weight = np.repeat([th[i] for i in self.axes], np.diff(offsets))[self.used]
+        pairs = cols[:, :, None] * n + cols[:, None, :]
+        G = np.bincount(pairs.ravel(), minlength=n * n).reshape(n, n).astype(float)
+        r = np.abs(np.diag(np.linalg.qr(G, mode="r")))
+        self.basis = np.flatnonzero(r > 1e-9 * r.max())
+        s = len(self.basis)
+        pos = np.full(n, s)
+        pos[self.basis] = np.arange(s)
+        self.cols = pos[cols]
+        self.GS = G[self.basis]
+        self.cS = np.diag(G)[self.basis]
+        self.A = np.zeros((s + 1, s + 1))
+        self.A[:s, s] = self.A[s, :s] = self.cS
+        self.rhs = np.zeros(s + 1)
+
+
+def _newton_direction(P: np.ndarray, f: float, enc: _AxisEncoding, system: _ActiveSystem) -> np.ndarray | None:
+    """Newton direction delta on the active points for the stationarity
+    system g_a(P) = lambda, or None if the system is over its size cap or
+    the solve finds it singular.
 
     Ascent steps stall once the objective saturates at float resolution (it
     is quadratically flat near the optimum, the gap only linearly so);
-    solving for equal scores converges quadratically in the gap.  On the
-    active set (mass above 1e-14) the score Jacobian is -B W B^T, with B
-    the 0/1 incidence of active points and the n coordinates they use on
-    weighted axes, and W_c = th_i / (mu_c ln 2).  So the least-norm step is
-    delta = B y, with [[G W G, c], [c^T, 0]] y = [-(G s + f c), 0],
-    G = B^T B, c = diag G and s_c = th_i log2 mu_c.  Refuses (None) before
-    building anything when n + 1 > 513, which bounds the dense O(n^3) solve.
+    solving for equal scores converges quadratically in the gap.  The score
+    Jacobian is -B W B^T, W_c = th_i / (mu_c ln 2), so delta = B y for any
+    solution of [[G W G, c], [c^T, 0]] (y, nu) = (-(G s + f c), 0) with
+    s_c = th_i log2 mu_c.  That system is singular: null(B) holds the sum of
+    each weighted axis's columns and, on tight supports, more.  It is solved
+    on the column basis S: B_S spans range(B), so delta = B_S y_S reaches
+    every step the full system does; each dropped row is the combination of
+    kept rows that its column is of kept columns; and (G W G)_SS is
+    positive definite, so [[(G W G)_SS, c_S], [c_S^T, 0]] is nonsingular.
+    """
+    if system.basis is None:
+        return None
+    mus = [np.bincount(enc.idx[i], weights=P, minlength=enc.sizes[i]) for i in system.axes]
+    mu = np.concatenate(mus)[system.used]
+    A, rhs, GS, s = system.A, system.rhs, system.GS, len(system.basis)
+    A[:s, :s] = (GS * (system.weight / (mu * _LN2))) @ GS.T
+    rhs[:s] = -(GS @ (system.weight * np.log2(mu)) + f * system.cS)
+    try:
+        y = np.linalg.solve(A, rhs)
+    except np.linalg.LinAlgError:
+        return None
+    y[s] = 0.0  # nu, in the slot that stands for the columns outside the basis
+    return y[system.cols].sum(axis=1)
+
+
+def _newton_step(
+    P: np.ndarray, f: float, g: np.ndarray, enc: _AxisEncoding, th: tuple, system: _ActiveSystem
+) -> tuple[np.ndarray, float, np.ndarray, float, str] | None:
+    """One Newton step along `_newton_direction`, or None.
 
     Candidates, in order: if some active mass would go negative along delta,
     the step to the ratio-test boundary reach = min_a P_a / (-delta_a), with
@@ -222,28 +288,10 @@ def _newton_step(
     Points outside the active set keep their mass.  Returns (P, f, g, gap,
     kind) for the first candidate that lowers the gap, else None.
     """
-    active = np.where(P > 1e-14)[0]
-    axes = [i for i in range(3) if th[i] != 0.0]
-    used = np.concatenate([np.bincount(enc.idx[i][active], minlength=enc.sizes[i]) > 0 for i in axes])
-    n = int(np.count_nonzero(used))
-    if n + 1 > 513:
+    delta = _newton_direction(P, f, enc, system)
+    if delta is None:
         return None
-    offsets = np.cumsum([0] + [enc.sizes[i] for i in axes])
-    col_of = np.cumsum(used) - 1
-    cols = np.stack([col_of[enc.idx[i][active] + offsets[j]] for j, i in enumerate(axes)], axis=1)
-    mus = [np.bincount(enc.idx[i], weights=P, minlength=enc.sizes[i]) for i in axes]
-    mu = np.concatenate(mus)[used]
-    weight = np.repeat([th[i] for i in axes], np.diff(offsets))[used]
-    pairs = cols[:, :, None] * n + cols[:, None, :]
-    G = np.bincount(pairs.ravel(), minlength=n * n).reshape(n, n)
-    c = np.diag(G)
-    A = np.block([[(G * (weight / (mu * _LN2))) @ G, c[:, None]], [c, 0]])
-    rhs = np.append(-(G @ (weight * np.log2(mu)) + f * c), 0.0)
-    try:
-        y = np.linalg.lstsq(A, rhs, rcond=None)[0]
-    except np.linalg.LinAlgError:
-        return None
-    delta = y[cols].sum(axis=1)
+    active = system.active
     x = P[active]
     gap = float(g.max() - f)
     trials = [(damp, "newton") for damp in (1.0, 0.5, 0.25, 0.125)]
@@ -284,8 +332,9 @@ def rho_upper_on_support(
     maximum) take a few steps.  When Newton is refused, away-step
     Frank-Wolfe with an exact line search (`_line_search`) moves toward the
     best-scoring vertex or away from the worst active one, whichever
-    linearizes better, and is taken if it raises the objective.  An
-    iteration where neither step makes progress raises BudgetExceededError.
+    linearizes better, and is taken if it raises the objective or lowers
+    the gap.  An iteration where neither step makes progress raises
+    BudgetExceededError.
     Terminates when the first-order gap is at most tol, certifying
     |value - max| <= tol.
     """
@@ -308,7 +357,9 @@ def rho_upper_on_support(
 
     def afw_step(P: np.ndarray, f: float, g: np.ndarray, gap: float):
         """(P, f, g, gap, kind) after one away-step Frank-Wolfe step, or
-        None if the step does not raise the objective at float resolution."""
+        None if it neither raises the objective nor lowers the gap.  A
+        tiny step onto a dust point can lower the gap a lot while the
+        renormalisation moves f down by an ulp; it is taken."""
         bases = [np.bincount(enc.idx[i], weights=P, minlength=enc.sizes[i]) for i in range(3)]
         b = int(g.argmax())
         # Away from an active point only: dust (mass at most 1e-14, left by
@@ -339,7 +390,7 @@ def rho_upper_on_support(
         P2 /= P2.sum()
         f2, g2 = _objective_and_scores(P2, enc, th)
         gap2 = float(g2.max() - f2)
-        if f2 > f or (f2 == f and gap2 < gap):
+        if f2 > f or gap2 < gap:
             return P2, f2, g2, gap2, kind
         return None
 
@@ -347,11 +398,15 @@ def rho_upper_on_support(
     f, g = _objective_and_scores(P, enc, th)
     gap = float(g.max() - f)
     steps = dict.fromkeys(("newton", "drop", "toward", "away"), 0)
+    system = None
     for it in range(1, iter_budget + 1):
         if gap <= tol:
             return result(f, P, gap, it)
+        active = np.flatnonzero(P > 1e-14)
+        if system is None or not np.array_equal(active, system.active):
+            system = _ActiveSystem(active, enc, th)
         # Both steps are deterministic, so a refused iteration would repeat.
-        step = _newton_step(P, f, g, enc, th) or afw_step(P, f, g, gap)
+        step = _newton_step(P, f, g, enc, th, system) or afw_step(P, f, g, gap)
         if step is None:
             break
         P, f, g, gap, kind = step

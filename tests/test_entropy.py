@@ -2,6 +2,7 @@ import math
 import random
 import tracemalloc
 from itertools import product
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from irrev import (
     entropy_bits,
     kron,
     marginal,
+    matmul,
     permute_legs,
     rho_grid_oracle,
     rho_upper,
@@ -34,15 +36,23 @@ from irrev import (
     w,
     z3,
 )
-from conftest import certificate_gap, dense_newton_direction, naive_grid_max, random_unit_tensor
+from conftest import (
+    certificate_gap,
+    dense_newton_direction,
+    naive_grid_max,
+    random_unit_tensor,
+    rank_mod_p,
+)
 from irrev.entropy import (
     ORACLE_GRID_LIMIT,
+    _ActiveSystem,
     _AxisEncoding,
     _cw_big_param,
     _cw_small_param,
     _grid_batches,
     _grid_max,
     _line_search,
+    _newton_direction,
     _newton_step,
     _objective_and_scores,
 )
@@ -195,6 +205,14 @@ def test_rho_low_weight_axis_regression():
     assert res.value == pytest.approx(1.5765114595, abs=1e-9)
 
 
+def _active_system(P, enc, th):
+    return _ActiveSystem(np.flatnonzero(P > 1e-14), enc, th)
+
+
+def _newton(P, f, g, enc, th):
+    return _newton_step(P, f, g, enc, th, _active_system(P, enc, th))
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_newton_step_matches_dense_reference(seed):
     rng = random.Random(seed)
@@ -206,12 +224,89 @@ def test_newton_step_matches_dense_reference(seed):
     P = np.array(res.argmax.probs)
     enc = _AxisEncoding(points)
     f, g = _objective_and_scores(P, enc, th)
-    step = _newton_step(P, f, g, enc, th)
+    step = _newton(P, f, g, enc, th)
     assert step is not None
     expected = np.maximum(P + dense_newton_direction(points, P, th), 0.0)
     expected /= expected.sum()
     assert np.abs(step[0] - expected).max() <= 1e-12
     assert step[3] < g.max() - f
+
+
+# Supports where B has null vectors beyond the sums of each axis's columns.
+TIGHT_SUPPORTS = {
+    "tn3": tn(3),
+    "tn4": tn(4),
+    "tn5": tn(5),
+    "cw2": cw(2),
+    "cw3": cw(3),
+    "cw4": cw(4),
+    "CW1": cw_big(1),
+    "CW2": cw_big(2),
+    "CW3": cw_big(3),
+    "z3": z3(),
+    "matmul222": matmul(2, 2, 2),
+    "kron_tn3_tn3": kron(tn(3), tn(3)),
+    "cyc_tn3": cyc(tn(3)),
+}
+
+
+def _tight_case(name, kind):
+    """Points of a tight support, a theta of the given kind and a random P > 0."""
+    rng = random.Random(f"{name}:{kind}")
+    points = sorted(TIGHT_SUPPORTS[name].support().points)
+    if kind == "uniform":
+        th = Theta.uniform().as_tuple()
+    elif kind == "random":
+        a, b = rng.uniform(0.05, 0.45), rng.uniform(0.05, 0.45)
+        th = (a, b, 1.0 - a - b)
+    else:
+        th = (0.6, 1e-3, 0.399)
+    P = np.array([rng.uniform(0.5, 1.5) for _ in points])
+    return points, th, P / P.sum()
+
+
+@pytest.mark.parametrize("kind", ["uniform", "random", "low"])
+@pytest.mark.parametrize("name", sorted(TIGHT_SUPPORTS))
+def test_newton_direction_matches_dense_reference_on_tight_supports(name, kind):
+    points, th, P = _tight_case(name, kind)
+    enc = _AxisEncoding(points)
+    f, _ = _objective_and_scores(P, enc, th)
+    delta = _newton_direction(P, f, enc, _active_system(P, enc, th))
+    expected = dense_newton_direction(points, P, th)
+    assert np.abs(delta - expected).max() <= 1e-9 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("th", [(1 / 3, 1 / 3, 1 / 3), (0.5, 0.0, 0.5)])
+@pytest.mark.parametrize("name", sorted(TIGHT_SUPPORTS))
+def test_newton_basis_size_is_the_rank_of_G(name, th):
+    points = sorted(TIGHT_SUPPORTS[name].support().points)
+    P = np.full(len(points), 1.0 / len(points))
+    system = _active_system(P, _AxisEncoding(points), th)
+    # G = B^T B from dicts: entry (u, v) counts the points using both
+    # coordinates u and v, each an (axis, value) pair on a weighted axis.
+    index, entries = {}, {}
+    for p in points:
+        used = [index.setdefault((i, p[i]), len(index)) for i in range(3) if th[i]]
+        for u in used:
+            for v in used:
+                entries[u, v] = entries.get((u, v), 0) + 1
+    rank = rank_mod_p(SimpleNamespace(entries=entries))
+    assert len(system.basis) == rank < len(index)
+
+
+@pytest.mark.parametrize("points, th", [
+    ([(0, 3, 2), (1, 2, 2), (1, 3, 0), (2, 0, 2), (2, 2, 2), (2, 2, 3), (3, 2, 1)], (0.899, 0.1, 0.001)),
+    ([(0, 1, 2), (1, 0, 3), (2, 0, 2), (3, 0, 0), (3, 1, 1), (3, 3, 3)], (0.1, 0.002, 0.898)),
+    ([(0, 3, 2), (1, 3, 1), (2, 2, 2), (2, 3, 0), (3, 0, 2)], (0.6129012413929197, 0.005, 0.3820987586070803)),
+])
+def test_rho_converges_with_the_largest_score_on_a_dust_point(points, th):
+    # A solve on these supports can reach a state whose largest score sits
+    # on a point of mass about 1e-17, alone on its coordinate of the
+    # low-weight axis.  Newton leaves such dust alone; the toward step that
+    # moves it lowers the gap a lot while f may drop by an ulp.
+    res = rho_upper_on_support(Support((4, 4, 4), frozenset(points)), Theta(*th))
+    assert res.residual <= 1e-10
+    _assert_certified(res, th)
 
 
 def test_rho_cyc_tn4_newton_converges():
@@ -278,7 +373,7 @@ def test_newton_step_stops_at_ratio_test_and_drops_the_point():
     reach, j = min((P[a] / -delta[a], a) for a in range(4) if delta[a] < 0)
     enc = _AxisEncoding(points)
     f, g = _objective_and_scores(P, enc, th)
-    step = _newton_step(P, f, g, enc, th)
+    step = _newton(P, f, g, enc, th)
     assert step is not None
     assert step[0][j] == 0.0
     expected = P + reach * delta
@@ -296,7 +391,7 @@ def test_newton_step_keeps_dust_masses():
     P /= P.sum()
     enc = _AxisEncoding(points)
     f, g = _objective_and_scores(P, enc, th)
-    step = _newton_step(P, f, g, enc, th)
+    step = _newton(P, f, g, enc, th)
     assert step is not None
     assert step[0][2] == pytest.approx(P[2], rel=1e-9, abs=0.0)
     assert certificate_gap(points, step[0], th)[1] < certificate_gap(points, P, th)[1]
