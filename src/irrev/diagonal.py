@@ -141,19 +141,21 @@ def max_free_diagonal(support: Support, node_budget: int = DEFAULT_NODE_BUDGET) 
         walk((1 << len(pts)) - 1, 0, 0, 0, 0, 0)
     except _Budget:
         exact = False
+    if not best_size:  # stopped at the root: any one point is a free diagonal
+        best_size, best_mask = 1, 1
     witness = tuple(pts[i] for i, b in enumerate(bin(best_mask)[:1:-1]) if b == "1")
     return DiagonalResult(best_size, witness, exact, nodes, bound_prunes, box_prunes)
 
 
-def power_support(t: Tensor, k: int, max_points: int = DEFAULT_POWER_POINT_LIMIT) -> Support:
+def power_support(t: Tensor, k: int) -> Support:
     """Support of the k-th Kronecker power of t, with row-major composite indices."""
     if k < 1:
         raise ValueError("power must be >= 1")
     base = sorted(t.entries)
-    # A Tensor is not simple, so |supp| >= 2 and |supp|^k > max_points once k
-    # reaches max_points.bit_length(): the capped power decides without a huge one.
-    if len(base) ** min(k, max_points.bit_length()) > max_points:
-        raise ResourceLimitError(f"|supp|^k with k = {k} exceeds the {max_points} point limit")
+    # A Tensor is not simple, so |supp| >= 2 and |supp|^k > the limit once k
+    # reaches its bit length: the capped power decides without a huge one.
+    if len(base) ** min(k, DEFAULT_POWER_POINT_LIMIT.bit_length()) > DEFAULT_POWER_POINT_LIMIT:
+        raise ResourceLimitError(f"|supp|^k with k = {k} exceeds the {DEFAULT_POWER_POINT_LIMIT} point limit")
     d0, d1, d2 = t.dims
     points = [(0, 0, 0)]
     for _ in range(k):  # one more factor, as the last (least significant) digit
@@ -162,17 +164,11 @@ def power_support(t: Tensor, k: int, max_points: int = DEFAULT_POWER_POINT_LIMIT
     return Support._unchecked((d0**k, d1**k, d2**k), frozenset(points))
 
 
-def monomial_subrank_power(
-    t: Tensor,
-    k: int,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-    max_points: int = DEFAULT_POWER_POINT_LIMIT,
-) -> PowerDiagonalResult:
+def monomial_subrank_power(t: Tensor, k: int, node_budget: int = DEFAULT_NODE_BUDGET) -> PowerDiagonalResult:
     """Free-diagonal search on supp(t^(x)k); the rate log2(size)/k lower-bounds
     log2 of the asymptotic monomial subrank (Fekete supremum over k)."""
-    sup = power_support(t, k, max_points=max_points)
-    found = max_free_diagonal(sup, node_budget=node_budget)
-    rate = math.log2(found.size) / k if found.size > 0 else -math.inf
+    found = max_free_diagonal(power_support(t, k), node_budget=node_budget)
+    rate = math.log2(found.size) / k
     return PowerDiagonalResult(
         found.size, rate, found.exact, found.witness, found.nodes, found.bound_prunes, found.box_prunes
     )

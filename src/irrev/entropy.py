@@ -210,9 +210,13 @@ class _ActiveSystem:
     an unpivoted QR of G, |R_jj| > 1e-9 max |R_jj|.  `cols` holds each
     active point's columns as positions in the basis, len(basis) for one
     outside it.  A and rhs hold the bordered system on the basis.  `basis`
-    is None, and nothing is built, when n + 1 > 513: a rebuild there costs
-    about 28 ms at one BLAS thread, some 40 away steps, and a solve that
-    drops many points rebuilds on nearly every step.
+    is None, and nothing is built, when n > 1024; away-step Frank-Wolfe then
+    takes every step.  Alone, it stalled near residual 1e-6 on all random
+    supports of 400-1000 points tried (n = 566-724), which Newton solves.
+    The cap stays because a rebuild costs O(n^3) time and O(n^2) memory
+    (0.13 s and 25 MB at n = 1026, 0.72 s and 100 MB at n = 2046, one BLAS
+    thread), a solve that drops many points rebuilds on nearly every step,
+    and Frank-Wolfe alone still solves some larger supports.
     """
 
     def __init__(self, active: np.ndarray, enc: _AxisEncoding, th: tuple):
@@ -223,7 +227,7 @@ class _ActiveSystem:
         )
         n = int(np.count_nonzero(self.used))
         self.basis = None
-        if n + 1 > 513:
+        if n > 1024:
             return
         offsets = np.cumsum([0] + [enc.sizes[i] for i in self.axes])
         col_of = np.cumsum(self.used) - 1
@@ -246,8 +250,9 @@ class _ActiveSystem:
 
 def _newton_direction(P: np.ndarray, f: float, enc: _AxisEncoding, system: _ActiveSystem) -> np.ndarray | None:
     """Newton direction delta on the active points for the stationarity
-    system g_a(P) = lambda, or None if the system is over its size cap or
-    the solve finds it singular.
+    system g_a(P) = lambda, or None, and Frank-Wolfe takes the step, when
+    the active set uses more than 1024 coordinates (see `_ActiveSystem`) or
+    the solve finds the system singular.
 
     Ascent steps stall once the objective saturates at float resolution (it
     is quadratically flat near the optimum, the gap only linearly so);
@@ -454,81 +459,28 @@ ORACLE_GRID_LIMIT = 1 << 22
 _GRID_BLOCK = 1 << 14
 
 
-def _grid_tails(k: int, rem: int, limit: int):
-    """Yield (k, n) int arrays with 0 < n <= limit: the compositions of rem
-    into k <= 3 parts, each exactly once."""
-    if k == 1:
-        yield np.array([[rem]])
-        return
-    if k == 2:
-        for lo in range(0, rem + 1, limit):
-            a = np.arange(lo, min(lo + limit, rem + 1))
-            yield np.stack([a, rem - a])
-        return
-    lo = 0
-    while lo <= rem:
-        # A first part a leaves rem - a + 1 compositions of the other two.
-        lens = rem + 1 - np.arange(lo, rem + 1)
-        if lens[0] > limit:
-            for tail in _grid_tails(2, rem - lo, limit):
-                yield np.vstack([np.full((1, tail.shape[1]), lo), tail])
-            lo += 1
-            continue
-        hi = lo + int(np.searchsorted(np.cumsum(lens), limit, side="right"))
-        lens = lens[: hi - lo]
-        starts = np.cumsum(lens) - lens
-        a = np.repeat(np.arange(lo, hi), lens)
-        b = np.arange(len(a)) - np.repeat(starts, lens)
-        yield np.stack([a, b, rem - a - b])
-        lo = hi
+def _grid_leads(p: int, R: int, block: int = _GRID_BLOCK):
+    """Yield (p, n) int arrays, 0 < n <= block, whose columns are the vectors
+    of p nonnegative ints with sum at most R, each exactly once.
 
-
-def _grid_batches(m: int, resolution: int, block: int = _GRID_BLOCK):
-    """Yield (m, n) int arrays whose columns are the compositions of
-    `resolution` into m nonnegative parts, each composition exactly once.
-
-    The last k = min(m, 3) parts are built with numpy, one sum level `rem`
-    at a time and in pieces of at most `block` columns.  The leading m - k
-    parts are enumerated recursively and grouped by the `rem` they leave,
-    so each tail is built once and paired with all its leads at once.
-    Every block has at most `block` columns, and all but the last at least
-    half as many.
+    The first p - 1 parts are built whole, as heads.  A head with sum s takes
+    the R - s + 1 values of the last part; those columns are numbered in one
+    flat range, cut into blocks.  For each block, searchsorted on the heads'
+    start offsets finds the heads it overlaps, and np.repeat copies them.
     """
-    R = resolution
-    k = min(m, 3)
-    leads_by_rem: dict[int, list[tuple[int, ...]]] = {}
-
-    def leads(prefix: tuple[int, ...], rem: int):
-        if len(prefix) == m - k:
-            leads_by_rem.setdefault(rem, []).append(prefix)
-            return
-        for c in range(rem + 1):
-            leads(prefix + (c,), rem - c)
-
-    leads((), R)
-    buf, fill = np.empty((m, block), dtype=np.intp), 0
-    for rem, group in leads_by_rem.items():
-        lead = np.array(group, dtype=np.intp).reshape(len(group), m - k).T
-        for tail in _grid_tails(k, rem, block):
-            n = tail.shape[1]
-            step = max(1, block // n)
-            for lo in range(0, lead.shape[1], step):
-                part = lead[:, lo : lo + step]
-                piece = tail if m == k else np.vstack(
-                    [np.repeat(part, n, axis=1), np.tile(tail, part.shape[1])]
-                )
-                # Pieces of at least half a block are yielded as they are;
-                # smaller ones are packed until the next would overflow.
-                if 2 * piece.shape[1] >= block:
-                    yield piece
-                    continue
-                if fill + piece.shape[1] > block:
-                    yield buf[:, :fill]
-                    buf, fill = np.empty((m, block), dtype=np.intp), 0
-                buf[:, fill : fill + piece.shape[1]] = piece
-                fill += piece.shape[1]
-    if fill:
-        yield buf[:, :fill]
+    if p == 0:
+        yield np.zeros((0, 1), dtype=np.intp)
+        return
+    heads = np.hstack(list(_grid_leads(p - 1, R, block)))
+    offsets = np.concatenate([[0], np.cumsum(R + 1 - heads.sum(axis=0))])
+    total = int(offsets[-1])
+    for lo in range(0, total, block):
+        hi = min(lo + block, total)
+        a = int(np.searchsorted(offsets, lo, side="right")) - 1
+        b = int(np.searchsorted(offsets, hi, side="left"))
+        counts = np.diff(np.clip(offsets[a : b + 1], lo, hi))
+        last = np.arange(lo, hi) - np.repeat(offsets[a:b], counts)
+        yield np.vstack([np.repeat(heads[:, a:b], counts, axis=1), last])
 
 
 def _axis_groups(points: Sequence[Index]) -> list[list[tuple[int, ...]]]:
@@ -572,9 +524,9 @@ def _grid_max(points: Sequence[Index], th: tuple, resolution: int) -> float:
     whose probabilities are multiples of 1/resolution.
 
     Integer counts, entropy terms looked up in a table of (c/R) log2 (c/R).
-    The counts of all points but the last two are enumerated: the rows of
-    `_grid_batches(m - 1, R)` but the last, S, which the last two share.  f
-    is concave, so discretely concave on each line x + (S - x): bisecting
+    The counts of all points but the last two are enumerated, as the columns
+    of `_grid_leads(m - 2, R)`; the last two share the rest, S.  f is
+    concave, so discretely concave on each line x + (S - x): bisecting
     on the sign of f(x + 1) - f(x) finds the line's maximum (up to signs at
     rounding level) in about C(R + m - 2, m - 2) log2(R) column evaluations.
     The value returned is f at the points found, a value f takes on the grid.
@@ -591,8 +543,8 @@ def _grid_max(points: Sequence[Index], th: tuple, resolution: int) -> float:
              for i in range(3) for a in groups[i] for b in groups[i]
              if th[i] != 0.0 and m - 2 in a and m - 1 in b and a != b]
     best = -math.inf
-    for batch in _grid_batches(m - 1, R):
-        lead, S = batch[:-1], batch[-1]
+    for lead in _grid_leads(m - 2, R):
+        S = R - lead.sum(axis=0)
         rests = [(w, lead[a].sum(axis=0), lead[b].sum(axis=0) + S - 1) for w, a, b in sides]
         lo, hi, todo = np.zeros_like(S), S.copy(), np.flatnonzero(S)
         while len(todo):

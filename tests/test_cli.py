@@ -105,6 +105,14 @@ def test_irr_w_text(capsys, monkeypatch):
     assert "flattening_ranks 2 2 2" in out
 
 
+def test_irr_exits_0_above_the_old_newton_cap(capsys, monkeypatch):
+    # 519 used coordinates, where Frank-Wolfe alone stalls (exit 5).
+    stdin = to_json(irrev.dsum(unit(171), w()))
+    code, out, _ = run_cli(capsys, ["irr", "-", "--format", "json"], stdin=stdin, monkeypatch=monkeypatch)
+    assert code == 0
+    assert json.loads(out)["rho"]["residual"] <= 1e-10
+
+
 def test_irr_search_theta_cw_big1(capsys, monkeypatch):
     from irrev import cw_big
 
@@ -283,6 +291,18 @@ def test_diag_json_counters(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, argv, stdin=to_json(z3()), monkeypatch=monkeypatch)
     assert [line.split()[0] for line in out.splitlines()] == [
         "size", "per_copy_rate", "exact", "witness"]
+
+
+def test_diag_stopped_at_the_root_prints_strict_json(capsys, monkeypatch):
+    argv = ["diag", "-", "--budget", "1", "--format", "json"]
+    code, out, _ = run_cli(capsys, argv, stdin=to_json(w()), monkeypatch=monkeypatch)
+
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    doc = json.loads(out, parse_constant=refuse)
+    assert code == 0 and doc["exact"] is False and doc["nodes"] == 1
+    assert (doc["size"], doc["per_copy_rate"], doc["witness"]) == (1, 0.0, [[0, 0, 1]])
 
 
 def test_diag_matmul222(capsys, monkeypatch):

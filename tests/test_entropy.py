@@ -23,6 +23,7 @@ from irrev import (
     cw_big_marginal_entropy,
     cw_small_entropy_bound,
     cyc,
+    dsum,
     entropy_bits,
     kron,
     marginal,
@@ -49,7 +50,7 @@ from irrev.entropy import (
     _AxisEncoding,
     _cw_big_param,
     _cw_small_param,
-    _grid_batches,
+    _grid_leads,
     _grid_max,
     _line_search,
     _newton_direction,
@@ -309,6 +310,21 @@ def test_rho_converges_with_the_largest_score_on_a_dust_point(points, th):
     _assert_certified(res, th)
 
 
+@pytest.mark.parametrize("units, block, th", [
+    (171, w(), (1 / 3, 1 / 3, 1 / 3)),
+    (171, w(), (0.5, 0.3, 0.2)),
+    (170, tn(3), (1 / 3, 1 / 3, 1 / 3)),
+], ids=["unit171+w", "unit171+w@0.5,0.3,0.2", "unit170+tn3"])
+def test_rho_newton_runs_on_519_used_coordinates(units, block, th):
+    # n = 519 used coordinates; Frank-Wolfe alone stalls on these.
+    res = rho_upper(dsum(unit(units), block), Theta(*th))
+    assert res.residual <= 1e-10
+    _assert_certified(res, th)
+    # Blocks that share no coordinate add as 2^rho: each unit point is 2^0.
+    want = math.log2(units + 2 ** rho_upper(block, Theta(*th)).value)
+    assert res.value == pytest.approx(want, rel=0, abs=1e-12)
+
+
 def test_rho_cyc_tn4_newton_converges():
     res = rho_upper(cyc(tn(4)))
     assert res.residual <= 1e-10
@@ -468,16 +484,17 @@ def test_grid_oracle_rejects_large_support():
         rho_grid_oracle(w(), resolution=0)
 
 
-@pytest.mark.parametrize("m", range(1, 7))
-@pytest.mark.parametrize("block", [7, 1 << 14])
-def test_grid_batches_cover_each_composition_once(m, block):
-    for R in (1, 2, 5, 9, 300 if m == 3 else 20):
+@pytest.mark.parametrize("p", range(6))
+@pytest.mark.parametrize("block", [1, 7, 1 << 14])
+def test_grid_leads_cover_each_vector_once(p, block):
+    # At p = 1 and R = 40,000 the one head spans three blocks.
+    for R in [0, 1, 2, 5, 9] + [40_000] * (p == 1 and block == 1 << 14):
         columns = []
-        for counts in _grid_batches(m, R, block):
-            assert counts.shape[0] == m and 0 < counts.shape[1] <= block
-            assert (counts >= 0).all() and (counts.sum(axis=0) == R).all()
-            columns.extend(map(tuple, counts.T.tolist()))
-        assert len(set(columns)) == len(columns) == math.comb(R + m - 1, m - 1)
+        for lead in _grid_leads(p, R, block):
+            assert lead.shape[0] == p and 0 < lead.shape[1] <= block
+            assert (lead >= 0).all() and (lead.sum(axis=0) <= R).all()
+            columns.extend(map(tuple, lead.T.tolist()))
+        assert len(set(columns)) == len(columns) == math.comb(R + p, p)
 
 
 _CELLS = [(a, b, c) for a in range(3) for b in range(3) for c in range(3)]
