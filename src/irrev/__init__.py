@@ -31,8 +31,6 @@ from .entropy import (
     cw_big_entropy_argmax,
     cw_big_marginal_entropy,
     cw_small_entropy_bound,
-    entropy_bits,
-    marginal,
     rho_grid_oracle,
     rho_upper,
     rho_upper_on_support,

@@ -24,22 +24,20 @@ from itertools import combinations
 import numpy as np
 
 from .entropy import (
+    DEFAULT_ITER_BUDGET,
+    DEFAULT_TOL,
     RhoResult,
     Theta,
     binary_entropy,
     cw_big_entropy_argmax,
     cw_big_marginal_entropy,
     cw_small_entropy_bound,
-    entropy_bits,
-    marginal,
     rho_upper,
     _cw_small_param,
 )
 from .errors import BudgetExceededError, DegenerateInputError
 from .linalg import flattening_ranks
 from .tensor import Tensor, cw_big, to_json, tn
-
-DEFAULT_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -59,18 +57,7 @@ class BarrierReport:
         return {
             "tensor_id": self.tensor_id,
             "flattening_ranks": list(self.flattening_ranks),
-            "rho": {
-                "value": self.rho.value,
-                "argmax": {
-                    "probabilities": [
-                        {"point": list(p), "prob": x}
-                        for p, x in zip(self.rho.argmax.points, self.rho.argmax.probs)
-                    ]
-                },
-                "residual": self.rho.residual,
-                "iterations": self.rho.iterations,
-                "steps": self.rho.steps,
-            },
+            "rho": self.rho.to_json_dict(),
             "theta_used": list(self.theta_used.as_tuple()),
             "irr_lb": self.irr_lb,
             "barrier_basic": self.barrier_basic,
@@ -89,7 +76,7 @@ def irr_lower(
     theta: Theta | None = None,
     tol: float = DEFAULT_TOL,
     search_theta: bool = False,
-    iter_budget: int = 10**6,
+    iter_budget: int = DEFAULT_ITER_BUDGET,
 ) -> BarrierReport:
     """Irreversibility lower bound for t, with the basic barrier 2 * irr_lb.
 
@@ -193,25 +180,25 @@ def _cut_minimum(cuts: np.ndarray) -> tuple[float, np.ndarray]:
 def min_rho_over_theta(
     t: Tensor,
     tol: float = DEFAULT_TOL,
-    iter_budget: int = 10**6,
+    iter_budget: int = DEFAULT_ITER_BUDGET,
 ) -> ThetaSearch:
     """Minimize the entropy maximum over the theta simplex, with a certificate.
 
     phi(theta) = max_P sum_i theta_i H_i(P) is convex in theta, and by Sion's
     minimax theorem its minimum equals max_P min_i H_i(P).  Cutting planes
-    (Kelley's method): the argmax P_k of each solve at theta_k gives the cut
-    theta . h_k <= phi(theta), with h_k the marginal entropies of P_k.  The
-    minimum over the simplex of the cuts' maximum is a lower bound LB on the
-    minimum of phi; by LP duality and concavity of entropy, the mixture of
-    the P_k with the LP's dual weights has min_i H_i >= LB.  The smallest
-    value seen is the upper bound UB.  The search starts at uniform theta and
-    moves to the cut model's minimiser.  It stops once UB - LB <= tol, when
-    the next theta was solved already, or after THETA_SEARCH_MAX_SOLVES
-    solves.
+    (Kelley's method): each solve at theta_k reports the marginal entropies
+    h_k of its final P_k (`RhoResult.entropies`), which give the cut
+    theta . h_k <= phi(theta).  The minimum over the simplex of the cuts'
+    maximum is a lower bound LB on the minimum of phi; by LP duality and
+    concavity of entropy, the mixture of the P_k with the LP's dual weights
+    has min_i H_i >= LB.  The smallest value seen is the upper bound UB.  The
+    search starts at uniform theta and moves to the cut model's minimiser.
+    It stops once UB - LB <= tol, when the next theta was solved already, or
+    after THETA_SEARCH_MAX_SOLVES solves.
 
     A solve after the first that raises BudgetExceededError still gives the
-    cut of its best P, since every P on the support has theta . h(P) <=
-    phi(theta); its value is never the reported one.  A first solve that
+    cut of its best P (`exc.best.entropies`), since every P on the support
+    has theta . h(P) <= phi(theta); its value is never the reported one.  A first solve that
     raises ends the search with that error.
 
     Returns theta and rho of the smallest value seen, so the result
@@ -222,7 +209,7 @@ def min_rho_over_theta(
     theta = Theta.uniform()
     seen = {theta}
     best: tuple[Theta, RhoResult] | None = None
-    cuts: list[list[float]] = []
+    cuts: list[tuple[float, float, float]] = []
     stalled = 0
     for solves in range(1, THETA_SEARCH_MAX_SOLVES + 1):
         try:
@@ -233,7 +220,7 @@ def min_rho_over_theta(
             if best is None:
                 raise
             rho, stalled = exc.best, stalled + 1
-        cuts.append([entropy_bits(marginal(rho.argmax, axis)) for axis in (1, 2, 3)])
+        cuts.append(rho.entropies)
         lower, point = _cut_minimum(np.array(cuts))
         gap = best[1].value - lower
         if gap <= tol:

@@ -108,8 +108,8 @@ def _precision_flag(p: argparse.ArgumentParser) -> None:
 
 
 def _solver_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tol", type=float, default=1e-10,
-                   help="optimizer tolerance (default 1e-10)")
+    p.add_argument("--tol", type=float, default=entropy.DEFAULT_TOL,
+                   help=f"optimizer tolerance (default {entropy.DEFAULT_TOL:g})")
     p.add_argument("--iter-budget", type=int, default=entropy.DEFAULT_ITER_BUDGET,
                    help="iteration budget for the entropy optimizer")
 
@@ -222,18 +222,7 @@ def _cmd_rho(args) -> int:
     if args.oracle:
         oracle_value = entropy.rho_grid_oracle(t, theta, resolution=args.resolution)
     if args.format == "json":
-        doc = {
-            "value": res.value,
-            "residual": res.residual,
-            "iterations": res.iterations,
-            "steps": res.steps,
-            "argmax": {
-                "probabilities": [
-                    {"point": list(pt), "prob": x}
-                    for pt, x in zip(res.argmax.points, res.argmax.probs)
-                ]
-            },
-        }
+        doc = res.to_json_dict()
         if oracle_value is not None:
             doc["oracle"] = oracle_value
         print(json.dumps(_rounded(doc, p)))

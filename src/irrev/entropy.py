@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -69,27 +69,6 @@ class SupportDistribution:
             raise ValueError("probabilities must sum to 1")
 
 
-def marginal(dist: SupportDistribution, axis: int) -> dict[int, float]:
-    """Pushforward of the distribution along one coordinate (axis in {1,2,3})."""
-    if axis not in (1, 2, 3):
-        raise ValueError(f"axis must be 1, 2 or 3, got {axis!r}")
-    out: dict[int, float] = {}
-    for point, p in zip(dist.points, dist.probs):
-        coord = point[axis - 1]
-        out[coord] = out.get(coord, 0.0) + p
-    return out
-
-
-def entropy_bits(probs) -> float:
-    """Shannon entropy in bits of a probability vector (dict values or iterable)."""
-    values = list(probs.values()) if isinstance(probs, Mapping) else list(probs)
-    if any(p < 0 for p in values):
-        raise ValueError("probabilities must be nonnegative")
-    if abs(sum(values) - 1.0) > 1e-12:
-        raise ValueError("probabilities must sum to 1")
-    return -sum(p * math.log2(p) for p in values if p > 0)
-
-
 def binary_entropy(p: float) -> float:
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"binary entropy needs 0 <= p <= 1, got {p!r}")
@@ -110,7 +89,9 @@ class RhoResult:
     of value.  steps counts the accepted steps by kind: "newton" (damped
     Newton), "drop" (a Newton step cut at the ratio test, which empties a
     point exactly), "toward" and "away" (Frank-Wolfe); on convergence they
-    sum to iterations - 1.
+    sum to iterations - 1.  entropies holds the entropies (bits) of the
+    three marginals of the final iterate; sum_i theta_i entropies[i], summed
+    in axis order, is value exactly.
     """
 
     value: float
@@ -118,6 +99,20 @@ class RhoResult:
     residual: float
     iterations: int
     steps: dict[str, int]
+    entropies: tuple[float, float, float]
+
+    def to_json_dict(self) -> dict:
+        return {
+            "value": self.value,
+            "argmax": {
+                "probabilities": [
+                    {"point": list(p), "prob": x} for p, x in zip(self.argmax.points, self.argmax.probs)
+                ]
+            },
+            "residual": self.residual,
+            "iterations": self.iterations,
+            "steps": self.steps,
+        }
 
 
 class _AxisEncoding:
@@ -133,24 +128,31 @@ class _AxisEncoding:
             self.sizes.append(int(inverse.max()) + 1)
 
 
-def _objective_and_scores(P: np.ndarray, enc: _AxisEncoding, th: tuple) -> tuple[float, np.ndarray]:
-    """Objective value and per-point scores g_a = -sum_i th_i log2 marginal_i(a_i).
+def _entropy_and_log2(m: np.ndarray) -> tuple[float, np.ndarray]:
+    """Entropy in bits of a marginal, and its log2 (-inf on empty entries)."""
+    pos = m > 0
+    logm = np.full(m.shape, -np.inf)
+    logm[pos] = np.log2(m[pos])
+    return float(-(m[pos] * logm[pos]).sum()), logm
+
+
+def _objective_and_scores(P: np.ndarray, enc: _AxisEncoding, th: tuple) -> tuple[float, np.ndarray, list]:
+    """Objective value, per-point scores g_a = -sum_i th_i log2 marginal_i(a_i),
+    and the marginals of P on all three axes, which every step reads.
 
     The objective equals sum_a P_a g_a; scores minus their P-average give the
     concavity certificate max_a g_a - f >= f* - f.
     """
+    margs = [np.bincount(enc.idx[i], weights=P, minlength=enc.sizes[i]) for i in range(3)]
     f = 0.0
     scores = np.zeros(len(P))
     for i in range(3):
         if th[i] == 0.0:
             continue
-        m = np.bincount(enc.idx[i], weights=P, minlength=enc.sizes[i])
-        pos = m > 0
-        logm = np.full(m.shape, -np.inf)
-        logm[pos] = np.log2(m[pos])
-        f += th[i] * float(-(m[pos] * logm[pos]).sum())
+        h, logm = _entropy_and_log2(margs[i])
+        f += th[i] * h
         scores -= th[i] * logm[enc.idx[i]]
-    return f, scores
+    return f, scores, margs
 
 
 def _line_search(bases: list[np.ndarray], dirs: list[np.ndarray], th: tuple, gamma_max: float) -> float:
@@ -248,7 +250,7 @@ class _ActiveSystem:
         self.rhs = np.zeros(s + 1)
 
 
-def _newton_direction(P: np.ndarray, f: float, enc: _AxisEncoding, system: _ActiveSystem) -> np.ndarray | None:
+def _newton_direction(margs: list, f: float, system: _ActiveSystem) -> np.ndarray | None:
     """Newton direction delta on the active points for the stationarity
     system g_a(P) = lambda, or None, and Frank-Wolfe takes the step, when
     the active set uses more than 1024 coordinates (see `_ActiveSystem`) or
@@ -268,8 +270,7 @@ def _newton_direction(P: np.ndarray, f: float, enc: _AxisEncoding, system: _Acti
     """
     if system.basis is None:
         return None
-    mus = [np.bincount(enc.idx[i], weights=P, minlength=enc.sizes[i]) for i in system.axes]
-    mu = np.concatenate(mus)[system.used]
+    mu = np.concatenate([margs[i] for i in system.axes])[system.used]
     A, rhs, GS, s = system.A, system.rhs, system.GS, len(system.basis)
     A[:s, :s] = (GS * (system.weight / (mu * _LN2))) @ GS.T
     rhs[:s] = -(GS @ (system.weight * np.log2(mu)) + f * system.cS)
@@ -282,18 +283,18 @@ def _newton_direction(P: np.ndarray, f: float, enc: _AxisEncoding, system: _Acti
 
 
 def _newton_step(
-    P: np.ndarray, f: float, g: np.ndarray, enc: _AxisEncoding, th: tuple, system: _ActiveSystem
-) -> tuple[np.ndarray, float, np.ndarray, float, str] | None:
+    P: np.ndarray, f: float, g: np.ndarray, margs: list, enc: _AxisEncoding, th: tuple, system: _ActiveSystem
+) -> tuple[np.ndarray, float, np.ndarray, list, float, str] | None:
     """One Newton step along `_newton_direction`, or None.
 
     Candidates, in order: if some active mass would go negative along delta,
     the step to the ratio-test boundary reach = min_a P_a / (-delta_a), with
     the first point to hit zero set to exactly 0 ("drop"); then the step
     clamped at zero and renormalized at damping 1, 1/2, 1/4, 1/8 ("newton").
-    Points outside the active set keep their mass.  Returns (P, f, g, gap,
-    kind) for the first candidate that lowers the gap, else None.
+    Points outside the active set keep their mass.  Returns (P, f, g,
+    margs, gap, kind) for the first candidate that lowers the gap, else None.
     """
-    delta = _newton_direction(P, f, enc, system)
+    delta = _newton_direction(margs, f, system)
     if delta is None:
         return None
     active = system.active
@@ -315,10 +316,10 @@ def _newton_step(
         if total <= 0:
             continue
         P2 /= total
-        f2, g2 = _objective_and_scores(P2, enc, th)
+        f2, g2, margs2 = _objective_and_scores(P2, enc, th)
         gap2 = float(g2.max() - f2)
         if gap2 < gap:
-            return P2, f2, g2, gap2, kind
+            return P2, f2, g2, margs2, gap2, kind
     return None
 
 
@@ -354,18 +355,19 @@ def rho_upper_on_support(
     m = len(points)
     enc = _AxisEncoding(points)
 
-    def result(f: float, P: np.ndarray, gap: float, it: int) -> RhoResult:
+    def result(f: float, P: np.ndarray, margs: list, gap: float, it: int) -> RhoResult:
         probs = np.maximum(P, 0.0)
         probs = probs / probs.sum()
         dist = SupportDistribution(points=tuple(points), probs=tuple(float(x) for x in probs))
-        return RhoResult(value=f, argmax=dist, residual=max(gap, 0.0), iterations=it, steps=steps)
+        entropies = tuple(_entropy_and_log2(m)[0] for m in margs)
+        return RhoResult(value=f, argmax=dist, residual=max(gap, 0.0), iterations=it, steps=steps,
+                         entropies=entropies)
 
-    def afw_step(P: np.ndarray, f: float, g: np.ndarray, gap: float):
-        """(P, f, g, gap, kind) after one away-step Frank-Wolfe step, or
+    def afw_step(P: np.ndarray, f: float, g: np.ndarray, margs: list, gap: float):
+        """(P, f, g, margs, gap, kind) after one away-step Frank-Wolfe step, or
         None if it neither raises the objective nor lowers the gap.  A
         tiny step onto a dust point can lower the gap a lot while the
         renormalisation moves f down by an ulp; it is taken."""
-        bases = [np.bincount(enc.idx[i], weights=P, minlength=enc.sizes[i]) for i in range(3)]
         b = int(g.argmax())
         # Away from an active point only: dust (mass at most 1e-14, left by
         # a clamped Newton step) cannot move the objective.
@@ -375,14 +377,14 @@ def rho_upper_on_support(
         dirs = []
         for i in range(3):
             if toward:
-                d = -bases[i].copy()
+                d = -margs[i]
                 d[enc.idx[i][b]] += 1.0
             else:
-                d = bases[i].copy()
+                d = margs[i].copy()
                 d[enc.idx[i][a]] -= 1.0
             dirs.append(d)
         gamma_max = 1.0 if toward else P[a] / (1.0 - P[a])
-        gamma = _line_search(bases, dirs, th, gamma_max)
+        gamma = _line_search(margs, dirs, th, gamma_max)
         if toward:
             P2 = (1.0 - gamma) * P
             P2[b] += gamma
@@ -393,33 +395,33 @@ def rho_upper_on_support(
             P2 = np.maximum(P2, 0.0)
             kind = "away"
         P2 /= P2.sum()
-        f2, g2 = _objective_and_scores(P2, enc, th)
+        f2, g2, margs2 = _objective_and_scores(P2, enc, th)
         gap2 = float(g2.max() - f2)
         if f2 > f or gap2 < gap:
-            return P2, f2, g2, gap2, kind
+            return P2, f2, g2, margs2, gap2, kind
         return None
 
     P = np.full(m, 1.0 / m)
-    f, g = _objective_and_scores(P, enc, th)
+    f, g, margs = _objective_and_scores(P, enc, th)
     gap = float(g.max() - f)
     steps = dict.fromkeys(("newton", "drop", "toward", "away"), 0)
     system = None
     for it in range(1, iter_budget + 1):
         if gap <= tol:
-            return result(f, P, gap, it)
+            return result(f, P, margs, gap, it)
         active = np.flatnonzero(P > 1e-14)
         if system is None or not np.array_equal(active, system.active):
             system = _ActiveSystem(active, enc, th)
         # Both steps are deterministic, so a refused iteration would repeat.
-        step = _newton_step(P, f, g, enc, th, system) or afw_step(P, f, g, gap)
+        step = _newton_step(P, f, g, margs, enc, th, system) or afw_step(P, f, g, margs, gap)
         if step is None:
             break
-        P, f, g, gap, kind = step
+        P, f, g, margs, gap, kind = step
         steps[kind] += 1
     how = f"stalled after {it}" if step is None else f"within {iter_budget}"
     raise BudgetExceededError(
         f"no convergence to gap <= {tol} {how} iterations",
-        best=result(f, P, gap, min(it, iter_budget)),
+        best=result(f, P, margs, gap, min(it, iter_budget)),
     )
 
 

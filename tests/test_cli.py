@@ -219,6 +219,23 @@ def test_json_steps_by_kind(capsys, monkeypatch):
         assert sum(rho["steps"].values()) == rho["iterations"] - 1 > 0
 
 
+def test_rho_json_is_the_rho_object_of_irr_json(capsys, monkeypatch):
+    keys = ["value", "argmax", "residual", "iterations", "steps"]
+    for t, extra in ((w(), ["--oracle", "--resolution", "3000"]), (irrev.cw_big(1), []), (irrev.tn(3), [])):
+        docs = {}
+        for cmd in ("rho", "irr"):
+            argv = [cmd, "-", "--format", "json", "--tol", "1e-12"] + (extra if cmd == "rho" else [])
+            code, out, _ = run_cli(capsys, argv, stdin=to_json(t), monkeypatch=monkeypatch)
+            assert code == 0
+            docs[cmd] = json.loads(out)
+        rho = docs["rho"]
+        if extra:
+            assert list(rho)[-1] == "oracle"
+            del rho["oracle"]
+        assert list(rho) == list(docs["irr"]["rho"]) == keys
+        assert rho == docs["irr"]["rho"]
+
+
 def test_rho_oracle_agreement(capsys, monkeypatch):
     code, out, _ = run_cli(
         capsys,

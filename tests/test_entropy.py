@@ -24,9 +24,7 @@ from irrev import (
     cw_small_entropy_bound,
     cyc,
     dsum,
-    entropy_bits,
     kron,
-    marginal,
     matmul,
     permute_legs,
     rho_grid_oracle,
@@ -76,31 +74,6 @@ def test_support_distribution_validation():
         SupportDistribution(((0, 0, 1),), (0.5,))
     with pytest.raises(ValueError):
         SupportDistribution(((0, 0, 1), (1, 0, 0)), (1.25, -0.25))
-
-
-def test_marginal_examples():
-    pts = tuple(sorted(w().entries))
-    uni = SupportDistribution(pts, (1 / 3, 1 / 3, 1 / 3))
-    m1 = marginal(uni, 1)
-    assert m1[0] == pytest.approx(2 / 3) and m1[1] == pytest.approx(1 / 3)
-    point = SupportDistribution(pts, (1.0, 0.0, 0.0))
-    assert marginal(point, 2) == {0: 1.0, 1: 0.0}
-    dpts = tuple(sorted(unit(4).entries))
-    du = SupportDistribution(dpts, (0.25,) * 4)
-    for axis in (1, 2, 3):
-        assert all(v == pytest.approx(0.25) for v in marginal(du, axis).values())
-    with pytest.raises(ValueError):
-        marginal(uni, 4)
-
-
-def test_entropy_bits():
-    assert entropy_bits([0.5, 0.5]) == 1.0
-    assert entropy_bits([1.0, 0.0]) == 0.0
-    assert entropy_bits({0: 2 / 3, 1: 1 / 3}) == pytest.approx(H13, abs=1e-12)
-    with pytest.raises(ValueError):
-        entropy_bits([0.5, 0.6])
-    with pytest.raises(ValueError):
-        entropy_bits([1.5, -0.5])
 
 
 def test_binary_entropy():
@@ -166,11 +139,6 @@ def test_rho_budget_error_carries_best():
     assert best.residual > 0
 
 
-def _weighted_marginal_entropy(points, probs, th):
-    dist = SupportDistribution(tuple(points), tuple(float(x) for x in probs))
-    return sum(th[i] * entropy_bits(marginal(dist, i + 1)) for i in range(3))
-
-
 def test_line_search_away_step_stops_before_emptying_a_coordinate():
     # The away point (0, 1, 0) is alone on coordinate 1 of the low-weight
     # axis 2.  At gamma_max that marginal entry empties, where the entropy's
@@ -190,7 +158,7 @@ def test_line_search_away_step_stops_before_emptying_a_coordinate():
         moved = (1.0 + step) * P
         moved[a] -= step
         moved = np.maximum(moved, 0.0)
-        return _weighted_marginal_entropy(points, moved / moved.sum(), th)
+        return certificate_gap(points, moved / moved.sum(), th)[0]
 
     assert gamma < gamma_max
     assert objective(gamma) >= objective(0.0)
@@ -210,8 +178,8 @@ def _active_system(P, enc, th):
     return _ActiveSystem(np.flatnonzero(P > 1e-14), enc, th)
 
 
-def _newton(P, f, g, enc, th):
-    return _newton_step(P, f, g, enc, th, _active_system(P, enc, th))
+def _newton(P, f, g, margs, enc, th):
+    return _newton_step(P, f, g, margs, enc, th, _active_system(P, enc, th))
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -224,13 +192,13 @@ def test_newton_step_matches_dense_reference(seed):
     points = list(res.argmax.points)
     P = np.array(res.argmax.probs)
     enc = _AxisEncoding(points)
-    f, g = _objective_and_scores(P, enc, th)
-    step = _newton(P, f, g, enc, th)
+    f, g, margs = _objective_and_scores(P, enc, th)
+    step = _newton(P, f, g, margs, enc, th)
     assert step is not None
     expected = np.maximum(P + dense_newton_direction(points, P, th), 0.0)
     expected /= expected.sum()
     assert np.abs(step[0] - expected).max() <= 1e-12
-    assert step[3] < g.max() - f
+    assert step[4] < g.max() - f
 
 
 # Supports where B has null vectors beyond the sums of each axis's columns.
@@ -271,8 +239,8 @@ def _tight_case(name, kind):
 def test_newton_direction_matches_dense_reference_on_tight_supports(name, kind):
     points, th, P = _tight_case(name, kind)
     enc = _AxisEncoding(points)
-    f, _ = _objective_and_scores(P, enc, th)
-    delta = _newton_direction(P, f, enc, _active_system(P, enc, th))
+    f, _, margs = _objective_and_scores(P, enc, th)
+    delta = _newton_direction(margs, f, _active_system(P, enc, th))
     expected = dense_newton_direction(points, P, th)
     assert np.abs(delta - expected).max() <= 1e-9 * np.abs(expected).max()
 
@@ -342,6 +310,33 @@ def _random_support(rng, m, dims):
     return Support(dims, frozenset(rng.sample(cells, m)))
 
 
+def _assert_entropies(res, th):
+    # Axis i's entropy is the dict oracle's objective at the unit weight on i.
+    for i in range(3):
+        unit_i = tuple(float(j == i) for j in range(3))
+        h = certificate_gap(res.argmax.points, res.argmax.probs, unit_i)[0]
+        assert res.entropies[i] == pytest.approx(h, abs=1e-12)
+    assert sum(t * h for t, h in zip(th, res.entropies)) == res.value
+
+
+def test_rho_entropies_are_the_marginal_entropies_of_the_argmax():
+    rng = random.Random("entropies")
+    for _ in range(40):
+        support = _random_support(rng, rng.randint(3, 10), (4, 4, 4))
+        a, b = rng.uniform(0.05, 0.45), rng.uniform(0.05, 0.45)
+        one_zero = [a, 1.0 - a, 0.0]
+        rng.shuffle(one_zero)
+        for th in (Theta.uniform().as_tuple(), (a, b, 1.0 - a - b), tuple(one_zero)):
+            try:
+                res = rho_upper_on_support(support, Theta(*th))
+            except BudgetExceededError as exc:
+                res = exc.best
+            _assert_entropies(res, th)
+    with pytest.raises(BudgetExceededError) as err:
+        rho_upper(cw_big(3), tol=1e-14, iter_budget=2)
+    _assert_entropies(err.value.best, Theta.uniform().as_tuple())
+
+
 def test_rho_random_100_point_supports_converge_in_100_iterations():
     # Many points end at zero mass.  Away steps drop them one at a time
     # (up to 7,204 iterations on these supports); a Newton step cut at its
@@ -388,8 +383,8 @@ def test_newton_step_stops_at_ratio_test_and_drops_the_point():
     assert (P + delta).min() < 0
     reach, j = min((P[a] / -delta[a], a) for a in range(4) if delta[a] < 0)
     enc = _AxisEncoding(points)
-    f, g = _objective_and_scores(P, enc, th)
-    step = _newton(P, f, g, enc, th)
+    f, g, margs = _objective_and_scores(P, enc, th)
+    step = _newton(P, f, g, margs, enc, th)
     assert step is not None
     assert step[0][j] == 0.0
     expected = P + reach * delta
@@ -406,8 +401,8 @@ def test_newton_step_keeps_dust_masses():
     P = np.array([0.386, 0.307, 1e-16, 0.307])
     P /= P.sum()
     enc = _AxisEncoding(points)
-    f, g = _objective_and_scores(P, enc, th)
-    step = _newton(P, f, g, enc, th)
+    f, g, margs = _objective_and_scores(P, enc, th)
+    step = _newton(P, f, g, margs, enc, th)
     assert step is not None
     assert step[0][2] == pytest.approx(P[2], rel=1e-9, abs=0.0)
     assert certificate_gap(points, step[0], th)[1] < certificate_gap(points, P, th)[1]
@@ -648,7 +643,7 @@ def test_objective_concavity_midpoint(seed):
             agg = {}
             for p, pr in zip(pts, probs):
                 agg[p[axis]] = agg.get(p[axis], 0.0) + pr
-            total += entropy_bits([v for v in agg.values()]) / 3.0
+            total += -sum(v * math.log2(v) for v in agg.values() if v > 0) / 3.0
         return total
 
     a, b = rand_dist(), rand_dist()
