@@ -1,8 +1,13 @@
 """Exact linear algebra over the rationals: flattenings and rank.
 
-Rank is computed by fraction-free (Bareiss-style) elimination on sparse
-integer rows, so intermediate values stay integral with polynomially bounded
-bit growth.
+Each flattening rank takes the first of three routes that applies.  When
+every column holds one entry, the rank is the number of nonzero rows, found
+by counting.  Otherwise the entries are reduced modulo the prime P and
+eliminated in numpy over the nonzero rows and columns; a rank mod P is never
+above the rank over Q, so when it reaches the smaller of the two counts it is
+exact.  When it falls short, or P divides a denominator, fraction-free
+(Bareiss-style) elimination on sparse integer rows decides, with
+intermediate values integral and of polynomially bounded bit growth.
 """
 
 from __future__ import annotations
@@ -139,21 +144,33 @@ def _full_row_rank_mod_p(a: np.ndarray) -> bool:
 def flattening_ranks(t: Tensor) -> tuple[int, int, int]:
     """Exact flattening ranks: the number of nonzero rows when each column holds one
     entry; else the rank over F_P of the dense nonzero-rows x nonzero-columns array if
-    it reaches min(rows, cols) >= rank over Q >= rank mod P; else `rank_exact`."""
-    residues, ranks = None, []
+    it reaches min(rows, cols) >= rank over Q >= rank mod P; else `rank_exact`.
+
+    The residues mod P are built once per call, with one inverse per distinct
+    denominator; a denominator that P divides sends every axis that is not free
+    to `rank_exact`."""
+    n = len(t.entries)
+    coords = tuple(zip(*t.entries))
+    pts = residues = None
+    ranks = []
     for axis in (1, 2, 3):
         a, b, c = axis - 1, axis % 3, (axis + 1) % 3
-        rows = {p[a] for p in t.entries}
-        cols = {(p[b], p[c]) for p in t.entries}
-        if len(cols) == len(t.entries):
-            ranks.append(len(rows))
+        if len(set(zip(coords[b], coords[c]))) == n:
+            ranks.append(len(set(coords[a])))
             continue
-        if residues is None and all(v.denominator % P for v in t.entries.values()):
-            residues = [v.numerator * pow(v.denominator, -1, P) % P for v in t.entries.values()]
+        if pts is None:
+            # dims below 2**31 keep the column key below 2**62
+            pts = np.array(coords, dtype=object if max(t.dims) >= 2**31 else np.int64)
+            dens = {v.denominator for v in t.entries.values()}
+            if all(d % P for d in dens):
+                inv = {d: pow(d, -1, P) for d in dens}
+                residues = np.array([v.numerator * inv[v.denominator] % P
+                                     for v in t.entries.values()], dtype=np.int64)
         if residues is not None:
-            row_of, col_of = ({k: n for n, k in enumerate(keys)} for keys in (rows, cols))
+            rows, row_of = np.unique(pts[a], return_inverse=True)
+            cols, col_of = np.unique(pts[b] * t.dims[c] + pts[c], return_inverse=True)
             m = np.zeros((len(rows), len(cols)), dtype=np.int64)
-            m[[row_of[p[a]] for p in t.entries], [col_of[p[b], p[c]] for p in t.entries]] = residues
+            m[row_of, col_of] = residues
             if _full_row_rank_mod_p(m if len(rows) <= len(cols) else m.T):
                 ranks.append(min(m.shape))
                 continue

@@ -3,7 +3,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from irrev import (
@@ -152,6 +152,29 @@ def test_flattening_ranks_match_rank_exact(seed, two_simple):
     assert flattening_ranks(t) == tuple(rank_exact(flatten(t, a)) for a in (1, 2, 3))
 
 
+# On axes of length 2**40 a column key j * 2**40 + k needs 81 bits; in int64,
+# j = 2**24 would wrap onto j = 0 and merge their columns.
+_BIG = 2**40
+_BIG_COORD = st.sampled_from((0, 2**24, _BIG - 1))
+_HUGE_VALUE = st.builds(Fraction, st.integers(-10**30, 10**30).filter(bool),
+                        st.sampled_from((1, 3, 10**20 + 39)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(st.tuples(_BIG_COORD, _BIG_COORD, _BIG_COORD), _HUGE_VALUE,
+                       min_size=2, max_size=10), st.booleans())
+@example({(0, 0, 0): Fraction(1), (0, 2**24, 0): Fraction(1), (_BIG - 1, 2**24, 0): Fraction(1)},
+         False)
+def test_flattening_ranks_match_rank_exact_on_huge_coordinates_and_values(entries, p_divides):
+    if p_divides:
+        entries[next(iter(entries))] = Fraction(-5, 2 * linalg.P)
+    try:
+        t = Tensor((_BIG, _BIG, _BIG), entries)
+    except ValueError:  # simple
+        assume(False)
+    assert flattening_ranks(t) == tuple(rank_exact(flatten(t, a)) for a in (1, 2, 3))
+
+
 @pytest.fixture
 def exact_calls(monkeypatch):
     calls = []
@@ -203,8 +226,14 @@ def test_sparse_flattening_needs_no_exact_fallback(exact_calls):
     assert exact_calls == []
 
 
-def test_free_families_need_no_exact_fallback(exact_calls):
+def test_free_families_need_no_exact_fallback(exact_calls, monkeypatch):
+    # Free supports are counted: no residue matrix is built, mod P or exactly.
+    mod_p_calls = []
+    full_row_rank = linalg._full_row_rank_mod_p
+    monkeypatch.setattr(linalg, "_full_row_rank_mod_p",
+                        lambda a: mod_p_calls.append(a.shape) or full_row_rank(a))
     for t in (w(), tn(4), matmul(1, 2, 2), cw_big(3), kron(tn(3), z3())):
         flattening_ranks(t)
     assert flattening_ranks(kron(cw(2), matmul(2, 2, 2))) == (12, 12, 12)
     assert exact_calls == []
+    assert mod_p_calls == []
