@@ -17,7 +17,6 @@ from .barriers import (
 )
 from .diagonal import (
     DiagonalResult,
-    PowerDiagonalResult,
     is_free_diagonal,
     max_free_diagonal,
     monomial_subrank_power,

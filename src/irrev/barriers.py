@@ -33,11 +33,10 @@ from .entropy import (
     cw_big_marginal_entropy,
     cw_small_entropy_bound,
     rho_upper,
-    _cw_small_param,
 )
 from .errors import BudgetExceededError, DegenerateInputError
 from .linalg import flattening_ranks
-from .tensor import Tensor, cw_big, to_json, tn
+from .tensor import Tensor, cw_big, cw_param, to_json, tn
 
 
 @dataclass(frozen=True)
@@ -71,6 +70,16 @@ def tensor_content_id(t: Tensor) -> str:
     return hashlib.sha256(to_json(t).encode()).hexdigest()[:12]
 
 
+def _irr(log_rank: float, rho: float) -> float:
+    """The irreversibility bound log_rank / rho, from a log2 rank bound and
+    an entropy maximum."""
+    if rho <= 0.0:
+        raise DegenerateInputError(
+            "entropy maximum is zero; irreversibility bound undefined for this input"
+        )
+    return log_rank / rho
+
+
 def irr_lower(
     t: Tensor,
     theta: Theta | None = None,
@@ -98,15 +107,11 @@ def irr_lower(
         notes.append(f"theta search: {search.solves} solves{early}, duality gap {search.gap:.2g}")
     else:
         rho = rho_upper(t, theta, tol=tol, iter_budget=iter_budget)
-    if rho.value <= 0.0:
-        raise DegenerateInputError(
-            "entropy maximum is zero; irreversibility bound undefined for this input"
-        )
-    irr_lb = math.log2(max(ranks)) / rho.value
+    irr_lb = _irr(math.log2(max(ranks)), rho.value)
     if irr_lb < 1.0:
         notes.append("bound-vacuous: irr_lb < 1, the bound carries no information")
     laser = None
-    q = _cw_small_param(t)
+    q = cw_param(t)
     if q is not None and q >= 2:
         laser = cw_laser_barrier(q, "flattening")
         notes.append(f"laser barrier attached for recognized cw_{q} support")
@@ -243,6 +248,13 @@ def barrier_intermediate(irr_lb: float) -> float:
     return 2.0 * irr_lb
 
 
+def _outer_barrier(irr: float, alpha: float, beta: float) -> float:
+    """2 irr + (alpha / beta) (irr - 1): the basic barrier 2 irr, raised by an
+    outer structure that removes alpha and divides by beta (see
+    barrier_schonhage, barrier_rect and cw_laser_barrier)."""
+    return 2.0 * irr + (alpha / beta) * (irr - 1.0)
+
+
 def barrier_schonhage(irr_lb: float, alpha: int, beta: int) -> float:
     """Barrier when the final step subtracts alpha unit-tensor factors and
     divides by beta: ((alpha + 2 beta) irr - alpha) / beta."""
@@ -252,7 +264,7 @@ def barrier_schonhage(irr_lb: float, alpha: int, beta: int) -> float:
         raise ValueError("alpha must be nonnegative")
     if beta <= 0:
         raise ValueError("beta must be positive")
-    return ((alpha + 2.0 * beta) * irr_lb - alpha) / beta
+    return _outer_barrier(irr_lb, alpha, beta)
 
 
 def barrier_rect(
@@ -284,14 +296,8 @@ def barrier_rect(
     # t rotated the other way.
     rotations = [(t1, t2, t3), (t3, t1, t2), (t2, t3, t1)]
     rho = {th: rho_upper(t, Theta(*th), tol=tol / 3.0).value for th in set(rotations)}
-    total = sum(rho[th] for th in rotations)
-    if total <= 0.0:
-        raise DegenerateInputError(
-            "entropy maximum is zero; irreversibility bound undefined for this input"
-        )
-    r1, r2, r3 = flattening_ranks(t)
-    irr = math.log2(r1 * r2 * r3) / total
-    return 2.0 * irr + (alpha / (math.log2(a * b * c) / 3.0)) * (irr - 1.0)
+    irr = _irr(math.log2(math.prod(flattening_ranks(t))), sum(rho[th] for th in rotations))
+    return _outer_barrier(irr, alpha, math.log2(a * b * c) / 3.0)
 
 
 def cw_laser_barrier(q: int, rank_mode: str = "flattening") -> float:
@@ -306,8 +312,7 @@ def cw_laser_barrier(q: int, rank_mode: str = "flattening") -> float:
         raise ValueError(f"rank_mode must be 'flattening' or 'conjectured', got {rank_mode!r}")
     rho = cw_small_entropy_bound(q)
     log_rank = math.log2(q + 1) if rank_mode == "flattening" else math.log2(q + 2)
-    irr = log_rank / rho
-    return 2.0 * irr + (binary_entropy(1.0 / 3.0) / (math.log2(q) / 3.0)) * (irr - 1.0)
+    return _outer_barrier(log_rank / rho, binary_entropy(1.0 / 3.0), math.log2(q) / 3.0)
 
 
 def cw_better_barrier(q: int) -> float:
@@ -368,7 +373,7 @@ def tn_table(m_lo: int = 2, m_hi: int = 7, tol: float = 1e-9) -> list[tuple[int,
     rows = []
     for m in _table_range("tn", "m", m_lo, m_hi, 2):
         rho = rho_upper(tn(m), tol=tol)
-        rows.append((m, m - 1, 2.0 * math.log2(m) / rho.value))
+        rows.append((m, m - 1, 2.0 * _irr(math.log2(m), rho.value)))
     return rows
 
 

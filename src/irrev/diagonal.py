@@ -17,7 +17,7 @@ largest free diagonal has size 2, while a combinatorial degeneration reaches
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import ResourceLimitError
 from .tensor import Index, Support, Tensor
@@ -29,7 +29,9 @@ DEFAULT_POWER_POINT_LIMIT = 200_000
 @dataclass(frozen=True)
 class DiagonalResult:
     """Best free diagonal found; exact means the search tree was exhausted.
-    nodes counts the nodes visited, the prunes the branches cut by each test."""
+    nodes counts the nodes visited, the prunes the branches cut by each test.
+    power is k when the search ran on the k-th Kronecker power of a support
+    (`monomial_subrank_power`), else 1; per_copy_rate = log2(size) / power."""
 
     size: int
     witness: tuple[Index, ...]
@@ -37,19 +39,11 @@ class DiagonalResult:
     nodes: int
     bound_prunes: int
     box_prunes: int
+    power: int = 1
 
-
-@dataclass(frozen=True)
-class PowerDiagonalResult:
-    """Free-diagonal search on the k-th Kronecker power of a support."""
-
-    size: int
-    per_copy_rate: float
-    exact: bool
-    witness: tuple[Index, ...]
-    nodes: int
-    bound_prunes: int
-    box_prunes: int
+    @property
+    def per_copy_rate(self) -> float:
+        return math.log2(self.size) / self.power
 
 
 def is_free_diagonal(support: Support, points) -> bool:
@@ -164,11 +158,8 @@ def power_support(t: Tensor, k: int) -> Support:
     return Support._unchecked((d0**k, d1**k, d2**k), frozenset(points))
 
 
-def monomial_subrank_power(t: Tensor, k: int, node_budget: int = DEFAULT_NODE_BUDGET) -> PowerDiagonalResult:
+def monomial_subrank_power(t: Tensor, k: int, node_budget: int = DEFAULT_NODE_BUDGET) -> DiagonalResult:
     """Free-diagonal search on supp(t^(x)k); the rate log2(size)/k lower-bounds
     log2 of the asymptotic monomial subrank (Fekete supremum over k)."""
     found = max_free_diagonal(power_support(t, k), node_budget=node_budget)
-    rate = math.log2(found.size) / k
-    return PowerDiagonalResult(
-        found.size, rate, found.exact, found.witness, found.nodes, found.bound_prunes, found.box_prunes
-    )
+    return replace(found, power=k)

@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BudgetExceededError, ResourceLimitError
-from .tensor import Index, Support, Tensor, cw, cw_big
+from .tensor import Index, Support, Tensor, cw_param
 
 DEFAULT_TOL = 1e-10
 DEFAULT_ITER_BUDGET = 10**6
@@ -72,12 +72,7 @@ class SupportDistribution:
 def binary_entropy(p: float) -> float:
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"binary entropy needs 0 <= p <= 1, got {p!r}")
-    out = 0.0
-    if p > 0:
-        out -= p * math.log2(p)
-    if p < 1:
-        out -= (1 - p) * math.log2(1 - p)
-    return out
+    return 0.0 - _xlog2x(p) - _xlog2x(1 - p)
 
 
 @dataclass(frozen=True)
@@ -439,20 +434,6 @@ def rho_upper(
 # Independent grid oracle
 
 
-def _cw_big_param(t: Tensor) -> int | None:
-    """q if supp(t) is supp(cw_big(q)); the count test spares building cw_big(q)."""
-    q = t.dims[0] - 2
-    match = t.dims == (q + 2,) * 3 and len(t.entries) == 3 * q + 3
-    return q if match and t.entries.keys() == cw_big(q).entries.keys() else None
-
-
-def _cw_small_param(t: Tensor) -> int | None:
-    """q if supp(t) is supp(cw(q)); the count test spares building cw(q)."""
-    q = t.dims[0] - 1
-    match = t.dims == (q + 1,) * 3 and len(t.entries) == 3 * q
-    return q if match and t.entries.keys() == cw(q).entries.keys() else None
-
-
 # Largest resolution, and count of lines or CW_q point-steps, the grid oracle scores.
 ORACLE_GRID_LIMIT = 1 << 22
 # Columns per block of the grid oracle: on a 2-vCPU x86_64 machine the
@@ -582,7 +563,7 @@ def rho_grid_oracle(t: Tensor, theta: Theta | None = None, resolution: int = 100
     points = sorted(t.support().points)
 
     if theta.is_uniform():
-        q = _cw_big_param(t)
+        q = cw_param(t, big=True)
         if q is not None and q >= 1:
             if len(points) * (resolution + 1) > ORACLE_GRID_LIMIT:
                 raise ResourceLimitError(f"grid oracle: resolution {resolution} too large for CW_{q}")
@@ -590,7 +571,7 @@ def rho_grid_oracle(t: Tensor, theta: Theta | None = None, resolution: int = 100
             x = np.arange(resolution + 1) / resolution / (3 * q)
             rows = np.array([x if p.count(0) == 1 else 1.0 / 3.0 - q * x for p in points])
             return float(_columns_objective(rows, _axis_groups(points), th, _xlog2x_rows).max())
-        q = _cw_small_param(t)
+        q = cw_param(t)
         if q is not None:
             # Support symmetry group is transitive: the uniform distribution
             # is the symmetrized family, a single point.

@@ -47,22 +47,20 @@ class ExactMatrix:
         object.__setattr__(self, "entries", MappingProxyType(norm))
 
 
+# Flattening axis -> 0-based legs (a, b, c): leg a gives the rows, and legs
+# b and c, in cyclic order after a, pair row-major into the columns.
+_LEGS = {axis: (axis - 1, axis % 3, (axis + 1) % 3) for axis in (1, 2, 3)}
+
+
 def flatten(t: Tensor, axis: int) -> ExactMatrix:
     """Group two legs of t into one: axis a becomes the rows, the other two
     (in cyclic order) pair row-major into the columns."""
-    n1, n2, n3 = t.dims
-    if axis == 1:
-        rows, cols = n1, n2 * n3
-        key = lambda i, j, k: (i, j * n3 + k)
-    elif axis == 2:
-        rows, cols = n2, n3 * n1
-        key = lambda i, j, k: (j, k * n1 + i)
-    elif axis == 3:
-        rows, cols = n3, n1 * n2
-        key = lambda i, j, k: (k, i * n2 + j)
-    else:
+    if axis not in (1, 2, 3):
         raise ValueError(f"axis must be 1, 2 or 3, got {axis!r}")
-    return ExactMatrix(rows, cols, {key(i, j, k): c for (i, j, k), c in t.entries.items()})
+    a, b, c = _LEGS[axis]
+    nc = t.dims[c]
+    entries = {(p[a], p[b] * nc + p[c]): v for p, v in t.entries.items()}
+    return ExactMatrix(t.dims[a], t.dims[b] * nc, entries)
 
 
 def _integer_rows(matrix: ExactMatrix) -> list[dict[int, int]]:
@@ -153,8 +151,7 @@ def flattening_ranks(t: Tensor) -> tuple[int, int, int]:
     coords = tuple(zip(*t.entries))
     pts = residues = None
     ranks = []
-    for axis in (1, 2, 3):
-        a, b, c = axis - 1, axis % 3, (axis + 1) % 3
+    for axis, (a, b, c) in _LEGS.items():
         if len(set(zip(coords[b], coords[c]))) == n:
             ranks.append(len(set(coords[a])))
             continue

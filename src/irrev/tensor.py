@@ -150,31 +150,34 @@ def matmul(a: int, b: int, c: int) -> Tensor:
     return Tensor((a * b, b * c, c * a), entries)
 
 
+def _cw_points(q: int, big: bool) -> list[Index]:
+    """supp(cw(q)): (0,i,i), (i,0,i), (i,i,0) for i = 1..q; then, if big, the 3 corners of cw_big(q)."""
+    points = [p for i in range(1, q + 1) for p in ((0, i, i), (i, 0, i), (i, i, 0))]
+    if big:
+        points += [(0, 0, q + 1), (0, q + 1, 0), (q + 1, 0, 0)]
+    return points
+
+
 def cw(q: int) -> Tensor:
     """Small Coppersmith-Winograd tensor: 3q ones on dims (q+1)^3."""
     if q < 1:
         raise ValueError("cw needs q >= 1")
-    entries: dict[Index, int] = {}
-    for i in range(1, q + 1):
-        entries[(0, i, i)] = 1
-        entries[(i, 0, i)] = 1
-        entries[(i, i, 0)] = 1
-    return Tensor((q + 1, q + 1, q + 1), entries)
+    return Tensor((q + 1, q + 1, q + 1), dict.fromkeys(_cw_points(q, False), 1))
 
 
 def cw_big(q: int) -> Tensor:
     """Big Coppersmith-Winograd tensor: the cw support plus 3 corner points, 3q+3 ones."""
     if q < 0:
         raise ValueError("cw_big needs q >= 0")
-    entries: dict[Index, int] = {}
-    for i in range(1, q + 1):
-        entries[(0, i, i)] = 1
-        entries[(i, 0, i)] = 1
-        entries[(i, i, 0)] = 1
-    entries[(0, 0, q + 1)] = 1
-    entries[(0, q + 1, 0)] = 1
-    entries[(q + 1, 0, 0)] = 1
-    return Tensor((q + 2, q + 2, q + 2), entries)
+    return Tensor((q + 2, q + 2, q + 2), dict.fromkeys(_cw_points(q, True), 1))
+
+
+def cw_param(t: Tensor, big: bool = False) -> int | None:
+    """q if supp(t) is supp(cw_big(q)) (big; q = 0 is supp(w())) or supp(cw(q)), else None.
+    Coefficients are not compared; the dims and count tests spare building the point set."""
+    q = t.dims[0] - (2 if big else 1)
+    match = t.dims == (t.dims[0],) * 3 and len(t.entries) == 3 * q + (3 if big else 0)
+    return q if match and t.entries.keys() == set(_cw_points(q, big)) else None
 
 
 def tn(m: int) -> Tensor:
@@ -290,7 +293,7 @@ def from_json(text: str) -> Tensor:
     """Parse the tensor file format, validating structure and coefficient rules."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise ValueError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or set(doc) != {"dims", "entries"}:
         raise ValueError('tensor file must be {"dims": [...], "entries": [...]}')

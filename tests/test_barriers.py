@@ -383,6 +383,22 @@ def test_min_rho_over_theta_keeps_the_cut_of_a_stalled_solve(monkeypatch):
     assert search.rho.value == rho_upper(t, search.theta).value
 
 
+def test_min_rho_over_theta_stops_on_a_repeated_theta_with_the_gap_open(monkeypatch):
+    # The second solve stalls at the cut model's minimiser (1, 0, 0); its
+    # value never becomes the upper bound, and its cut leads the model back
+    # to (1, 0, 0), so the search stops there and reports the open gap.
+    t = matmul(1, 2, 2)
+    plain = min_rho_over_theta(t)
+    assert plain.theta.as_tuple() == (1.0, 0.0, 0.0)
+    assert (plain.solves, plain.rho.value, plain.gap) == (2, 1.0, 0.0)
+    monkeypatch.setattr(barriers, "rho_upper", stalling_rho_upper(2))
+    search = min_rho_over_theta(t)
+    assert (search.solves, search.stalled) == (2, 1)
+    assert search.theta.is_uniform()
+    assert search.rho.value == pytest.approx(4.0 / 3.0, abs=1e-12)
+    assert search.gap == pytest.approx(1.0 / 3.0, abs=1e-12)
+
+
 def test_tensor_content_id_pinned():
     from irrev.barriers import tensor_content_id
 

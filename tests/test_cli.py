@@ -174,6 +174,23 @@ def test_irr_parse_failure_exit_2(tmp_path, capsys):
     assert err
 
 
+_DEEP = 100_000
+
+
+@pytest.mark.parametrize("command", ["irr", "flatrank"])
+@pytest.mark.parametrize("text", [
+    "[" * _DEEP,
+    '{"dims": [2, 2, 2], "entries": ' + "[" * _DEEP + "]" * _DEEP + "}",
+], ids=["bare", "entries"])
+def test_deeply_nested_json_exit_2(tmp_path, capsys, command, text):
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, [command, str(path)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: not valid JSON") and err.count("\n") == 1
+
+
 def test_rho_values(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, ["rho", "-"], stdin=to_json(w()), monkeypatch=monkeypatch)
     assert code == 0

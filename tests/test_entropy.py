@@ -46,8 +46,6 @@ from irrev.entropy import (
     ORACLE_GRID_LIMIT,
     _ActiveSystem,
     _AxisEncoding,
-    _cw_big_param,
-    _cw_small_param,
     _grid_leads,
     _grid_max,
     _line_search,
@@ -55,6 +53,7 @@ from irrev.entropy import (
     _newton_step,
     _objective_and_scores,
 )
+from irrev.tensor import cw_param
 
 H13 = math.log2(3.0) - 2.0 / 3.0
 
@@ -114,6 +113,15 @@ def test_rho_cw_big_matches_symmetric_peak(q):
     res = rho_upper(cw_big(q), tol=1e-10)
     assert res.value == pytest.approx(peak, abs=1e-8)
     assert res.residual <= 1e-10
+
+
+def test_rho_cw_big_above_the_newton_cap():
+    # n = 1,026 used coordinates, past the 1,024 cap: away-step Frank-Wolfe
+    # alone converges (5 away steps).
+    res = rho_upper(cw_big(340), tol=1e-9)
+    assert res.steps["newton"] == res.steps["drop"] == 0
+    assert res.residual <= 1e-9
+    assert abs(res.value - cw_big_marginal_entropy(340, cw_big_entropy_argmax(340))) <= 1e-9
 
 
 def test_rho_z3_uniform_marginals():
@@ -653,18 +661,18 @@ def test_objective_concavity_midpoint(seed):
 
 def test_cw_recognizers_find_the_families_only():
     for q in range(1, 8):
-        assert _cw_small_param(cw(q)) == q
-        assert _cw_big_param(cw(q)) is None
+        assert cw_param(cw(q)) == q
+        assert cw_param(cw(q), big=True) is None
     for q in range(1, 7):
-        assert _cw_big_param(cw_big(q)) == q
-        assert _cw_small_param(cw_big(q)) is None
+        assert cw_param(cw_big(q), big=True) == q
+        assert cw_param(cw_big(q)) is None
+    assert cw_param(w(), big=True) == 0 and cw_param(w()) is None
     for t in (kron(tn(3), tn(3)), cyc(cw_big(1))):
-        assert _cw_small_param(t) is None and _cw_big_param(t) is None
+        assert cw_param(t) is None and cw_param(t, big=True) is None
     # One support point moved off the family's support, same dims and count.
-    for family, recognize, moved in ((cw, _cw_small_param, (0, 1, 2)),
-                                     (cw_big, _cw_big_param, (0, 2, 1))):
+    for family, big, moved in ((cw, False, (0, 1, 2)), (cw_big, True, (0, 2, 1))):
         entries = dict(family(3).entries)
         del entries[(0, 1, 1)]
         entries[moved] = 1
         t = Tensor(family(3).dims, entries)
-        assert recognize(t) is None
+        assert cw_param(t, big) is None

@@ -282,6 +282,11 @@ def test_json_rejects_bad_documents():
         from_json(json.dumps(dup))
 
 
+def test_json_rejects_nesting_too_deep_for_the_decoder():
+    with pytest.raises(ValueError, match="not valid JSON"):
+        from_json("[" * 100_000)
+
+
 def test_json_rejects_non_integer_fields():
     def doc(**changes):
         d = {"dims": [2, 2, 2], "entries": [
