@@ -1,20 +1,12 @@
-"""Irreversibility lower bounds and matrix-multiplication barriers for 3-tensors."""
+"""Irreversibility lower bounds and matrix-multiplication barriers for 3-tensors.
 
-from .barriers import (
-    BarrierReport,
-    barrier_intermediate,
-    barrier_rect,
-    barrier_schonhage,
-    better_table,
-    cw_better_barrier,
-    cw_big_table,
-    cw_laser_barrier,
-    cw_table,
-    irr_lower,
-    laser_table,
-    min_rho_over_theta,
-    tn_table,
-)
+The names defined in the numpy-backed modules `barriers`, `entropy` and
+`linalg`, and those modules themselves, load on first use (PEP 562), so that
+`import irrev` and the CLI commands that need no numpy do not import it.
+"""
+
+import importlib as _importlib
+
 from .diagonal import (
     DiagonalResult,
     is_free_diagonal,
@@ -22,20 +14,7 @@ from .diagonal import (
     monomial_subrank_power,
     power_support,
 )
-from .entropy import (
-    RhoResult,
-    SupportDistribution,
-    Theta,
-    binary_entropy,
-    cw_big_entropy_argmax,
-    cw_big_marginal_entropy,
-    cw_small_entropy_bound,
-    rho_grid_oracle,
-    rho_upper,
-    rho_upper_on_support,
-)
 from .errors import BudgetExceededError, DegenerateInputError, ResourceLimitError
-from .linalg import flattening_ranks, rank_exact
 from .tensor import (
     Support,
     Tensor,
@@ -55,4 +34,58 @@ from .tensor import (
     z3,
 )
 
+# Name -> the submodule that defines it, imported on first access.  A
+# submodule's own name maps to itself.
+_LAZY = {
+    **dict.fromkeys((
+        "barriers",
+        "BarrierReport",
+        "barrier_intermediate",
+        "barrier_rect",
+        "barrier_schonhage",
+        "better_table",
+        "cw_better_barrier",
+        "cw_big_table",
+        "cw_laser_barrier",
+        "cw_table",
+        "irr_lower",
+        "laser_table",
+        "min_rho_over_theta",
+        "tn_table",
+    ), "barriers"),
+    **dict.fromkeys((
+        "entropy",
+        "RhoResult",
+        "SupportDistribution",
+        "Theta",
+        "binary_entropy",
+        "cw_big_entropy_argmax",
+        "cw_big_marginal_entropy",
+        "cw_small_entropy_bound",
+        "rho_grid_oracle",
+        "rho_upper",
+        "rho_upper_on_support",
+    ), "entropy"),
+    **dict.fromkeys(("linalg", "flattening_ranks", "rank_exact"), "linalg"),
+}
+
+__all__ = sorted(
+    [name for name in globals() if not name.startswith("_")] + list(_LAZY)
+)
+
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    try:
+        module_name = _LAZY[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    module = _importlib.import_module(f".{module_name}", __name__)
+    value = module if name == module_name else getattr(module, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))

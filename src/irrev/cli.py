@@ -14,9 +14,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import TYPE_CHECKING
 
-from . import barriers, diagonal, entropy, linalg, tensor
+# Only the modules that need no numpy load with the CLI: the handlers below
+# import barriers, entropy and linalg, so gen and diag never load numpy.
+from . import diagonal, tensor
 from .errors import BudgetExceededError, DegenerateInputError, ResourceLimitError
+
+if TYPE_CHECKING:
+    from .entropy import Theta
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -73,13 +79,15 @@ def _rounded(doc, precision: int):
     return walk(doc)
 
 
-def _parse_theta(text: str | None) -> entropy.Theta | None:
+def _parse_theta(text: str | None) -> Theta | None:
     if text is None:
         return None
+    from .entropy import Theta
+
     parts = text.split(",")
     if len(parts) != 3:
         raise ValueError("--theta expects three comma-separated values")
-    return entropy.Theta(*(float(p) for p in parts))
+    return Theta(*(float(p) for p in parts))
 
 
 def _flags(dests) -> str:
@@ -108,9 +116,11 @@ def _precision_flag(p: argparse.ArgumentParser) -> None:
 
 
 def _solver_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tol", type=float, default=entropy.DEFAULT_TOL,
-                   help=f"optimizer tolerance (default {entropy.DEFAULT_TOL:g})")
-    p.add_argument("--iter-budget", type=int, default=entropy.DEFAULT_ITER_BUDGET,
+    from .entropy import DEFAULT_ITER_BUDGET, DEFAULT_TOL
+
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL,
+                   help=f"optimizer tolerance (default {DEFAULT_TOL:g})")
+    p.add_argument("--iter-budget", type=int, default=DEFAULT_ITER_BUDGET,
                    help="iteration budget for the entropy optimizer")
 
 
@@ -189,6 +199,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_irr(args) -> int:
+    from . import barriers
+
     t = tensor.read_tensor(args.path)
     theta = _parse_theta(args.theta)
     report = barriers.irr_lower(
@@ -214,6 +226,8 @@ def _cmd_irr(args) -> int:
 
 
 def _cmd_rho(args) -> int:
+    from . import entropy
+
     t = tensor.read_tensor(args.path)
     theta = _parse_theta(args.theta)
     p = args.precision
@@ -263,6 +277,8 @@ def _cmd_diag(args) -> int:
 
 
 def _cmd_table(args) -> int:
+    from . import barriers
+
     name, headers, keywords = _TABLES[args.which]
     given = _params(args, f"table {args.which}", _TABLE_FLAGS, keywords)
     rows = getattr(barriers, name)(**{keywords[d]: v for d, v in given.items()})
@@ -281,6 +297,8 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_flatrank(args) -> int:
+    from . import linalg
+
     t = tensor.read_tensor(args.path)
     ranks = linalg.flattening_ranks(t)
     if args.format == "json":

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import re
+import reprlib
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,13 +32,22 @@ Index = tuple[int, int, int]
 # Per-axis dimension cap for product constructions (kron, cyc).
 MAX_DIM = 1 << 22
 
+# Error messages show a malformed value through this: at most three items of
+# a container, none nested, and 16 characters of a string or number, so that
+# a huge bad input gives a short error line rather than a copy of itself.
+_ECHO = reprlib.Repr()
+_ECHO.maxlevel = 1
+_ECHO.maxdict = _ECHO.maxlist = _ECHO.maxtuple = _ECHO.maxset = _ECHO.maxfrozenset = 3
+_ECHO.maxstring = _ECHO.maxlong = _ECHO.maxother = 16
+_echo = _ECHO.repr
+
 
 def _check_index(point: Index, dims: tuple[int, int, int]) -> None:
     # Exactly int: bool and float indices are rejected, never coerced.
     i, j, k = point
     if not (type(i) is type(j) is type(k) is int
             and 0 <= i < dims[0] and 0 <= j < dims[1] and 0 <= k < dims[2]):
-        raise ValueError(f"index {point!r} must be integers in range for dims {dims}")
+        raise ValueError(f"index {_echo(point)} must be integers in range for dims {_echo(dims)}")
 
 
 @dataclass(frozen=True)
@@ -73,7 +83,7 @@ class Tensor:
     def __init__(self, dims: Iterable[int], entries) -> None:
         dims = tuple(dims)
         if len(dims) != 3 or not all(type(d) is int and d > 0 for d in dims):
-            raise ValueError(f"dims must be three positive integers, got {dims!r}")
+            raise ValueError(f"dims must be three positive integers, got {_echo(dims)}")
         items = entries.items() if isinstance(entries, Mapping) else entries
         norm: dict[Index, Fraction] = {}
         for key, coeff in items:
@@ -81,9 +91,9 @@ class Tensor:
             _check_index(point, dims)
             c = coeff if isinstance(coeff, Fraction) else Fraction(coeff)
             if c == 0:
-                raise ValueError(f"zero coefficient at {point}")
+                raise ValueError(f"zero coefficient at {_echo(point)}")
             if point in norm:
-                raise ValueError(f"duplicate entry at {point}")
+                raise ValueError(f"duplicate entry at {_echo(point)}")
             norm[point] = c
         if not norm:
             raise ValueError("tensor has no entries")
@@ -275,17 +285,18 @@ def _coefficient_part(x, point: Index) -> int:
             return int(x)
         except ValueError:  # only Python's cap on digits in an int string
             raise ValueError(f"num and den have at most {sys.get_int_max_str_digits()} "
-                             f"digits at {point}") from None
+                             f"digits at {_echo(point)}") from None
     # Exact type: JSON true and false decode to bool, a subclass of int.
     if type(x) is int:
         return x
-    raise ValueError(f"num and den must be integer strings or integers at {point}, got {x!r}")
+    raise ValueError(f"num and den must be integer strings or integers at {_echo(point)}, "
+                     f"got {_echo(x)}")
 
 
 def _coefficient(num, den, point: Index) -> Fraction:
     n, d = _coefficient_part(num, point), _coefficient_part(den, point)
     if d <= 0:
-        raise ValueError(f"denominator must be positive at {point}")
+        raise ValueError(f"denominator must be positive at {_echo(point)}")
     return Fraction(n, d)
 
 
@@ -307,7 +318,7 @@ def from_json(text: str) -> Tensor:
     entries: list[tuple[Index, Fraction]] = []
     for rec in raw:
         if not (isinstance(rec, dict) and rec.keys() >= _RECORD_KEYS):
-            raise ValueError(f"bad entry record: {rec!r}")
+            raise ValueError(f"bad entry record: {_echo(rec)}")
         point = (rec["i"], rec["j"], rec["k"])
         num, den = rec["num"], rec["den"]
         if type(num) is str and type(den) is str:

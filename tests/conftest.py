@@ -7,16 +7,28 @@ elimination for rank, dict-based objective evaluation for entropy.
 
 import json
 import math
+import os
 import random
 from fractions import Fraction
 from itertools import combinations, product
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import irrev
 from irrev import BudgetExceededError, Support, Tensor, is_free_diagonal, rho_upper
 
 MERSENNE_P = (1 << 31) - 1
+
+# Child interpreters import the same irrev as this process, also when it is
+# found through pytest's `pythonpath` setting rather than PYTHONPATH.
+CHILD_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(Path(irrev.__file__).parents[1]), os.environ.get("PYTHONPATH")])
+    ),
+}
 
 
 def brute_force_max_free_diagonal(points) -> int:

@@ -2,11 +2,9 @@ import argparse
 import io
 import json
 import math
-import os
 import struct
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,16 +16,7 @@ from irrev import Tensor, barriers, cli, from_json, to_json, unit, w
 from irrev.entropy import ORACLE_GRID_LIMIT
 from irrev.tensor import matmul, z3
 
-from conftest import certificate_gap, stalling_rho_upper
-
-# Child interpreters import the same irrev as this process, also when it is
-# found through pytest's `pythonpath` setting rather than PYTHONPATH.
-_CHILD_ENV = {
-    **os.environ,
-    "PYTHONPATH": os.pathsep.join(
-        filter(None, [str(Path(irrev.__file__).parents[1]), os.environ.get("PYTHONPATH")])
-    ),
-}
+from conftest import CHILD_ENV, certificate_gap, stalling_rho_upper
 
 
 def run_cli(capsys, argv, stdin=None, monkeypatch=None):
@@ -517,7 +506,7 @@ def test_non_finite_theta_or_tol_exits_2(tmp_path, capfd, command, flag, value):
 def test_module_entrypoint_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "irrev", "gen", "cw", "--q", "1"],
-        env=_CHILD_ENV,
+        env=CHILD_ENV,
         capture_output=True,
         text=True,
         timeout=60,
@@ -529,7 +518,7 @@ def test_module_entrypoint_subprocess():
 def test_pipe_gen_to_irr_subprocess():
     gen = subprocess.run(
         [sys.executable, "-m", "irrev", "gen", "cw", "--q", "2"],
-        env=_CHILD_ENV,
+        env=CHILD_ENV,
         capture_output=True,
         text=True,
         timeout=60,
@@ -537,7 +526,7 @@ def test_pipe_gen_to_irr_subprocess():
     irr = subprocess.run(
         [sys.executable, "-m", "irrev", "irr", "-", "--format", "json"],
         input=gen.stdout,
-        env=_CHILD_ENV,
+        env=CHILD_ENV,
         capture_output=True,
         text=True,
         timeout=120,
@@ -546,6 +535,75 @@ def test_pipe_gen_to_irr_subprocess():
     doc = json.loads(irr.stdout)
     assert doc["irr_lb"] == pytest.approx(1.0, abs=1e-6)
     assert doc["barrier_laser"] == pytest.approx(2.0, abs=1e-6)
+
+
+# Runs gen and diag, reports whether numpy is loaded, then runs irr.
+_NUMPY_FREE_CHILD = """
+import contextlib, io, json, sys
+import irrev, irrev.cli
+
+def run(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = irrev.cli.main(argv)
+    return [code, out.getvalue()]
+
+path = sys.argv[1]
+runs = [run(["gen", "w"]), run(["diag", path, "--power", "2"])]
+numpy_before_irr = "numpy" in sys.modules
+runs.append(run(["irr", path]))
+print(json.dumps({"runs": runs, "numpy_before_irr": numpy_before_irr}))
+"""
+
+
+def test_gen_and_diag_load_no_numpy_and_irr_loads_it_on_demand(tmp_path, capsys):
+    path = tmp_path / "w.json"
+    path.write_text(to_json(w()) + "\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", _NUMPY_FREE_CHILD, str(path)],
+        env=CHILD_ENV, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    child = json.loads(proc.stdout)
+    assert child["numpy_before_irr"] is False
+    # The same output as in this process, where every module is loaded.
+    argvs = (["gen", "w"], ["diag", str(path), "--power", "2"], ["irr", str(path)])
+    for argv, (code, out) in zip(argvs, child["runs"]):
+        assert [code, out] == list(run_cli(capsys, argv)[:2])
+
+
+_BIG = [0] * 100_000
+
+
+def _w_doc(dims=(2, 2, 2), **fields) -> str:
+    """The tensor file of w with its dims and its first entry's fields replaced."""
+    doc = json.loads(to_json(w()))
+    doc["dims"] = list(dims)
+    doc["entries"][0].update(fields)
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("text,fault", [
+    (json.dumps({"dims": [2, 2, 2], "entries": [_BIG]}), "bad entry record"),
+    (json.dumps({"dims": [2, 2, 2], "entries": [{"x" * 100_000: _BIG, "i": _BIG}]}),
+     "bad entry record"),
+    (_w_doc(dims=_BIG), "dims must be three positive integers"),
+    (_w_doc(dims=["x" * 100_000, _BIG, {"a": _BIG}]), "dims must be three positive integers"),
+    (_w_doc(i=_BIG), "must be integers in range"),
+    (_w_doc(i="9" * 100_000, j=_BIG, k={"q" * 1000: _BIG}), "must be integers in range"),
+    (_w_doc(num=_BIG), "num and den must be"),
+    (_w_doc(den="x" * 100_000), "num and den must be"),
+    (_w_doc(num={k * 100_000: _BIG for k in "abcd"}, i=_BIG, j=_BIG, k=_BIG),
+     "num and den must be"),
+    (_w_doc(den="-1", i="a" * 100_000), "denominator must be positive"),
+    (_w_doc(den="9" * 5000, i=_BIG, k="z" * 100_000), "num and den have at most"),
+], ids=["record-list", "record-dict", "dims-list", "dims-items", "index-list", "index-items",
+        "num-list", "den-string", "num-dict", "den-negative", "den-digits"])
+def test_malformed_input_is_not_echoed_in_full(capsys, monkeypatch, text, fault):
+    code, out, err = run_cli(capsys, ["diag", "-"], stdin=text, monkeypatch=monkeypatch)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and fault in err
+    assert len(err.splitlines()) == 1 and len(err) < 200
 
 
 def _exit_code(argv):
@@ -638,21 +696,15 @@ def test_oracle_resolution_over_limit_exit_5(capsys, monkeypatch, resolution):
     assert resolution in err
 
 
-def _w_with_num(num) -> str:
-    doc = json.loads(to_json(w()))
-    doc["entries"][0]["num"] = num
-    return json.dumps(doc)
-
-
 def test_num_digit_limit_exit_2(capsys, monkeypatch):
     limit = sys.get_int_max_str_digits()
     if not limit:
         pytest.skip("int string conversion is unlimited in this interpreter")
-    t = from_json(_w_with_num("9" * limit))
+    t = from_json(_w_doc(num="9" * limit))
     assert t.entries[(0, 0, 1)] == 10**limit - 1
     for num in ("9" * (limit + 1), "-" + "9" * (limit + 1)):
         code, out, err = run_cli(
-            capsys, ["flatrank", "-"], stdin=_w_with_num(num), monkeypatch=monkeypatch
+            capsys, ["flatrank", "-"], stdin=_w_doc(num=num), monkeypatch=monkeypatch
         )
         assert code == 2 and out == ""
         assert len(err.splitlines()) == 1 and str(limit) in err
