@@ -1,19 +1,14 @@
 """Irreversibility lower bounds and matrix-multiplication barriers for 3-tensors.
 
 The names defined in the numpy-backed modules `barriers`, `entropy` and
-`linalg`, and those modules themselves, load on first use (PEP 562), so that
-`import irrev` and the CLI commands that need no numpy do not import it.
+`linalg`, and in `diagonal`, and those modules themselves, load on first use
+(PEP 562).  So `import irrev` loads neither numpy nor `dataclasses` (which
+`diagonal` and the numpy-backed modules use), and the CLI commands that need
+no numpy do not import it.
 """
 
 import importlib as _importlib
 
-from .diagonal import (
-    DiagonalResult,
-    is_free_diagonal,
-    max_free_diagonal,
-    monomial_subrank_power,
-    power_support,
-)
 from .errors import BudgetExceededError, DegenerateInputError, ResourceLimitError
 from .tensor import (
     Support,
@@ -67,6 +62,14 @@ _LAZY = {
         "rho_upper_on_support",
     ), "entropy"),
     **dict.fromkeys(("linalg", "flattening_ranks", "rank_exact"), "linalg"),
+    **dict.fromkeys((
+        "diagonal",
+        "DiagonalResult",
+        "is_free_diagonal",
+        "max_free_diagonal",
+        "monomial_subrank_power",
+        "power_support",
+    ), "diagonal"),
 }
 
 __all__ = sorted(

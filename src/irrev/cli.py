@@ -16,9 +16,11 @@ import json
 import sys
 from typing import TYPE_CHECKING
 
-# Only the modules that need no numpy load with the CLI: the handlers below
-# import barriers, entropy and linalg, so gen and diag never load numpy.
-from . import diagonal, tensor
+# Only the modules that every command needs load with the CLI; each handler
+# below imports the rest.  So gen and the parsers (--help) load neither numpy
+# nor diagonal, and diag loads no numpy.
+from . import tensor
+from .defaults import DEFAULT_ITER_BUDGET, DEFAULT_NODE_BUDGET, DEFAULT_TOL
 from .errors import BudgetExceededError, DegenerateInputError, ResourceLimitError
 
 if TYPE_CHECKING:
@@ -116,8 +118,6 @@ def _precision_flag(p: argparse.ArgumentParser) -> None:
 
 
 def _solver_flags(p: argparse.ArgumentParser) -> None:
-    from .entropy import DEFAULT_ITER_BUDGET, DEFAULT_TOL
-
     p.add_argument("--tol", type=float, default=DEFAULT_TOL,
                    help=f"optimizer tolerance (default {DEFAULT_TOL:g})")
     p.add_argument("--iter-budget", type=int, default=DEFAULT_ITER_BUDGET,
@@ -161,8 +161,8 @@ def _rho_args(p: argparse.ArgumentParser) -> None:
 def _diag_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("path", help="tensor file, or - for stdin")
     p.add_argument("--power", type=int, default=1, help="Kronecker power (default 1)")
-    p.add_argument("--budget", type=int, default=diagonal.DEFAULT_NODE_BUDGET,
-                   help=f"search node budget (default {diagonal.DEFAULT_NODE_BUDGET})")
+    p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET,
+                   help=f"search node budget (default {DEFAULT_NODE_BUDGET})")
     _format_flag(p)
     _precision_flag(p)
 
@@ -256,6 +256,8 @@ def _cmd_rho(args) -> int:
 
 
 def _cmd_diag(args) -> int:
+    from . import diagonal
+
     t = tensor.read_tensor(args.path)
     res = diagonal.monomial_subrank_power(t, args.power, node_budget=args.budget)
     if args.format == "json":

@@ -19,10 +19,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+from .defaults import DEFAULT_NODE_BUDGET
 from .errors import ResourceLimitError
 from .tensor import Index, Support, Tensor
 
-DEFAULT_NODE_BUDGET = 10**8
 DEFAULT_POWER_POINT_LIMIT = 200_000
 
 

@@ -18,11 +18,10 @@ from typing import Sequence
 
 import numpy as np
 
+from .defaults import DEFAULT_ITER_BUDGET, DEFAULT_TOL
 from .errors import BudgetExceededError, ResourceLimitError
 from .tensor import Index, Support, Tensor, cw_param
 
-DEFAULT_TOL = 1e-10
-DEFAULT_ITER_BUDGET = 10**6
 _LN2 = math.log(2.0)
 
 
@@ -446,24 +445,26 @@ def _grid_leads(p: int, R: int, block: int = _GRID_BLOCK):
     """Yield (p, n) int arrays, 0 < n <= block, whose columns are the vectors
     of p nonnegative ints with sum at most R, each exactly once.
 
-    The first p - 1 parts are built whole, as heads.  A head with sum s takes
-    the R - s + 1 values of the last part; those columns are numbered in one
-    flat range, cut into blocks.  For each block, searchsorted on the heads'
-    start offsets finds the heads it overlaps, and np.repeat copies them.
+    The first p - 1 parts, the heads, come block by block from the same
+    generator, so each level holds one block of heads at a time.  A head with
+    sum s takes the R - s + 1 values of the last part; the columns of a block
+    of heads are numbered in one flat range, cut into blocks.  For each
+    block, searchsorted on the heads' start offsets finds the heads it
+    overlaps, and np.repeat copies them.
     """
     if p == 0:
         yield np.zeros((0, 1), dtype=np.intp)
         return
-    heads = np.hstack(list(_grid_leads(p - 1, R, block)))
-    offsets = np.concatenate([[0], np.cumsum(R + 1 - heads.sum(axis=0))])
-    total = int(offsets[-1])
-    for lo in range(0, total, block):
-        hi = min(lo + block, total)
-        a = int(np.searchsorted(offsets, lo, side="right")) - 1
-        b = int(np.searchsorted(offsets, hi, side="left"))
-        counts = np.diff(np.clip(offsets[a : b + 1], lo, hi))
-        last = np.arange(lo, hi) - np.repeat(offsets[a:b], counts)
-        yield np.vstack([np.repeat(heads[:, a:b], counts, axis=1), last])
+    for heads in _grid_leads(p - 1, R, block):
+        offsets = np.concatenate([[0], np.cumsum(R + 1 - heads.sum(axis=0))])
+        total = int(offsets[-1])
+        for lo in range(0, total, block):
+            hi = min(lo + block, total)
+            a = int(np.searchsorted(offsets, lo, side="right")) - 1
+            b = int(np.searchsorted(offsets, hi, side="left"))
+            counts = np.diff(np.clip(offsets[a : b + 1], lo, hi))
+            last = np.arange(lo, hi) - np.repeat(offsets[a:b], counts)
+            yield np.vstack([np.repeat(heads[:, a:b], counts, axis=1), last])
 
 
 def _axis_groups(points: Sequence[Index]) -> list[list[tuple[int, ...]]]:

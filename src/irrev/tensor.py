@@ -15,11 +15,11 @@ flattening has rank >= 2.
 
 from __future__ import annotations
 
+import gc
 import json
 import re
 import reprlib
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from types import MappingProxyType
@@ -50,26 +50,52 @@ def _check_index(point: Index, dims: tuple[int, int, int]) -> None:
         raise ValueError(f"index {_echo(point)} must be integers in range for dims {_echo(dims)}")
 
 
-@dataclass(frozen=True)
 class Support:
-    """Nonzero pattern of a tensor: a nonempty set of index triples in a dims box."""
+    """Nonzero pattern of a tensor: a nonempty set of index triples in a dims box.
+
+    Immutable, compared and hashed by (dims, points)."""
+
+    __slots__ = ("dims", "points")
 
     dims: tuple[int, int, int]
     points: frozenset[Index]
 
-    def __post_init__(self):
-        if not self.points:
+    def __init__(self, dims: tuple[int, int, int], points: frozenset[Index]) -> None:
+        if not points:
             raise ValueError("support must be nonempty")
-        for p in self.points:
-            _check_index(p, self.dims)
+        for p in points:
+            _check_index(p, dims)
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "points", points)
 
     @classmethod
     def _unchecked(cls, dims: tuple[int, int, int], points: frozenset[Index]) -> Support:
-        """A Support of points already known to be valid, built without __post_init__."""
+        """A Support of points already known to be valid, built without the checks."""
         s = object.__new__(cls)
         object.__setattr__(s, "dims", dims)
         object.__setattr__(s, "points", points)
         return s
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Support is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("Support is immutable")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.dims == other.dims and self.points == other.points
+
+    def __hash__(self):
+        return hash((self.dims, self.points))
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}(dims={self.dims!r}, points={self.points!r})"
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the checks: __setattr__ refuses the default way.
+        return type(self), (self.dims, self.points)
 
 
 class Tensor:
@@ -81,6 +107,14 @@ class Tensor:
     entries: Mapping[Index, Fraction]
 
     def __init__(self, dims: Iterable[int], entries) -> None:
+        """entries: a mapping or an iterable of (point, coefficient) pairs.
+
+        The one checker of every tensor's input.  The first rule broken
+        raises ValueError, in this order: dims are three positive integers;
+        then, pair by pair, the point is in range (`_check_index`), the
+        coefficient is nonzero and the point is not a repeat; then there is
+        an entry, and the tensor is not simple.
+        """
         dims = tuple(dims)
         if len(dims) != 3 or not all(type(d) is int and d > 0 for d in dims):
             raise ValueError(f"dims must be three positive integers, got {_echo(dims)}")
@@ -90,7 +124,7 @@ class Tensor:
             point = tuple(key)
             _check_index(point, dims)
             c = coeff if isinstance(coeff, Fraction) else Fraction(coeff)
-            if c == 0:
+            if not c:
                 raise ValueError(f"zero coefficient at {_echo(point)}")
             if point in norm:
                 raise ValueError(f"duplicate entry at {_echo(point)}")
@@ -275,7 +309,6 @@ def to_json(t: Tensor) -> str:
 
 
 _INTEGER = re.compile(r"-?[0-9]+")
-_RECORD_KEYS = frozenset(("i", "j", "k", "num", "den"))
 
 
 def _coefficient_part(x, point: Index) -> int:
@@ -301,7 +334,17 @@ def _coefficient(num, den, point: Index) -> Fraction:
 
 
 def from_json(text: str) -> Tensor:
-    """Parse the tensor file format, validating structure and coefficient rules."""
+    """Parse the tensor file format.
+
+    One pass reads the records and `Tensor.__init__`, the checker of every
+    tensor, makes one more.  The first rule broken raises ValueError, in this
+    order: the text is JSON, an object of exactly "dims" and "entries", both
+    lists; then, record by record in file order, the record is an object
+    with the fields i, j, k, num and den (other keys are ignored), and num
+    and den make a coefficient; then the rules of `Tensor`: dims, then
+    index, zero and duplicate for each point in file order, then at least
+    one entry and no simple tensor.
+    """
     try:
         doc = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
@@ -317,10 +360,10 @@ def from_json(text: str) -> Tensor:
     coeffs: dict[tuple[str, str], Fraction] = {}
     entries: list[tuple[Index, Fraction]] = []
     for rec in raw:
-        if not (isinstance(rec, dict) and rec.keys() >= _RECORD_KEYS):
-            raise ValueError(f"bad entry record: {_echo(rec)}")
-        point = (rec["i"], rec["j"], rec["k"])
-        num, den = rec["num"], rec["den"]
+        try:
+            point, num, den = (rec["i"], rec["j"], rec["k"]), rec["num"], rec["den"]
+        except (KeyError, TypeError):  # not an object, or a field missing
+            raise ValueError(f"bad entry record: {_echo(rec)}") from None
         if type(num) is str and type(den) is str:
             c = coeffs.get((num, den))
             if c is None:
@@ -328,14 +371,28 @@ def from_json(text: str) -> Tensor:
         else:
             c = _coefficient(num, den, point)
         entries.append((point, c))
-    # Tensor checks the indices, zero coefficients and duplicates.
     return Tensor(dims, entries)
 
 
 def read_tensor(path: str) -> Tensor:
-    """Read a tensor file; '-' reads from stdin."""
-    if path == "-":
-        return from_json(sys.stdin.read())
-    with open(path, "r", encoding="utf-8") as fh:
-        return from_json(fh.read())
+    """Read a tensor file; '-' reads from stdin.
 
+    The garbage collector is paused while the text is parsed, and left as the
+    caller had it, enabled or disabled, whether the parse succeeds or raises.
+    A parse makes one object per record and per field, none in a cycle, so
+    the collections they would trigger free nothing and scan every object the
+    process holds.  The pause is process-wide: other threads get no cyclic
+    collection during it either.
+    """
+    if path == "-":
+        text = sys.stdin.read()
+    else:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return from_json(text)
+    finally:
+        if enabled:
+            gc.enable()

@@ -1,4 +1,5 @@
-"""The public names of `irrev`: those of the numpy-backed modules load on first use."""
+"""The public names of `irrev`: those of `diagonal` and of the numpy-backed modules load
+on first use."""
 
 import inspect
 import json
@@ -30,7 +31,7 @@ import json, sys
 import irrev
 public = [n for n in dir(irrev) if not n.startswith("_")]
 numpy_after_import = "numpy" in sys.modules
-submodules = {n: getattr(irrev, n).__name__ for n in ("barriers", "entropy", "linalg")}
+submodules = {n: getattr(irrev, n).__name__ for n in ("barriers", "diagonal", "entropy", "linalg")}
 star = {}
 exec("from irrev import *", star)
 print(json.dumps({"public": public, "numpy_after_import": numpy_after_import,
@@ -46,8 +47,28 @@ def test_bare_import_lists_every_name_and_loads_no_numpy():
     child = json.loads(proc.stdout)
     assert child["public"] == PUBLIC
     assert child["numpy_after_import"] is False
-    assert child["submodules"] == {n: f"irrev.{n}" for n in ("barriers", "entropy", "linalg")}
+    assert child["submodules"] == {n: f"irrev.{n}"
+                                   for n in ("barriers", "diagonal", "entropy", "linalg")}
     assert child["star"] == PUBLIC
+
+
+# What `import irrev, irrev.cli` leaves unloaded: numpy, and dataclasses (with
+# inspect, ast, dis and tokenize), which only diagonal and the numpy-backed
+# modules use.
+UNLOADED_BY_IMPORT = ("numpy", "dataclasses", "irrev.diagonal")
+
+_LOADED_CHILD = """
+import json, sys
+import irrev, irrev.cli
+print(json.dumps([m for m in sys.argv[1:] if m in sys.modules]))
+"""
+
+
+def test_package_and_cli_load_no_numpy_dataclasses_or_diagonal():
+    proc = subprocess.run([sys.executable, "-c", _LOADED_CHILD, *UNLOADED_BY_IMPORT],
+                          env=CHILD_ENV, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
 
 
 def test_every_public_name_is_the_defining_modules_object():

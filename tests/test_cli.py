@@ -572,6 +572,48 @@ def test_gen_and_diag_load_no_numpy_and_irr_loads_it_on_demand(tmp_path, capsys)
         assert [code, out] == list(run_cli(capsys, argv)[:2])
 
 
+# Runs the full parser (help, no command, an unknown one) and the parsers of
+# irr and diag, then reports which of the deferred modules loaded.
+_PARSERS_CHILD = """
+import contextlib, io, json, sys
+import irrev.cli
+
+runs = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = irrev.cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    runs.append([code, out.getvalue(), err.getvalue()])
+deferred = ("numpy", "irrev.entropy", "irrev.diagonal")
+print(json.dumps({"runs": runs, "loaded": [m for m in deferred if m in sys.modules]}))
+"""
+_PARSER_ARGVS = [["--help"], [], ["nope"], ["irr", "--help"], ["diag", "--help"]]
+
+
+def test_help_bare_and_unknown_command_load_no_numpy(capsys, monkeypatch):
+    # One help width in both processes: argparse wraps to $COLUMNS.
+    monkeypatch.setenv("COLUMNS", "80")
+    proc = subprocess.run(
+        [sys.executable, "-c", _PARSERS_CHILD, json.dumps(_PARSER_ARGVS)],
+        env={**CHILD_ENV, "COLUMNS": "80"}, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    child = json.loads(proc.stdout)
+    assert child["loaded"] == []
+    # The same exit codes and text as in this process, where every module is loaded.
+    for argv, run in zip(_PARSER_ARGVS, child["runs"]):
+        code = _exit_code(argv)
+        out = capsys.readouterr()
+        assert run == [code, out.out, out.err], argv
+    irr_help, diag_help = (" ".join(run[1].split()) for run in child["runs"][3:])
+    assert "--tol TOL optimizer tolerance (default 1e-10)" in irr_help
+    assert "--iter-budget ITER_BUDGET iteration budget for the entropy optimizer" in irr_help
+    assert "--budget BUDGET search node budget (default 100000000)" in diag_help
+
+
 _BIG = [0] * 100_000
 
 

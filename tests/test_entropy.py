@@ -500,6 +500,21 @@ def test_grid_leads_cover_each_vector_once(p, block):
         assert len(set(columns)) == len(columns) == math.comb(R + p, p)
 
 
+def test_grid_max_at_six_points_holds_one_block_of_heads():
+    # (m, R) = (6, 97) scores C(101, 4) lines, the most the grid limit allows
+    # at 6 points.  Building every head at once, plus the list it was stacked
+    # from, peaked at 9.0 MB; a block of heads at a time peaks at 4.7 MB.
+    points = sorted([(0, 0, 1), (0, 1, 0), (1, 0, 0), (1, 1, 2), (2, 1, 1), (2, 2, 0)])
+    tracemalloc.start()
+    try:
+        value = _grid_max(points, (1 / 3, 1 / 3, 1 / 3), 97)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5.5e6
+    assert value == 1.5848096881785816  # as with every head built at once
+
+
 _CELLS = [(a, b, c) for a in range(3) for b in range(3) for c in range(3)]
 
 

@@ -1,5 +1,9 @@
+import copy
+import gc
 import json
+import pickle
 import random
+import sys
 from fractions import Fraction
 from itertools import product
 
@@ -422,6 +426,26 @@ def test_support_rejects_bad_points(points):
         Support((2, 2, 2), frozenset(points))
 
 
+def test_support_is_an_immutable_value():
+    a = Support((2, 2, 2), frozenset({(0, 0, 1), (1, 0, 0)}))
+    b = Support((2, 2, 2), frozenset([(1, 0, 0), (0, 0, 1)]))
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != Support((2, 2, 3), a.points)
+    assert a != Support((2, 2, 2), frozenset({(0, 0, 1)}))
+    assert a != (a.dims, a.points)
+    assert w().support() == Support((2, 2, 2), frozenset(w().entries))
+    assert (repr(Support((2, 2, 2), frozenset({(0, 0, 1)})))
+            == "Support(dims=(2, 2, 2), points=frozenset({(0, 0, 1)}))")
+    for name in ("dims", "points", "other"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, None)
+    with pytest.raises(AttributeError):
+        del a.dims
+    assert a == b
+    for twin in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+        assert twin == a and type(twin) is Support
+
+
 def test_tensor_support_checks_no_point_again(monkeypatch):
     t = w()
     calls = []
@@ -477,3 +501,139 @@ def test_from_json_rejects_bad_points_with_cached_coefficients(record):
     records = [record, record] if record[:3] == (1, 1, 1) else [record]
     with pytest.raises(ValueError, match="duplicate|index"):
         from_json(_doc_with(*records))
+
+
+def _rec(i, j, k, num="1", den="1", **extra):
+    return {"i": i, "j": j, "k": k, "num": num, "den": den, **extra}
+
+
+_W_RECORDS = [_rec(0, 0, 1), _rec(0, 1, 0), _rec(1, 0, 0)]
+
+
+def _file(entries, dims=(2, 2, 2)) -> str:
+    return json.dumps({"dims": list(dims), "entries": entries})
+
+
+def _w_plus(*records) -> str:
+    return _file(_W_RECORDS + list(records))
+
+
+_AT = "at (1, 1, 1)"
+_NOT_INTEGER = f"num and den must be integer strings or integers {_AT}, got "
+_INDEX = "index {} must be integers in range for dims (2, 2, 2)"
+
+# (file, the one error message the reader gives).  The cases with several
+# faults pin which one wins.
+READER_ERRORS = {
+    "not-object": ("[]", 'tensor file must be {"dims": [...], "entries": [...]}'),
+    "extra-top-key": (json.dumps({"dims": [2, 2, 2], "entries": [], "x": 1}),
+                      'tensor file must be {"dims": [...], "entries": [...]}'),
+    "dims-not-list": (json.dumps({"dims": 2, "entries": []}), "dims and entries must be lists"),
+    "record-list": (_file([[0, 0, 1, "1", "1"]] + _W_RECORDS),
+                    "bad entry record: [0, 0, 1, ...]"),
+    "record-missing-den": (_file([{"i": 1, "j": 1, "k": 1, "num": "1"}] + _W_RECORDS),
+                           "bad entry record: {'i': 1, 'j': 1, 'k': 1, ...}"),
+    "record-null": (_w_plus(None), "bad entry record: None"),
+    "record-string": (_w_plus("ijk"), "bad entry record: 'ijk'"),
+    "num-float": (_w_plus(_rec(1, 1, 1, num=1.5)), _NOT_INTEGER + "1.5"),
+    "num-bool": (_w_plus(_rec(1, 1, 1, num=True)), _NOT_INTEGER + "True"),
+    "den-bool": (_w_plus(_rec(1, 1, 1, den=False)), _NOT_INTEGER + "False"),
+    "den-zero": (_w_plus(_rec(1, 1, 1, den="0")), f"denominator must be positive {_AT}"),
+    "den-digits": (_w_plus(_rec(1, 1, 1, den="9" * 5000)),
+                   f"num and den have at most {sys.get_int_max_str_digits()} digits {_AT}"),
+    "dims-bool": (_file(_W_RECORDS, dims=(2, True, 2)),
+                  "dims must be three positive integers, got (2, True, 2)"),
+    "dims-two": (_file(_W_RECORDS, dims=(2, 2)), "dims must be three positive integers, got (2, 2)"),
+    "index-bool": (_w_plus(_rec(1, 1, True)), _INDEX.format("(1, 1, True)")),
+    "index-float": (_w_plus(_rec(1, 1.0, 1)), _INDEX.format("(1, 1.0, 1)")),
+    "index-range": (_w_plus(_rec(2, 0, 0)), _INDEX.format("(2, 0, 0)")),
+    "index-negative": (_w_plus(_rec(0, -1, 0)), _INDEX.format("(0, -1, 0)")),
+    "num-zero-string": (_w_plus(_rec(1, 1, 1, num="0")), f"zero coefficient {_AT}"),
+    "num-zero-integer": (_w_plus(_rec(1, 1, 1, num=0)), f"zero coefficient {_AT}"),
+    "num-minus-zero": (_w_plus(_rec(1, 1, 1, num="-0")), f"zero coefficient {_AT}"),
+    "duplicate": (_w_plus(_rec(0, 1, 0, num="2")), "duplicate entry at (0, 1, 0)"),
+    "empty": (_file([]), "tensor has no entries"),
+    "simple": (_file([_rec(0, 0, 0)]), "simple tensors u (x) v (x) w are not supported"),
+    # Several faults.  Reading: the first faulty record in file order.
+    "den-then-record": (_w_plus(_rec(1, 1, 1, den="-1"), [1]), f"denominator must be positive {_AT}"),
+    "record-then-den": (_w_plus([1], _rec(1, 1, 1, den="-1")), "bad entry record: [1]"),
+    # A coefficient fault in any record comes before dims and index faults.
+    "dims-then-num": (_file([_rec(5, 5, 5)] + _W_RECORDS + [_rec(1, 1, 1, num="x")], dims=(0, 2, 2)),
+                      _NOT_INTEGER + "'x'"),
+    "index-then-num": (_file([_rec(5, 5, 5)] + _W_RECORDS + [_rec(1, 1, 1, num=1.5)]),
+                       _NOT_INTEGER + "1.5"),
+    # Then dims before any index.
+    "index-then-dims": (_file([_rec(5, 5, 5)] + _W_RECORDS, dims=(2, 2, -2)),
+                        "dims must be three positive integers, got (2, 2, -2)"),
+    # Then point by point in file order: index, zero, duplicate.
+    "zero-then-index": (_w_plus(_rec(1, 1, 1, num="0"), _rec(9, 0, 0)), f"zero coefficient {_AT}"),
+    "index-then-zero": (_w_plus(_rec(9, 0, 0), _rec(1, 1, 1, num="0")), _INDEX.format("(9, 0, 0)")),
+    "zero-then-duplicate": (_w_plus(_rec(1, 1, 1, num="0"), _rec(0, 0, 1)), f"zero coefficient {_AT}"),
+    "duplicate-then-zero": (_w_plus(_rec(0, 0, 1), _rec(1, 1, 1, num="0")),
+                            "duplicate entry at (0, 0, 1)"),
+    "index-and-zero": (_w_plus(_rec(9, 0, 0, num="0")), _INDEX.format("(9, 0, 0)")),
+    "zero-and-duplicate": (_w_plus(_rec(0, 0, 1, num="0")), "zero coefficient at (0, 0, 1)"),
+    # Then the whole tensor: simple is checked after every point.
+    "duplicate-of-simple": (_file([_rec(0, 0, 0), _rec(0, 0, 0)]), "duplicate entry at (0, 0, 0)"),
+}
+
+
+@pytest.mark.parametrize("text, message", READER_ERRORS.values(), ids=READER_ERRORS.keys())
+def test_reader_error_messages_and_which_fault_wins(text, message):
+    with pytest.raises(ValueError) as err:
+        from_json(text)
+    assert str(err.value) == message
+
+
+def test_reader_accepts_extra_record_keys_and_integer_coefficients():
+    t = from_json(_file([_rec(0, 0, 1, note="x", weight=[1, 2]), _rec(0, 1, 0, num=3, den=2),
+                         _rec(1, 0, 0, num=-4, den="6")]))
+    assert dict(t.entries) == {(0, 0, 1): 1, (0, 1, 0): Fraction(3, 2), (1, 0, 0): Fraction(-2, 3)}
+
+
+@pytest.mark.parametrize("parse_fails", [False, True])
+@pytest.mark.parametrize("was_enabled", [True, False])
+def test_read_tensor_pauses_the_collector_and_restores_it(tmp_path, monkeypatch, was_enabled,
+                                                          parse_fails):
+    path = tmp_path / "t.json"
+    path.write_text(_w_plus(_rec(2, 0, 0)) if parse_fails else to_json(w()))
+    during = []
+    parse = tensor_module.from_json
+    monkeypatch.setattr(tensor_module, "from_json",
+                        lambda text: during.append(gc.isenabled()) or parse(text))
+    before = gc.isenabled()
+    try:
+        gc.enable() if was_enabled else gc.disable()
+        if parse_fails:
+            with pytest.raises(ValueError, match="index"):
+                tensor_module.read_tensor(str(path))
+        else:
+            assert tensor_module.read_tensor(str(path)) == w()
+        assert gc.isenabled() is was_enabled
+    finally:
+        gc.enable() if before else gc.disable()
+    assert during == [False]
+
+
+_ENTRY_MAPS = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 4), st.integers(0, 2)),
+    st.fractions(min_value=-50, max_value=50, max_denominator=30).filter(bool),
+    min_size=2, max_size=30,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_ENTRY_MAPS, st.randoms(use_true_random=False))
+def test_from_json_round_trip_keeps_the_entry_order(entries, rng):
+    try:
+        t = Tensor((4, 5, 3), entries)
+    except ValueError:  # simple
+        assume(False)
+    back = from_json(to_json(t))
+    assert back == t and list(back.entries) == sorted(t.entries)
+    # A file in any record order reads back in that order.
+    records = json.loads(to_json(t))["entries"]
+    rng.shuffle(records)
+    shuffled = from_json(_file(records, dims=t.dims))
+    assert shuffled == t
+    assert list(shuffled.entries) == [(r["i"], r["j"], r["k"]) for r in records]
