@@ -130,12 +130,13 @@ def _entropy_and_log2(m: np.ndarray) -> tuple[float, np.ndarray]:
     return float(-(m[pos] * logm[pos]).sum()), logm
 
 
-def _objective_and_scores(P: np.ndarray, enc: _AxisEncoding, th: tuple) -> tuple[float, np.ndarray, list]:
-    """Objective value, per-point scores g_a = -sum_i th_i log2 marginal_i(a_i),
-    and the marginals of P on all three axes, which every step reads.
+def _objective_and_scores(P: np.ndarray, enc: _AxisEncoding, th: tuple) -> tuple:
+    """The iterate (P, f, g, margs, gap) of the solve at P: the objective
+    value f, per-point scores g_a = -sum_i th_i log2 marginal_i(a_i), the
+    marginals of P on all three axes, which every step reads, and the gap.
 
     The objective equals sum_a P_a g_a; scores minus their P-average give the
-    concavity certificate max_a g_a - f >= f* - f.
+    concavity certificate gap = max_a g_a - f >= f* - f.
     """
     margs = [np.bincount(enc.idx[i], weights=P, minlength=enc.sizes[i]) for i in range(3)]
     f = 0.0
@@ -146,22 +147,22 @@ def _objective_and_scores(P: np.ndarray, enc: _AxisEncoding, th: tuple) -> tuple
         h, logm = _entropy_and_log2(margs[i])
         f += th[i] * h
         scores -= th[i] * logm[enc.idx[i]]
-    return f, scores, margs
+    return P, f, scores, margs, float(scores.max() - f)
 
 
 def _line_search(bases: list[np.ndarray], dirs: list[np.ndarray], th: tuple, gamma_max: float) -> float:
     """Exact maximization of the objective along marginal direction dirs.
 
     On m = base + gamma d, 0 <= gamma <= gamma_max, the objective phi is
-    concave with phi' = -sum_i th_i sum_c d_c log2 m_c (each d sums to zero)
-    and phi'' = -sum_i th_i sum_c d_c^2 / (m_c ln 2).  An entry the
-    direction empties (d_c < 0, m_c zero up to rounding) makes phi' = -inf.
-    Returns gamma_max when phi' >= 0 there; otherwise runs Newton's method on
-    phi' inside a sign-change bracket, bisecting when a step leaves it.
+    concave with phi' = -sum_i th_i sum_c d_c log2 m_c (each d sums to zero),
+    so phi' never increases along the segment.  An entry the direction
+    empties (d_c < 0, m_c zero up to rounding) makes phi' = -inf.  Returns
+    gamma_max when phi' >= 0 there; otherwise bisects on the sign of phi'
+    down to adjacent floats and returns the last gamma with phi' > 0.
     """
 
-    def derivs(gamma: float) -> tuple[float, float]:
-        d1 = d2 = 0.0
+    def slope(gamma: float) -> float:
+        d1 = 0.0
         for i in range(3):
             if th[i] == 0.0:
                 continue
@@ -169,31 +170,21 @@ def _line_search(bases: list[np.ndarray], dirs: list[np.ndarray], th: tuple, gam
             m = bases[i] + gamma * d
             pos = m > 1e-15 * bases[i]
             if (d[~pos] < 0).any():
-                return -math.inf, math.nan
-            d, m = d[pos], m[pos]
-            d1 -= th[i] * float(d @ np.log2(m))
-            d2 -= th[i] * float((d * d / m).sum())
-        return d1, d2 / _LN2
+                return -math.inf
+            d1 -= th[i] * float(d[pos] @ np.log2(m[pos]))
+        return d1
 
-    if derivs(gamma_max)[0] >= 0:
+    if slope(gamma_max) >= 0:
         return gamma_max
     lo, hi = 0.0, gamma_max
-    gamma = 0.5 * gamma_max
-    for _ in range(80):
-        d1, d2 = derivs(gamma)
-        if d1 == 0:
-            return gamma
-        if d1 > 0:
-            lo = gamma
+    mid = 0.5 * gamma_max
+    while lo < mid < hi:
+        if slope(mid) > 0:
+            lo = mid
         else:
-            hi = gamma
-        nxt = gamma - d1 / d2 if d2 < 0 else math.nan
-        if not lo < nxt < hi:
-            nxt = 0.5 * (lo + hi)
-        if abs(nxt - gamma) <= 1e-15 * nxt:
-            return nxt
-        gamma = nxt
-    return gamma
+            hi = mid
+        mid = 0.5 * (lo + hi)
+    return lo
 
 
 class _ActiveSystem:
@@ -276,24 +267,22 @@ def _newton_direction(margs: list, f: float, system: _ActiveSystem) -> np.ndarra
     return y[system.cols].sum(axis=1)
 
 
-def _newton_step(
-    P: np.ndarray, f: float, g: np.ndarray, margs: list, enc: _AxisEncoding, th: tuple, system: _ActiveSystem
-) -> tuple[np.ndarray, float, np.ndarray, list, float, str] | None:
-    """One Newton step along `_newton_direction`, or None.
+def _newton_step(it: tuple, enc: _AxisEncoding, th: tuple, system: _ActiveSystem) -> tuple[tuple, str] | None:
+    """One Newton step from the iterate `it` along `_newton_direction`, or None.
 
     Candidates, in order: if some active mass would go negative along delta,
     the step to the ratio-test boundary reach = min_a P_a / (-delta_a), with
     the first point to hit zero set to exactly 0 ("drop"); then the step
     clamped at zero and renormalized at damping 1, 1/2, 1/4, 1/8 ("newton").
-    Points outside the active set keep their mass.  Returns (P, f, g,
-    margs, gap, kind) for the first candidate that lowers the gap, else None.
+    Points outside the active set keep their mass.  Returns (iterate, kind)
+    for the first candidate that lowers the gap, else None.
     """
+    P, f, _, margs, gap = it
     delta = _newton_direction(margs, f, system)
     if delta is None:
         return None
     active = system.active
     x = P[active]
-    gap = float(g.max() - f)
     trials = [(damp, "newton") for damp in (1.0, 0.5, 0.25, 0.125)]
     neg = np.flatnonzero(x + delta < 0)
     if len(neg):
@@ -310,10 +299,38 @@ def _newton_step(
         if total <= 0:
             continue
         P2 /= total
-        f2, g2, margs2 = _objective_and_scores(P2, enc, th)
-        gap2 = float(g2.max() - f2)
-        if gap2 < gap:
-            return P2, f2, g2, margs2, gap2, kind
+        trial = _objective_and_scores(P2, enc, th)
+        if trial[4] < gap:
+            return trial, kind
+    return None
+
+
+def _frank_wolfe_step(it: tuple, enc: _AxisEncoding, th: tuple) -> tuple[tuple, str] | None:
+    """(iterate, kind) after one away-step Frank-Wolfe step from the iterate
+    `it`, or None if it neither raises the objective nor lowers the gap.  A
+    tiny step onto a dust point can lower the gap a lot while the
+    renormalisation moves f down by an ulp; it is taken."""
+    P, f, g, margs, gap = it
+    b = int(g.argmax())
+    # Away from an active point only: dust (mass at most 1e-14, left by
+    # a clamped Newton step) cannot move the objective.
+    a = int(np.where(P > 1e-14, g, np.inf).argmin())
+    # Toward b (s = 1) or away from a (s = -1): P + s gamma (e_v - P).
+    if g[b] - f >= f - g[a] or P[a] >= 1.0 - 1e-12:
+        v, s, gamma_max, kind = b, 1.0, 1.0, "toward"
+    else:
+        v, s, gamma_max, kind = a, -1.0, P[a] / (1.0 - P[a]), "away"
+    dirs = [-s * margs[i] for i in range(3)]
+    for i in range(3):
+        dirs[i][enc.idx[i][v]] += s
+    step = s * _line_search(margs, dirs, th, gamma_max)
+    P2 = (1.0 - step) * P
+    P2[v] += step
+    P2 = np.maximum(P2, 0.0)
+    P2 /= P2.sum()
+    trial = _objective_and_scores(P2, enc, th)
+    if trial[1] > f or trial[4] < gap:
+        return trial, kind
     return None
 
 
@@ -330,8 +347,8 @@ def rho_upper_on_support(
     ratio-test candidate drops a point at the boundary, so boundary optima
     (points whose optimal mass is zero while their score touches the
     maximum) take a few steps.  When Newton is refused, away-step
-    Frank-Wolfe with an exact line search (`_line_search`) moves toward the
-    best-scoring vertex or away from the worst active one, whichever
+    Frank-Wolfe with an exact line search (`_frank_wolfe_step`) moves toward
+    the best-scoring vertex or away from the worst active one, whichever
     linearizes better, and is taken if it raises the objective or lowers
     the gap.  An iteration where neither step makes progress raises
     BudgetExceededError.
@@ -349,74 +366,34 @@ def rho_upper_on_support(
     m = len(points)
     enc = _AxisEncoding(points)
 
-    def result(f: float, P: np.ndarray, margs: list, gap: float, it: int) -> RhoResult:
-        probs = np.maximum(P, 0.0)
-        probs = probs / probs.sum()
-        dist = SupportDistribution(points=tuple(points), probs=tuple(float(x) for x in probs))
-        entropies = tuple(_entropy_and_log2(m)[0] for m in margs)
-        return RhoResult(value=f, argmax=dist, residual=max(gap, 0.0), iterations=it, steps=steps,
-                         entropies=entropies)
-
-    def afw_step(P: np.ndarray, f: float, g: np.ndarray, margs: list, gap: float):
-        """(P, f, g, margs, gap, kind) after one away-step Frank-Wolfe step, or
-        None if it neither raises the objective nor lowers the gap.  A
-        tiny step onto a dust point can lower the gap a lot while the
-        renormalisation moves f down by an ulp; it is taken."""
-        b = int(g.argmax())
-        # Away from an active point only: dust (mass at most 1e-14, left by
-        # a clamped Newton step) cannot move the objective.
-        ga = np.where(P > 1e-14, g, np.inf)
-        a = int(ga.argmin())
-        toward = g[b] - f >= f - g[a] or P[a] >= 1.0 - 1e-12
-        dirs = []
-        for i in range(3):
-            if toward:
-                d = -margs[i]
-                d[enc.idx[i][b]] += 1.0
-            else:
-                d = margs[i].copy()
-                d[enc.idx[i][a]] -= 1.0
-            dirs.append(d)
-        gamma_max = 1.0 if toward else P[a] / (1.0 - P[a])
-        gamma = _line_search(margs, dirs, th, gamma_max)
-        if toward:
-            P2 = (1.0 - gamma) * P
-            P2[b] += gamma
-            kind = "toward"
-        else:
-            P2 = (1.0 + gamma) * P
-            P2[a] -= gamma
-            P2 = np.maximum(P2, 0.0)
-            kind = "away"
-        P2 /= P2.sum()
-        f2, g2, margs2 = _objective_and_scores(P2, enc, th)
-        gap2 = float(g2.max() - f2)
-        if f2 > f or gap2 < gap:
-            return P2, f2, g2, margs2, gap2, kind
-        return None
-
-    P = np.full(m, 1.0 / m)
-    f, g, margs = _objective_and_scores(P, enc, th)
-    gap = float(g.max() - f)
+    it = _objective_and_scores(np.full(m, 1.0 / m), enc, th)
     steps = dict.fromkeys(("newton", "drop", "toward", "away"), 0)
-    system = None
-    for it in range(1, iter_budget + 1):
-        if gap <= tol:
-            return result(f, P, margs, gap, it)
-        active = np.flatnonzero(P > 1e-14)
+    system = how = None
+    for k in range(1, iter_budget + 1):
+        if it[4] <= tol:
+            break
+        active = np.flatnonzero(it[0] > 1e-14)
         if system is None or not np.array_equal(active, system.active):
             system = _ActiveSystem(active, enc, th)
         # Both steps are deterministic, so a refused iteration would repeat.
-        step = _newton_step(P, f, g, margs, enc, th, system) or afw_step(P, f, g, margs, gap)
+        step = _newton_step(it, enc, th, system) or _frank_wolfe_step(it, enc, th)
         if step is None:
+            how = f"stalled after {k}"
             break
-        P, f, g, margs, gap, kind = step
+        it, kind = step
         steps[kind] += 1
-    how = f"stalled after {it}" if step is None else f"within {iter_budget}"
-    raise BudgetExceededError(
-        f"no convergence to gap <= {tol} {how} iterations",
-        best=result(f, P, margs, gap, min(it, iter_budget)),
-    )
+    else:
+        # tol is checked before a step: one that reaches it last is over budget.
+        how = f"within {iter_budget}"
+    P, f, _, margs, gap = it
+    probs = np.maximum(P, 0.0)
+    probs = probs / probs.sum()
+    res = RhoResult(value=f, argmax=SupportDistribution(tuple(points), tuple(float(x) for x in probs)),
+                    residual=max(gap, 0.0), iterations=k, steps=steps,
+                    entropies=tuple(_entropy_and_log2(x)[0] for x in margs))
+    if how is None:
+        return res
+    raise BudgetExceededError(f"no convergence to gap <= {tol} {how} iterations", best=res)
 
 
 def rho_upper(

@@ -42,6 +42,13 @@ _ECHO.maxstring = _ECHO.maxlong = _ECHO.maxother = 16
 _echo = _ECHO.repr
 
 
+def _checked_dims(dims: Iterable[int]) -> tuple[int, int, int]:
+    dims = tuple(dims)
+    if len(dims) != 3 or not all(type(d) is int and d > 0 for d in dims):
+        raise ValueError(f"dims must be three positive integers, got {_echo(dims)}")
+    return dims
+
+
 def _check_index(point: Index, dims: tuple[int, int, int]) -> None:
     # Exactly int: bool and float indices are rejected, never coerced.
     i, j, k = point
@@ -60,7 +67,8 @@ class Support:
     dims: tuple[int, int, int]
     points: frozenset[Index]
 
-    def __init__(self, dims: tuple[int, int, int], points: frozenset[Index]) -> None:
+    def __init__(self, dims: Iterable[int], points: Iterable[Index]) -> None:
+        dims, points = _checked_dims(dims), frozenset(points)
         if not points:
             raise ValueError("support must be nonempty")
         for p in points:
@@ -115,9 +123,7 @@ class Tensor:
         coefficient is nonzero and the point is not a repeat; then there is
         an entry, and the tensor is not simple.
         """
-        dims = tuple(dims)
-        if len(dims) != 3 or not all(type(d) is int and d > 0 for d in dims):
-            raise ValueError(f"dims must be three positive integers, got {_echo(dims)}")
+        dims = _checked_dims(dims)
         items = entries.items() if isinstance(entries, Mapping) else entries
         norm: dict[Index, Fraction] = {}
         for key, coeff in items:
@@ -138,6 +144,13 @@ class Tensor:
 
     def __setattr__(self, name, value):
         raise AttributeError("Tensor is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("Tensor is immutable")
+
+    def __reduce__(self):
+        # As for Support: copy and pickle rebuild through the checks.
+        return Tensor, (self.dims, dict(self.entries))
 
     def support(self) -> Support:
         # __init__ checked every point.

@@ -46,6 +46,7 @@ from irrev.entropy import (
     ORACLE_GRID_LIMIT,
     _ActiveSystem,
     _AxisEncoding,
+    _frank_wolfe_step,
     _grid_leads,
     _grid_max,
     _line_search,
@@ -172,6 +173,101 @@ def test_line_search_away_step_stops_before_emptying_a_coordinate():
     assert objective(gamma) >= objective(0.0)
 
 
+def _search_slope(bases, dirs, th, gamma):
+    """phi' of `_line_search` at gamma, in its order of operations, so that
+    its sign agrees bit for bit with the one the search bisects on."""
+    d1 = 0.0
+    for i in range(3):
+        if th[i] == 0.0:
+            continue
+        m = bases[i] + gamma * dirs[i]
+        pos = m > 1e-15 * bases[i]
+        if (dirs[i][~pos] < 0).any():
+            return -math.inf
+        d1 -= th[i] * float(dirs[i][pos] @ np.log2(m[pos]))
+    return d1
+
+
+def _frank_wolfe_segments(seed):
+    """(points, th, P, v, s, gamma_max): the toward and the away segment of
+    away-step Frank-Wolfe at a random P on a random small support."""
+    rng = random.Random(seed)
+    points = sorted(_random_support(rng, rng.randint(3, 9), (4, 4, 4)).points)
+    th = [(1 / 3, 1 / 3, 1 / 3), (0.5, 0.0, 0.5), (0.899, 0.1, 0.001), (0.2, 0.3, 0.5)][seed % 4]
+    P = np.array([rng.choice((1e-9, 1.0)) * rng.random() for _ in points])
+    P /= P.sum()
+    _, _, g, _, _ = _objective_and_scores(P, _AxisEncoding(points), th)
+    a = int(np.where(P > 1e-14, g, np.inf).argmin())
+    return [(points, th, P, int(g.argmax()), 1.0, 1.0), (points, th, P, a, -1.0, P[a] / (1.0 - P[a]))]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_line_search_returns_the_last_gamma_with_positive_slope(seed):
+    for points, th, P, v, s, gamma_max in _frank_wolfe_segments(seed):
+        enc = _AxisEncoding(points)
+        bases = [np.bincount(enc.idx[i], weights=P, minlength=enc.sizes[i]) for i in range(3)]
+        dirs = [s * ((np.arange(enc.sizes[i]) == enc.idx[i][v]) - bases[i]) for i in range(3)]
+        gamma = _line_search(bases, dirs, th, gamma_max)
+        if _search_slope(bases, dirs, th, gamma_max) >= 0:
+            assert gamma == gamma_max
+            continue
+        assert 0.0 <= gamma < gamma_max
+        assert gamma == 0.0 or _search_slope(bases, dirs, th, gamma) > 0
+        # The next float, within 1e-15 gamma above gamma, has phi' <= 0.
+        assert _search_slope(bases, dirs, th, np.nextafter(gamma, math.inf)) <= 0
+
+        def objective(x):
+            moved = np.maximum((1.0 - s * x) * P + s * x * (np.arange(len(P)) == v), 0.0)
+            return certificate_gap(points, moved / moved.sum(), th)[0]
+
+        best = objective(gamma)
+        for x in np.linspace(0.0, gamma_max, 9):
+            assert objective(x) <= best + 1e-12
+
+
+def _two_branch_frank_wolfe_move(it, enc, th):
+    """The away-step Frank-Wolfe move written as two branches, toward and
+    away: P after it, and the branch taken."""
+    P, f, g, margs, _ = it
+    b = int(g.argmax())
+    a = int(np.where(P > 1e-14, g, np.inf).argmin())
+    toward = g[b] - f >= f - g[a] or P[a] >= 1.0 - 1e-12
+    dirs = []
+    for i in range(3):
+        if toward:
+            d = -margs[i]
+            d[enc.idx[i][b]] += 1.0
+        else:
+            d = margs[i].copy()
+            d[enc.idx[i][a]] -= 1.0
+        dirs.append(d)
+    gamma = _line_search(margs, dirs, th, 1.0 if toward else P[a] / (1.0 - P[a]))
+    if toward:
+        P2 = (1.0 - gamma) * P
+        P2[b] += gamma
+    else:
+        P2 = (1.0 + gamma) * P
+        P2[a] -= gamma
+        P2 = np.maximum(P2, 0.0)
+    return P2 / P2.sum(), "toward" if toward else "away"
+
+
+@pytest.mark.parametrize("P, kind", [
+    (np.full(7, 1 / 7), "toward"),
+    (np.array([24, 7, 18, 5, 18, 7, 22]) / 101, "away"),
+])
+def test_frank_wolfe_step_is_the_two_branch_move_bit_for_bit(P, kind):
+    points = sorted([(0, 3, 2), (1, 2, 2), (1, 3, 0), (2, 0, 2), (2, 2, 2), (2, 2, 3), (3, 2, 1)])
+    th = (0.899, 0.1, 0.001)
+    enc = _AxisEncoding(points)
+    it = _objective_and_scores(P, enc, th)
+    expected, expected_kind = _two_branch_frank_wolfe_move(it, enc, th)
+    step = _frank_wolfe_step(it, enc, th)
+    assert step is not None and step[1] == expected_kind == kind
+    assert step[0][0].tobytes() == expected.tobytes()
+    assert step[0][1] > it[1]
+
+
 def test_rho_low_weight_axis_regression():
     # An away step on this support empties a coordinate of the low-weight
     # axis; solved exactly, the step must not lower the objective.
@@ -186,8 +282,10 @@ def _active_system(P, enc, th):
     return _ActiveSystem(np.flatnonzero(P > 1e-14), enc, th)
 
 
-def _newton(P, f, g, margs, enc, th):
-    return _newton_step(P, f, g, margs, enc, th, _active_system(P, enc, th))
+def _newton(P, enc, th):
+    """The iterate after one Newton step from P, or None."""
+    step = _newton_step(_objective_and_scores(P, enc, th), enc, th, _active_system(P, enc, th))
+    return step and step[0]
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -200,13 +298,12 @@ def test_newton_step_matches_dense_reference(seed):
     points = list(res.argmax.points)
     P = np.array(res.argmax.probs)
     enc = _AxisEncoding(points)
-    f, g, margs = _objective_and_scores(P, enc, th)
-    step = _newton(P, f, g, margs, enc, th)
+    step = _newton(P, enc, th)
     assert step is not None
     expected = np.maximum(P + dense_newton_direction(points, P, th), 0.0)
     expected /= expected.sum()
     assert np.abs(step[0] - expected).max() <= 1e-12
-    assert step[4] < g.max() - f
+    assert step[4] < _objective_and_scores(P, enc, th)[4]
 
 
 # Supports where B has null vectors beyond the sums of each axis's columns.
@@ -247,7 +344,7 @@ def _tight_case(name, kind):
 def test_newton_direction_matches_dense_reference_on_tight_supports(name, kind):
     points, th, P = _tight_case(name, kind)
     enc = _AxisEncoding(points)
-    f, _, margs = _objective_and_scores(P, enc, th)
+    _, f, _, margs, _ = _objective_and_scores(P, enc, th)
     delta = _newton_direction(margs, f, _active_system(P, enc, th))
     expected = dense_newton_direction(points, P, th)
     assert np.abs(delta - expected).max() <= 1e-9 * np.abs(expected).max()
@@ -271,11 +368,14 @@ def test_newton_basis_size_is_the_rank_of_G(name, th):
     assert len(system.basis) == rank < len(index)
 
 
-@pytest.mark.parametrize("points, th", [
+DUST_POINT_CASES = [
     ([(0, 3, 2), (1, 2, 2), (1, 3, 0), (2, 0, 2), (2, 2, 2), (2, 2, 3), (3, 2, 1)], (0.899, 0.1, 0.001)),
     ([(0, 1, 2), (1, 0, 3), (2, 0, 2), (3, 0, 0), (3, 1, 1), (3, 3, 3)], (0.1, 0.002, 0.898)),
     ([(0, 3, 2), (1, 3, 1), (2, 2, 2), (2, 3, 0), (3, 0, 2)], (0.6129012413929197, 0.005, 0.3820987586070803)),
-])
+]
+
+
+@pytest.mark.parametrize("points, th", DUST_POINT_CASES)
 def test_rho_converges_with_the_largest_score_on_a_dust_point(points, th):
     # A solve on these supports can reach a state whose largest score sits
     # on a point of mass about 1e-17, alone on its coordinate of the
@@ -284,6 +384,15 @@ def test_rho_converges_with_the_largest_score_on_a_dust_point(points, th):
     res = rho_upper_on_support(Support((4, 4, 4), frozenset(points)), Theta(*th))
     assert res.residual <= 1e-10
     _assert_certified(res, th)
+
+
+@pytest.mark.parametrize("case, steps", [(0, (7, 1, 4, 2)), (1, (7, 0, 2, 2)), (2, (5, 0, 3, 1))])
+def test_rho_dust_point_solves_take_pinned_steps(case, steps):
+    # Newton, drop, toward and away steps of the solves above: a change to a
+    # step or to the line search that moves the path shows here first.
+    points, th = DUST_POINT_CASES[case]
+    res = rho_upper_on_support(Support((4, 4, 4), frozenset(points)), Theta(*th))
+    assert res.steps == dict(zip(("newton", "drop", "toward", "away"), steps))
 
 
 @pytest.mark.parametrize("units, block, th", [
@@ -390,9 +499,7 @@ def test_newton_step_stops_at_ratio_test_and_drops_the_point():
     # first one reaches it.
     assert (P + delta).min() < 0
     reach, j = min((P[a] / -delta[a], a) for a in range(4) if delta[a] < 0)
-    enc = _AxisEncoding(points)
-    f, g, margs = _objective_and_scores(P, enc, th)
-    step = _newton(P, f, g, margs, enc, th)
+    step = _newton(P, _AxisEncoding(points), th)
     assert step is not None
     assert step[0][j] == 0.0
     expected = P + reach * delta
@@ -408,9 +515,7 @@ def test_newton_step_keeps_dust_masses():
     th = (1 / 3, 1 / 3, 1 / 3)
     P = np.array([0.386, 0.307, 1e-16, 0.307])
     P /= P.sum()
-    enc = _AxisEncoding(points)
-    f, g, margs = _objective_and_scores(P, enc, th)
-    step = _newton(P, f, g, margs, enc, th)
+    step = _newton(P, _AxisEncoding(points), th)
     assert step is not None
     assert step[0][2] == pytest.approx(P[2], rel=1e-9, abs=0.0)
     assert certificate_gap(points, step[0], th)[1] < certificate_gap(points, P, th)[1]

@@ -150,6 +150,25 @@ def test_tensor_immutable():
         t.entries[(0, 0, 1)] = Fraction(2)
 
 
+def test_tensor_refuses_del():
+    t = w()
+    for name in ("dims", "entries"):
+        with pytest.raises(AttributeError):
+            delattr(t, name)
+    assert t.dims == (2, 2, 2) and len(t.entries) == 3
+
+
+@pytest.mark.parametrize("t", [
+    w(),
+    tn(3),
+    Tensor((2, 3, 2), {(0, 0, 1): Fraction(3, 7), (1, 2, 0): -2}),
+], ids=["w", "tn3", "rational"])
+def test_tensor_copies_and_pickles_to_an_equal_tensor(t):
+    for twin in (copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
+        assert type(twin) is Tensor and twin == t and hash(twin) == hash(t)
+        assert twin.dims == t.dims and dict(twin.entries) == dict(t.entries)
+
+
 def test_kron_diagonals():
     assert set(kron(unit(2), unit(2)).entries) == set(unit(4).entries)
     assert kron(unit(2), unit(2)).dims == (4, 4, 4)
@@ -424,6 +443,22 @@ def test_tensor_rejects_float_and_bool_dims_and_indices(dims, entries):
 def test_support_rejects_bad_points(points):
     with pytest.raises(ValueError):
         Support((2, 2, 2), frozenset(points))
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 2, 2.5), (2, 2, 2, 2)])
+def test_support_rejects_bad_dims(dims):
+    with pytest.raises(ValueError, match="dims must be three positive integers"):
+        Support(dims, frozenset({(0, 0, 1), (1, 0, 0)}))
+
+
+@pytest.mark.parametrize("case", ["list points", "list dims"])
+def test_support_keeps_no_caller_container(case):
+    dims, points = [2, 2, 2], [(0, 0, 1), (1, 0, 0)]
+    s = Support(dims, frozenset(points)) if case == "list dims" else Support((2, 2, 2), points)
+    dims[0] = 5
+    points.append((1, 1, 1))
+    assert s.dims == (2, 2, 2) and s.points == frozenset({(0, 0, 1), (1, 0, 0)})
+    assert hash(s) == hash(Support((2, 2, 2), frozenset({(0, 0, 1), (1, 0, 0)})))
 
 
 def test_support_is_an_immutable_value():
