@@ -16,7 +16,6 @@ rectangular targets, the laser method on cw_q) strengthens the barrier.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 from itertools import combinations
@@ -37,6 +36,16 @@ from .entropy import (
 from .errors import BudgetExceededError, DegenerateInputError
 from .linalg import flattening_ranks
 from .tensor import Tensor, cw_big, cw_param, to_json, tn
+
+# The interpreter's own SHA-256, which loads no OpenSSL (hashlib's import
+# costs about 6 ms and 3.4 MB of RSS); hashlib where it is missing.
+try:
+    from _sha2 import sha256 as _sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256
+    except ImportError:
+        from hashlib import sha256 as _sha256
 
 
 @dataclass(frozen=True)
@@ -67,7 +76,7 @@ class BarrierReport:
 
 def tensor_content_id(t: Tensor) -> str:
     """Stable id for a tensor: short hash of its canonical serialization."""
-    return hashlib.sha256(to_json(t).encode()).hexdigest()[:12]
+    return _sha256(to_json(t).encode()).hexdigest()[:12]
 
 
 def _irr(log_rank: float, rho: float) -> float:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from typing import Sequence
 
 import numpy as np
@@ -413,9 +414,12 @@ def rho_upper(
 # Largest resolution, and count of lines or CW_q point-steps, the grid oracle scores.
 ORACLE_GRID_LIMIT = 1 << 22
 # Columns per block of the grid oracle: on a 2-vCPU x86_64 machine the
-# benchmark's oracle workload ran 7% slower at 2**12 and 10% at 2**16, with
-# peak RSS 42.3, 44.7 and 53.7 MB at 2**12, 2**14 and 2**16.
-_GRID_BLOCK = 1 << 14
+# benchmark's oracle workload (seeds 24-27) ran at 163-172 jobs/s at 2**12,
+# 160-169 at 2**13, 138 at 2**14 and 133 at 2**11, with peak RSS 38.1, 38.7
+# and 41.1 MB at 2**12, 2**13 and 2**14.  Smaller blocks let the best value
+# found prune more lines; 6 points at R = 97 took 0.88 s at 2**12, 1.27 s
+# at 2**14.
+_GRID_BLOCK = 1 << 12
 
 
 def _grid_leads(p: int, R: int, block: int = _GRID_BLOCK):
@@ -454,7 +458,7 @@ def _axis_groups(points: Sequence[Index]) -> list[list[tuple[int, ...]]]:
     return groups
 
 
-def _columns_objective(rows: np.ndarray, groups, th: tuple, xlogx) -> np.ndarray:
+def _columns_objective(rows: Sequence[np.ndarray], groups, th: tuple, xlogx) -> np.ndarray:
     """Weighted marginal entropy of each column of `rows` (one row per point).
 
     `xlogx` maps a marginal row to its terms p log2 p.  Each axis's terms
@@ -462,12 +466,12 @@ def _columns_objective(rows: np.ndarray, groups, th: tuple, xlogx) -> np.ndarray
     unit(2) maximum comes out as exactly 1.0.  A term shared by two axes
     (the same set of rows) is computed once.
     """
-    f = np.zeros(rows.shape[1])
+    f = np.zeros(len(rows[0]))
     terms: dict[tuple[int, ...], np.ndarray] = {}
     for i in range(3):
         if th[i] == 0.0:
             continue
-        h = np.zeros(rows.shape[1])
+        h = np.zeros(len(f))
         for g in groups[i]:
             if g not in terms:
                 marg = rows[g[0]]
@@ -480,6 +484,75 @@ def _columns_objective(rows: np.ndarray, groups, th: tuple, xlogx) -> np.ndarray
     return f
 
 
+def _grid_lines(points: Sequence[Index], th: tuple, R: int):
+    """The line search of `_grid_max` at resolution R, as (lines, search).
+
+    A column of `lead` holds the counts of all points but the last two, and
+    spans the line x + (S - x) of the last two, S = R - sum(lead).  On it
+    f(x + 1) - f(x) = rise(x) = sum_s w_s (drop[a_s + x] - drop[b_s - x]),
+    one side s per weighted axis whose groups part the last two points: a_s
+    counts the rest of the group of the first, b_s that of the second plus
+    S - 1, and drop[c] = t(c) - t(c + 1), t(c) = (c/R) log2 (c/R), is
+    strictly decreasing.  So side s rises iff x < r_s = (b_s - a_s + 1) // 2,
+    and the first x that does not rise (S if none) lies in [lo, hi] =
+    [min r_s, max r_s] clipped to [0, S]; lo = hi = 0 with no side, where f
+    is constant.  By discrete concavity, f on the line is at most
+    f0 + max(rise(x0), 0) (hi - x0) + max(-rise(x0 - 1), 0) (x0 - lo),
+    with f0 = f(x0) at x0 = (lo + hi) // 2.
+
+    lines(lead) returns (S, rests, lo, hi, f0, bound), the bound computed on
+    the lines with lo < hi only.  search(lead, best) bisects, inside
+    [lo, hi], each line whose bound reaches max(best, f0) less 1e-12 (so
+    that a tie is still searched) and returns the largest of best and f at
+    the points found.
+    """
+    m = len(points)
+    table = _xlog2x_rows(np.arange(R + 1) / R)
+    drop = table[:-1] - table[1:]
+    groups = _axis_groups(points)
+    sides = [(th[i], [r for r in a if r < m - 2], [r for r in b if r < m - 2])
+             for i in range(3) for a in groups[i] for b in groups[i]
+             if th[i] != 0.0 and m - 2 in a and m - 1 in b and a != b]
+
+    def f(counts):
+        return _columns_objective(counts, groups, th, table.take)
+
+    def rise(rests, x):
+        return sum((w * (drop[a + x] - drop[b - x]) for w, a, b in rests), 0 * x)
+
+    def lines(lead):
+        S = R - lead.sum(axis=0)
+        rests = [(w, sum((lead[r] for r in a), 0 * S), sum((lead[r] for r in b), S - 1))
+                 for w, a, b in sides]
+        roots = [(b - a + 1) >> 1 for _, a, b in rests] or [0 * S]
+        lo = np.minimum(np.maximum(reduce(np.minimum, roots), 0), S)
+        hi = np.minimum(np.maximum(reduce(np.maximum, roots), 0), S)
+        del roots
+        x = (lo + hi) >> 1
+        f0 = f([*lead, x, S - x])
+        cols = np.flatnonzero(lo < hi)
+        x, below, above = x[cols], lo[cols], hi[cols]
+        here = [(w, a[cols], b[cols]) for w, a, b in rests]
+        bound = f0.copy()
+        bound[cols] += (np.maximum(rise(here, x), 0) * (above - x)
+                        + np.maximum(-rise(here, np.maximum(x - 1, below)), 0) * (x - below))
+        return S, rests, lo, hi, f0, bound
+
+    def search(lead, best):
+        S, rests, lo, hi, f0, bound = lines(lead)
+        keep = np.flatnonzero(bound >= max(best, f0.max()) - 1e-12)
+        todo = keep[lo[keep] < hi[keep]]
+        while len(todo):
+            x = (lo[todo] + hi[todo]) // 2
+            up = rise([(w, a[todo], b[todo]) for w, a, b in rests], x) > 0
+            lo[todo[up]] = x[up] + 1
+            hi[todo[~up]] = x[~up]
+            todo = todo[lo[todo] < hi[todo]]
+        return float(f([*lead[:, keep], lo[keep], S[keep] - lo[keep]]).max(initial=best))
+
+    return lines, search
+
+
 def _grid_max(points: Sequence[Index], th: tuple, resolution: int) -> float:
     """Largest weighted marginal entropy over all distributions on `points`
     whose probabilities are multiples of 1/resolution.
@@ -487,36 +560,17 @@ def _grid_max(points: Sequence[Index], th: tuple, resolution: int) -> float:
     Integer counts, entropy terms looked up in a table of (c/R) log2 (c/R).
     The counts of all points but the last two are enumerated, as the columns
     of `_grid_leads(m - 2, R)`; the last two share the rest, S.  f is
-    concave, so discretely concave on each line x + (S - x): bisecting
-    on the sign of f(x + 1) - f(x) finds the line's maximum (up to signs at
-    rounding level) in about C(R + m - 2, m - 2) log2(R) column evaluations.
-    The value returned is f at the points found, a value f takes on the grid.
+    concave, so discretely concave on each line x + (S - x).  `_grid_lines`
+    brackets the maximum of each line, bounds f on it, and bisects only the
+    lines whose bound reaches the best f found.  The value returned is f at
+    the points found, a value f takes on the grid.
     """
-    R, m = resolution, len(points)
-    if m == 1:
+    if len(points) == 1:
         return 0.0  # the one grid point is a point mass
-    table = _xlog2x_rows(np.arange(R + 1) / R)
-    drop = table[:-1] - table[1:]
-    groups = _axis_groups(points)
-    # f(x + 1) - f(x) = sum th_i (drop[rest_a + x] - drop[rest_b + S - 1 - x])
-    # over the axes whose groups a and b part the last two points.
-    sides = [(th[i], [r for r in a if r < m - 2], [r for r in b if r < m - 2])
-             for i in range(3) for a in groups[i] for b in groups[i]
-             if th[i] != 0.0 and m - 2 in a and m - 1 in b and a != b]
+    _, search = _grid_lines(points, th, resolution)
     best = -math.inf
-    for lead in _grid_leads(m - 2, R):
-        S = R - lead.sum(axis=0)
-        rests = [(w, lead[a].sum(axis=0), lead[b].sum(axis=0) + S - 1) for w, a, b in sides]
-        lo, hi, todo = np.zeros_like(S), S.copy(), np.flatnonzero(S)
-        while len(todo):
-            x = (lo[todo] + hi[todo]) // 2
-            rise = sum((w * (drop[a[todo] + x] - drop[b[todo] - x]) for w, a, b in rests), 0 * x)
-            up = rise > 0
-            lo[todo[up]] = x[up] + 1
-            hi[todo[~up]] = x[~up]
-            todo = todo[lo[todo] < hi[todo]]
-        counts = np.vstack([lead, lo, S - lo])
-        best = max(best, float(_columns_objective(counts, groups, th, table.take).max()))
+    for lead in _grid_leads(len(points) - 2, resolution):
+        best = search(lead, best)
     return best
 
 
@@ -524,10 +578,13 @@ def rho_grid_oracle(t: Tensor, theta: Theta | None = None, resolution: int = 100
     """Brute-force lower estimate of the entropy maximum, for cross-checking.
 
     Dense mode returns the maximum over all distributions with denominator
-    `resolution` on supports of at most 6 points, bisecting the split
-    between the last two by concavity (see `_grid_max`).  For the
-    Coppersmith-Winograd families (recognized structurally) and uniform
-    theta, concavity plus support symmetry reduce the search to the
+    `resolution` on supports of at most 6 points.  The splits between the
+    last two points form lines on which the entropy is concave: the roots
+    of its per-axis slopes bracket each line's maximum, and a line is
+    bisected, inside its bracket, only when a concavity bound from the
+    bracket's midpoint reaches the best value found (see `_grid_lines`).
+    For the Coppersmith-Winograd families (recognized structurally) and
+    uniform theta, concavity plus support symmetry reduce the search to the
     symmetric family, handled at any size: all resolution + 1 steps of it
     are scored in one vectorized pass.  None of this shares code with the
     optimizer.  Grids over ORACLE_GRID_LIMIT raise ResourceLimitError

@@ -147,6 +147,42 @@ def naive_grid_max(points, theta, resolution: int) -> float:
     return best
 
 
+def reference_grid_max(points, th, resolution: int) -> float:
+    """The full-range line bisection that the bracketed grid search replaced.
+
+    The counts of all points but the last two come from `_grid_leads`; the
+    last two share the rest S.  Every line x + (S - x) is bisected over the
+    whole of [0, S] on the sign of f(x + 1) - f(x), and the result is the
+    largest f at the points found.
+    """
+    from irrev.entropy import _axis_groups, _columns_objective, _grid_leads, _xlog2x_rows
+
+    R, m = resolution, len(points)
+    if m == 1:
+        return 0.0
+    table = _xlog2x_rows(np.arange(R + 1) / R)
+    drop = table[:-1] - table[1:]
+    groups = _axis_groups(points)
+    sides = [(th[i], [r for r in a if r < m - 2], [r for r in b if r < m - 2])
+             for i in range(3) for a in groups[i] for b in groups[i]
+             if th[i] != 0.0 and m - 2 in a and m - 1 in b and a != b]
+    best = -math.inf
+    for lead in _grid_leads(m - 2, R):
+        S = R - lead.sum(axis=0)
+        rests = [(w, lead[a].sum(axis=0), lead[b].sum(axis=0) + S - 1) for w, a, b in sides]
+        lo, hi, todo = np.zeros_like(S), S.copy(), np.flatnonzero(S)
+        while len(todo):
+            x = (lo[todo] + hi[todo]) // 2
+            rise = sum((w * (drop[a[todo] + x] - drop[b[todo] - x]) for w, a, b in rests), 0 * x)
+            up = rise > 0
+            lo[todo[up]] = x[up] + 1
+            hi[todo[~up]] = x[~up]
+            todo = todo[lo[todo] < hi[todo]]
+        counts = np.vstack([lead, lo, S - lo])
+        best = max(best, float(_columns_objective(counts, groups, th, table.take).max()))
+    return best
+
+
 def certificate_gap(points, probs, theta) -> tuple[float, float]:
     """(f, max score - f) of a distribution on points, built from dicts.
 

@@ -572,6 +572,27 @@ def test_gen_and_diag_load_no_numpy_and_irr_loads_it_on_demand(tmp_path, capsys)
         assert [code, out] == list(run_cli(capsys, argv)[:2])
 
 
+_HASH_CHILD = """
+import contextlib, io, sys
+import irrev.cli
+
+with contextlib.redirect_stdout(io.StringIO()):
+    code = irrev.cli.main(["irr", sys.argv[1]])
+print(code, sorted({"hashlib", "_hashlib"} & set(sys.modules)))
+"""
+
+
+def test_irr_loads_no_openssl_for_the_tensor_id(tmp_path):
+    path = tmp_path / "w.json"
+    path.write_text(to_json(w()) + "\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", _HASH_CHILD, str(path)],
+        env=CHILD_ENV, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split(None, 1) == ["0", "[]\n"]
+
+
 # Runs the full parser (help, no command, an unknown one) and the parsers of
 # irr and diag, then reports which of the deferred modules loaded.
 _PARSERS_CHILD = """

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from irrev import (
@@ -41,6 +41,7 @@ from conftest import (
     naive_grid_max,
     random_unit_tensor,
     rank_mod_p,
+    reference_grid_max,
 )
 from irrev.entropy import (
     ORACLE_GRID_LIMIT,
@@ -48,6 +49,7 @@ from irrev.entropy import (
     _AxisEncoding,
     _frank_wolfe_step,
     _grid_leads,
+    _grid_lines,
     _grid_max,
     _line_search,
     _newton_direction,
@@ -663,6 +665,84 @@ def test_grid_max_plateaus():
         for resolution in (1, 7, 40):
             want = naive_grid_max(points, th, resolution)
             assert _grid_max(points, th, resolution) == pytest.approx(want, rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize("m, resolution", [(3, 1200), (4, 300), (5, 100)])
+def test_grid_max_matches_reference_bisection_at_workload_shapes(m, resolution):
+    rng = random.Random(7 * m + resolution)
+    for _ in range(2):
+        points = sorted(rng.sample(_CELLS, m))
+        weights = [rng.random() for _ in range(3)]
+        weights[rng.randrange(3)] = 0.0
+        for w in [(1.0, 1.0, 1.0), weights]:
+            th = tuple(v / sum(w) for v in w)
+            want = reference_grid_max(points, th, resolution)
+            assert _grid_max(points, th, resolution) == pytest.approx(want, rel=0, abs=1e-12)
+
+
+@st.composite
+def _grid_line_cases(draw):
+    """(points, theta, R, lead): a support, and the counts of all its points
+    but the last two, which span one line of the grid."""
+    points = sorted(draw(st.lists(st.sampled_from(_CELLS), min_size=2, max_size=6, unique=True)))
+    resolution = draw(st.integers(1, 40))
+    weights = draw(st.tuples(*[st.one_of(st.just(0.0), st.floats(0.05, 1.0))] * 3)
+                   .filter(lambda v: sum(v) > 0))
+    lead = []
+    for _ in range(len(points) - 2):
+        lead.append(draw(st.integers(0, resolution - sum(lead))))
+    return points, tuple(v / sum(weights) for v in weights), resolution, lead
+
+
+def _line_scan(case):
+    """The bracket and bound `_grid_lines` gives the line of `case`, and f at
+    every split x + (S - x) of its last two points, from dicts."""
+    points, th, resolution, lead = case
+    lines, _ = _grid_lines(points, th, resolution)
+    _, _, lo, hi, _, bound = lines(np.array(lead, dtype=np.intp).reshape(-1, 1))
+    S = resolution - sum(lead)
+    f = [certificate_gap(points, [c / resolution for c in (*lead, x, S - x)], th)[0]
+         for x in range(S + 1)]
+    return int(lo[0]), int(hi[0]), float(bound[0]), f
+
+
+_UNIFORM = (1 / 3, 1 / 3, 1 / 3)
+# Three sides with one root, 7 // 2; S = 0; no side at all, since the last
+# two points differ only on the axis of weight 0; the bracket [0, 4] with
+# the maximum at 1, left of its midpoint, and [0, 3] with it at 2, right.
+_LINE_EXAMPLES = [([(0, 0, 0), (1, 1, 1)], _UNIFORM, 7, []),
+                  ([(0, 0, 0), (0, 1, 1), (1, 0, 1)], _UNIFORM, 5, [5]),
+                  ([(0, 0, 0), (1, 1, 0), (1, 1, 1)], (0.5, 0.5, 0.0), 6, [2]),
+                  ([(0, 0, 0), (0, 0, 1), (1, 1, 0)], _UNIFORM, 8, [4]),
+                  ([(0, 0, 0), (0, 0, 1), (0, 1, 0)], _UNIFORM, 7, [3])]
+
+
+def _with_line_examples(test):
+    for case in _LINE_EXAMPLES:
+        test = example(case)(test)
+    return test
+
+
+@settings(max_examples=150, deadline=None)
+@given(_grid_line_cases())
+@_with_line_examples
+def test_grid_line_bracket_holds_the_first_split_that_does_not_rise(case):
+    lo, hi, _, f = _line_scan(case)
+    # Below lo every side rises, by more than 1e-5 at these weights and
+    # resolutions, so a rise of at most 1e-12 is rounding.
+    first = next((x for x in range(len(f) - 1) if f[x + 1] - f[x] <= 1e-12), len(f) - 1)
+    assert 0 <= lo <= first <= hi <= len(f) - 1
+    # With two points all sides share one root; with S = 0 the line is a point.
+    if len(case[0]) == 2 or case[2] == sum(case[3]):
+        assert lo == hi
+
+
+@settings(max_examples=150, deadline=None)
+@given(_grid_line_cases())
+@_with_line_examples
+def test_grid_line_bound_is_at_least_the_line_maximum(case):
+    _, _, bound, f = _line_scan(case)
+    assert bound >= max(f) - 1e-12
 
 
 def test_grid_oracle_refuses_grids_over_the_limit_before_allocating():
