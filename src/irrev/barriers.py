@@ -309,30 +309,34 @@ def barrier_rect(
     return _outer_barrier(irr, alpha, math.log2(a * b * c) / 3.0)
 
 
-def cw_laser_barrier(q: int, rank_mode: str = "flattening") -> float:
-    """Barrier for the laser method on cw_q with its standard outer structure.
-
-    rank_mode 'flattening' uses the certified rank bound log2(q+1);
-    'conjectured' assumes the conversion cost from diagonals is log2(q+2).
-    """
+def _cw_irr(q: int, rank_mode: str) -> float:
+    """The irreversibility bound of cw_q under rank_mode: 'flattening' uses
+    the certified rank bound log2(q+1); 'conjectured' assumes the conversion
+    cost from diagonals is log2(q+2)."""
     if q < 2:
         raise ValueError("needs q >= 2")
     if rank_mode not in ("flattening", "conjectured"):
         raise ValueError(f"rank_mode must be 'flattening' or 'conjectured', got {rank_mode!r}")
-    rho = cw_small_entropy_bound(q)
     log_rank = math.log2(q + 1) if rank_mode == "flattening" else math.log2(q + 2)
-    return _outer_barrier(log_rank / rho, binary_entropy(1.0 / 3.0), math.log2(q) / 3.0)
+    return _irr(log_rank, cw_small_entropy_bound(q))
+
+
+def cw_laser_barrier(q: int, rank_mode: str = "flattening") -> float:
+    """Barrier for the laser method on cw_q with its standard outer structure,
+    at the rank bound rank_mode names (see _cw_irr)."""
+    return _outer_barrier(_cw_irr(q, rank_mode), binary_entropy(1.0 / 3.0), math.log2(q) / 3.0)
 
 
 def cw_better_barrier(q: int) -> float:
     """Basic barrier for cw_q assuming the conjectured conversion cost log2(q+2)."""
-    if q < 2:
-        raise ValueError("needs q >= 2")
-    return 2.0 * math.log2(q + 2) / cw_small_entropy_bound(q)
+    return 2.0 * _cw_irr(q, "conjectured")
 
 
 # ---------------------------------------------------------------------------
 # Table generators
+
+TABLE_TOL = 1e-9
+CW_BIG_CROSS_CHECK_TOL = 1e-6
 
 
 def _table_range(table: str, var: str, lo: int, hi: int, first: int) -> range:
@@ -345,35 +349,31 @@ def _table_range(table: str, var: str, lo: int, hi: int, first: int) -> range:
 
 def cw_table(q_lo: int = 2, q_hi: int = 7) -> list[tuple[int, float]]:
     """Basic barrier for the small Coppersmith-Winograd family."""
-    return [(q, 2.0 * math.log2(q + 1) / cw_small_entropy_bound(q))
-            for q in _table_range("cw", "q", q_lo, q_hi, 2)]
+    return [(q, 2.0 * _cw_irr(q, "flattening")) for q in _table_range("cw", "q", q_lo, q_hi, 2)]
 
 
-def cw_big_table(
-    q_lo: int = 1,
-    q_hi: int = 6,
-    tol: float = 1e-9,
-    cross_check_tol: float = 1e-6,
-) -> list[tuple[int, float]]:
+def cw_big_table(q_lo: int = 1, q_hi: int = 6) -> list[tuple[int, float]]:
     """Basic barrier for the big Coppersmith-Winograd family.
 
     Each row is the closed form 2 log2(q+2) / f(argmax), cross-checked
-    against the general entropy optimizer on the actual support.
+    against the general entropy optimizer on the actual support at TABLE_TOL:
+    an ArithmeticError if they differ by more than CW_BIG_CROSS_CHECK_TOL.
     """
     rows = []
     for q in _table_range("cw_big", "q", q_lo, q_hi, 1):
         peak = cw_big_marginal_entropy(q, cw_big_entropy_argmax(q))
-        opt = rho_upper(cw_big(q), tol=tol)
-        if abs(peak - opt.value) > cross_check_tol:
+        opt = rho_upper(cw_big(q), tol=TABLE_TOL)
+        if abs(peak - opt.value) > CW_BIG_CROSS_CHECK_TOL:
             raise ArithmeticError(
                 f"closed form {peak} and optimizer {opt.value} disagree at q={q}"
             )
-        rows.append((q, 2.0 * math.log2(q + 2) / peak))
+        rows.append((q, 2.0 * _irr(math.log2(q + 2), peak)))
     return rows
 
 
-def tn_table(m_lo: int = 2, m_hi: int = 7, tol: float = 1e-9) -> list[tuple[int, int, float]]:
-    """Basic barrier for reduced polynomial multiplication tensors.
+def tn_table(m_lo: int = 2, m_hi: int = 7) -> list[tuple[int, int, float]]:
+    """Basic barrier for reduced polynomial multiplication tensors, with
+    rho solved at TABLE_TOL.
 
     Rows are (m, m - 1, barrier): m is the tensor size (indices 0..m-1), and
     m - 1 is the row index used by the conventional family table, which is
@@ -381,7 +381,7 @@ def tn_table(m_lo: int = 2, m_hi: int = 7, tol: float = 1e-9) -> list[tuple[int,
     """
     rows = []
     for m in _table_range("tn", "m", m_lo, m_hi, 2):
-        rho = rho_upper(tn(m), tol=tol)
+        rho = rho_upper(tn(m), tol=TABLE_TOL)
         rows.append((m, m - 1, 2.0 * _irr(math.log2(m), rho.value)))
     return rows
 

@@ -63,10 +63,6 @@ def is_free_diagonal(support: Support, points) -> bool:
     return True
 
 
-class _Budget(Exception):
-    pass
-
-
 def _slices(pts: list[Index], axis: int) -> list[int]:
     """Per point i, the bit mask of the points sharing its coordinate on `axis`."""
     rows: dict[int, list[int]] = {}
@@ -95,46 +91,57 @@ def max_free_diagonal(support: Support, node_budget: int = DEFAULT_NODE_BUDGET) 
     trapped point shares a coordinate with D. A branch is pruned when |D|
     plus the per-axis count of coordinates among the candidates cannot beat
     the incumbent. node_budget counts nodes, as do the result's counters.
+    The path is kept on a stack, not the call stack, so a diagonal of any
+    size is searched without a recursion limit.
     """
     if node_budget < 1:
         raise ValueError("node_budget must be positive")
     pts = sorted(support.points)
     s0, s1, s2 = slices = [_slices(pts, a) for a in range(3)]
     best_size = best_mask = nodes = bound_prunes = box_prunes = 0
-
-    def walk(cand: int, size: int, chosen: int, m0: int, m1: int, m2: int) -> None:
-        nonlocal best_size, best_mask, nodes, bound_prunes, box_prunes
-        if nodes == node_budget:
-            raise _Budget
+    exact = False
+    # The node being visited, and its ancestors' with their candidates left.
+    cand, size, chosen, m0, m1, m2 = (1 << len(pts)) - 1, 0, 0, 0, 0, 0
+    stack = []
+    push, pop = stack.append, stack.pop
+    while nodes < node_budget:
         nodes += 1
         if size > best_size:
             best_size, best_mask = size, chosen
-        if not cand:
-            return
-        room = best_size - size
-        for sa in slices:  # prune iff some axis has at most `room` coordinates left
-            left, k = cand, 0
-            while left and k <= room:
-                left &= ~sa[(left & -left).bit_length() - 1]
-                k += 1
-            if not left and k <= room:
-                bound_prunes += 1
-                return
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            i = low.bit_length() - 1
-            n0, n1, n2 = m0 | s0[i], m1 | s1[i], m2 | s2[i]
-            if n0 & n1 & n2 != chosen | low:
+        if cand:
+            room = best_size - size
+            for sa in slices:  # prune iff some axis has at most `room` coordinates left
+                left, k = cand, 0
+                while left and k <= room:
+                    left &= ~sa[(left & -left).bit_length() - 1]
+                    k += 1
+                if not left and k <= room:
+                    bound_prunes += 1
+                    cand = 0
+                    break
+        while True:  # on to the next node: a child of the nearest node with one
+            while cand:
+                low = cand & -cand
+                cand ^= low
+                i = low.bit_length() - 1
+                n0, n1, n2 = m0 | s0[i], m1 | s1[i], m2 | s2[i]
+                if n0 & n1 & n2 == chosen | low:
+                    break
                 box_prunes += 1
-                continue
-            walk(cand & ~(n0 | n1 | n2), size + 1, chosen | low, n0, n1, n2)
-
-    exact = True
-    try:
-        walk((1 << len(pts)) - 1, 0, 0, 0, 0, 0)
-    except _Budget:
-        exact = False
+            else:
+                if stack:
+                    cand, size, chosen, m0, m1, m2 = pop()
+                    continue
+                exact = True  # the tree is exhausted
+                break
+            push((cand, size, chosen, m0, m1, m2))
+            cand &= ~(n0 | n1 | n2)
+            size += 1
+            chosen |= low
+            m0, m1, m2 = n0, n1, n2
+            break
+        if exact:
+            break
     if not best_size:  # stopped at the root: any one point is a free diagonal
         best_size, best_mask = 1, 1
     witness = tuple(pts[i] for i, b in enumerate(bin(best_mask)[:1:-1]) if b == "1")

@@ -463,22 +463,18 @@ def _columns_objective(rows: Sequence[np.ndarray], groups, th: tuple, xlogx) -> 
 
     `xlogx` maps a marginal row to its terms p log2 p.  Each axis's terms
     are summed before the axis is weighted by theta, the order in which the
-    unit(2) maximum comes out as exactly 1.0.  A term shared by two axes
-    (the same set of rows) is computed once.
+    unit(2) maximum comes out as exactly 1.0.
     """
     f = np.zeros(len(rows[0]))
-    terms: dict[tuple[int, ...], np.ndarray] = {}
     for i in range(3):
         if th[i] == 0.0:
             continue
         h = np.zeros(len(f))
         for g in groups[i]:
-            if g not in terms:
-                marg = rows[g[0]]
-                for r in g[1:]:
-                    marg = marg + rows[r]
-                terms[g] = xlogx(marg)
-            h += terms[g]
+            marg = rows[g[0]]
+            for r in g[1:]:
+                marg = marg + rows[r]
+            h += xlogx(marg)
         h *= th[i]
         f -= h
     return f
@@ -658,8 +654,6 @@ def cw_big_entropy_argmax(q: int) -> float:
     """Maximizer of cw_big_marginal_entropy(q, .) on [0, 1/(3q)], in closed form."""
     if q < 1:
         raise ValueError("needs q >= 1")
-    if q == 1:
-        return (math.sqrt(33.0) - 3.0) / 18.0
-    if q == 2:
+    if q == 2:  # the general formula's 0/0
         return 1.0 / 9.0
     return (3.0 * q - math.sqrt(32.0 + q * q)) / (6.0 * (q * q - 4.0))

@@ -64,7 +64,7 @@ def test_criterion_01_cw_table():
 
 def test_criterion_02_cw_big_table_and_optimizer_agreement():
     t0 = time.perf_counter()
-    rows = cw_big_table(1, 6, tol=1e-9, cross_check_tol=1e-6)
+    rows = cw_big_table(1, 6)
     printed = [2.16, 2.17, 2.19, 2.20, 2.21, 2.23]
     for (_, got), want in zip(rows, printed):
         assert_truncated(got, want)
@@ -119,7 +119,7 @@ def test_criterion_05_w_tensor():
 
 
 def test_criterion_06_tn_table():
-    rows = tn_table(2, 7, tol=1e-10)
+    rows = tn_table(2, 7)
     m2 = rows[0][2]
     assert abs(m2 - 2.0 / H13) <= 1e-6
     assert math.floor(m2 * 1e5) / 1e5 == 2.17794

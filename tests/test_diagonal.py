@@ -98,6 +98,16 @@ def test_budget_degrades_to_inexact():
         max_free_diagonal(unit(2).support(), node_budget=0)
 
 
+def test_deep_diagonal_has_no_recursion_limit():
+    # The search path is 1,100 points deep, past the interpreter's default
+    # recursion limit of 1,000.  Budgeted, since the exhaustive search is
+    # cubic in the point count here.
+    n = 1100
+    res = max_free_diagonal(Support((n,) * 3, [(i, i, i) for i in range(n)]), node_budget=2000)
+    assert (res.size, res.exact, res.nodes) == (n, False, 2000)
+    assert res.witness == tuple((i, i, i) for i in range(n))
+
+
 def test_power_support_sizes():
     sup = power_support(w(), 2)
     assert sup.dims == (4, 4, 4)

@@ -610,7 +610,7 @@ def test_grid_leads_cover_each_vector_once(p, block):
 def test_grid_max_at_six_points_holds_one_block_of_heads():
     # (m, R) = (6, 97) scores C(101, 4) lines, the most the grid limit allows
     # at 6 points.  Building every head at once, plus the list it was stacked
-    # from, peaked at 9.0 MB; a block of heads at a time peaks at 4.7 MB.
+    # from, peaked at 9.0 MB; a block of 2^12 heads at a time peaks at 1.3 MB.
     points = sorted([(0, 0, 1), (0, 1, 0), (1, 0, 0), (1, 1, 2), (2, 1, 1), (2, 2, 0)])
     tracemalloc.start()
     try:
