@@ -162,7 +162,8 @@ def _diag_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("path", help="tensor file, or - for stdin")
     p.add_argument("--power", type=int, default=1, help="Kronecker power (default 1)")
     p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET,
-                   help=f"search node budget (default {DEFAULT_NODE_BUDGET})")
+                   help=f"search node budget (default {DEFAULT_NODE_BUDGET}); it bounds nodes, "
+                        "not time: each node scans every candidate left")
     _format_flag(p)
     _precision_flag(p)
 

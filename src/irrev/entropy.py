@@ -411,18 +411,25 @@ def rho_upper(
 # Independent grid oracle
 
 
-# Largest resolution, and count of lines or CW_q point-steps, the grid oracle scores.
+# Largest resolution, and count of lines or CW_q point-steps in its grid, the grid oracle takes.
 ORACLE_GRID_LIMIT = 1 << 22
-# Columns per block of the grid oracle: on a 2-vCPU x86_64 machine the
-# benchmark's oracle workload (seeds 24-27) ran at 163-172 jobs/s at 2**12,
-# 160-169 at 2**13, 138 at 2**14 and 133 at 2**11, with peak RSS 38.1, 38.7
-# and 41.1 MB at 2**12, 2**13 and 2**14.  Smaller blocks let the best value
-# found prune more lines; 6 points at R = 97 took 0.88 s at 2**12, 1.27 s
-# at 2**14.
+# Columns per block of the grid oracle.  On a 2-vCPU x86_64 machine, with
+# every line built, the benchmark's oracle workload (seeds 24-27) ran at
+# 163-172 jobs/s at 2**12, 160-169 at 2**13, 138 at 2**14 and 133 at 2**11,
+# with peak RSS 38.1, 38.7 and 41.1 MB at 2**12, 2**13 and 2**14.  With the
+# face bound of `_grid_max` it ran at 257-290 jobs/s and 38.3-38.5 MB at
+# each of 2**11 to 2**14, and 6 points at R = 97 took 8-11 ms.
 _GRID_BLOCK = 1 << 12
+# Multiplicative-weight steps toward the maximum of a face before it is
+# bounded.  On the same machine, over the 300 seeded oracle supports of
+# seeds 100-159, the median time against building every line was 0.43 at
+# m = 4 and 0.18 at m = 5 with 4 steps, 0.33 and 0.17 with 8 or 16; 6
+# points at R = 97 sent 2.1% of their lines to the line search with 4
+# steps, 0.5% with 8 and 0.09% with 16.
+_FACE_STEPS = 16
 
 
-def _grid_leads(p: int, R: int, block: int = _GRID_BLOCK):
+def _grid_leads(p: int, R: int, block: int = _GRID_BLOCK, keep=None):
     """Yield (p, n) int arrays, 0 < n <= block, whose columns are the vectors
     of p nonnegative ints with sum at most R, each exactly once.
 
@@ -432,11 +439,17 @@ def _grid_leads(p: int, R: int, block: int = _GRID_BLOCK):
     of heads are numbered in one flat range, cut into blocks.  For each
     block, searchsorted on the heads' start offsets finds the heads it
     overlaps, and np.repeat copies them.
+
+    `keep`, if given, maps each block of heads, at every level from the one
+    empty head up, to the columns to expand; the columns of the heads it
+    drops are never built.
     """
     if p == 0:
         yield np.zeros((0, 1), dtype=np.intp)
         return
-    for heads in _grid_leads(p - 1, R, block):
+    for heads in _grid_leads(p - 1, R, block, keep):
+        if keep is not None:
+            heads = keep(heads)
         offsets = np.concatenate([[0], np.cumsum(R + 1 - heads.sum(axis=0))])
         total = int(offsets[-1])
         for lo in range(0, total, block):
@@ -558,14 +571,59 @@ def _grid_max(points: Sequence[Index], th: tuple, resolution: int) -> float:
     of `_grid_leads(m - 2, R)`; the last two share the rest, S.  f is
     concave, so discretely concave on each line x + (S - x).  `_grid_lines`
     brackets the maximum of each line, bounds f on it, and bisects only the
-    lines whose bound reaches the best f found.  The value returned is f at
-    the points found, a value f takes on the grid.
+    lines whose bound reaches the best f found.
+
+    Before a head of 0 < k < m - 2 counts is expanded, f is bounded on its
+    face, where the other m - k points share S.  At any x0 in the face, the
+    scores s_p = -sum_i theta_i log2 marg_i(p_i) give f(x0) = sum_p s_p x0_p,
+    and they are the gradient of f less a constant, which the face's fixed
+    sum cancels.  So, f being concave, f <= sum_head s_p x0_p + (S/R) max_free
+    s_p on the face.  x0 is the even split of S after _FACE_STEPS
+    multiplicative-weight steps x_p <- x_p 2^s_p on the free points.  A head
+    whose bound is below the best f found less 1e-12 is dropped with all its
+    lines.  Each block of heads first searches the line through a grid
+    rounding of its best x0, so that best is already high when the block is
+    judged.  The value returned is f at the points found, a value f takes on
+    the grid.
     """
-    if len(points) == 1:
+    m, R = len(points), resolution
+    if m == 1:
         return 0.0  # the one grid point is a point mass
-    _, search = _grid_lines(points, th, resolution)
+    _, search = _grid_lines(points, th, R)
+    # One row per weighted axis and coordinate value: the marginals of x are
+    # M @ x, and w holds minus the weight of each row's axis.
+    groups = _axis_groups(points)
+    rows = [(-th[i], [r in g for r in range(m)]) for i in range(3) if th[i] != 0.0 for g in groups[i]]
+    w = np.array([r[0] for r in rows])[:, None]
+    M = np.array([r[1] for r in rows], dtype=float)
     best = -math.inf
-    for lead in _grid_leads(len(points) - 2, resolution):
+
+    def keep(heads):
+        nonlocal best
+        k = len(heads)
+        if k == 0:
+            return heads  # the bound on the whole grid is at least its maximum
+        S = R - heads.sum(axis=0)
+        share = np.full((m - k, heads.shape[1]), 1.0 / (m - k))
+        for step in range(_FACE_STEPS + 1):
+            x = np.vstack([heads / R, share * (S / R)])
+            # The floor meets only empty marginals: of points that all carry
+            # 0, where s x reads 0, or on a face with S = 0, where the bound
+            # is f(x0) whatever s is.  Each step keeps at least 2^-30 of
+            # every share, so no free marginal empties when S > 0.
+            s = M.T @ (w * np.log2(np.maximum(M @ x, 1e-300)))
+            if step < _FACE_STEPS:
+                share *= np.exp2(np.maximum(s[k:] - s[k:].max(axis=0), -30.0))
+                share /= share.sum(axis=0)
+        bound = (s[:k] * x[:k]).sum(axis=0) + S / R * s[k:].max(axis=0)
+        j = int((s * x).sum(axis=0).argmax())
+        cuts = np.rint(np.cumsum(share[:, j]) * S[j])
+        cuts[-1] = S[j]
+        lead = np.concatenate([heads[:, j], np.diff(cuts, prepend=0.0).astype(np.intp)])
+        best = search(lead[: m - 2, None], best)
+        return heads[:, ~(bound < best - 1e-12)]
+
+    for lead in _grid_leads(m - 2, R, keep=keep):
         best = search(lead, best)
     return best
 
@@ -579,6 +637,10 @@ def rho_grid_oracle(t: Tensor, theta: Theta | None = None, resolution: int = 100
     of its per-axis slopes bracket each line's maximum, and a line is
     bisected, inside its bracket, only when a concavity bound from the
     bracket's midpoint reaches the best value found (see `_grid_lines`).
+    Before any line is built, the counts of the first points are fixed one
+    at a time, and a face of the grid whose first-order concavity bound is
+    below the best value found is dropped with all its lines (see
+    `_grid_max`).
     For the Coppersmith-Winograd families (recognized structurally) and
     uniform theta, concavity plus support symmetry reduce the search to the
     symmetric family, handled at any size: all resolution + 1 steps of it

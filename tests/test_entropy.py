@@ -43,6 +43,7 @@ from conftest import (
     rank_mod_p,
     reference_grid_max,
 )
+from irrev import entropy
 from irrev.entropy import (
     ORACLE_GRID_LIMIT,
     _ActiveSystem,
@@ -607,19 +608,35 @@ def test_grid_leads_cover_each_vector_once(p, block):
         assert len(set(columns)) == len(columns) == math.comb(R + p, p)
 
 
+_SIX = sorted([(0, 0, 1), (0, 1, 0), (1, 0, 0), (1, 1, 2), (2, 1, 1), (2, 2, 0)])
+
+
 def test_grid_max_at_six_points_holds_one_block_of_heads():
-    # (m, R) = (6, 97) scores C(101, 4) lines, the most the grid limit allows
+    # (m, R) = (6, 97) spans C(101, 4) lines, the most the grid limit allows
     # at 6 points.  Building every head at once, plus the list it was stacked
-    # from, peaked at 9.0 MB; a block of 2^12 heads at a time peaks at 1.3 MB.
-    points = sorted([(0, 0, 1), (0, 1, 0), (1, 0, 0), (1, 1, 2), (2, 1, 1), (2, 2, 0)])
+    # from, peaked at 9.0 MB; a block of 2^12 heads at a time peaked at 1.3 MB
+    # with every line built, and at 0.9 MB with the face bound.
     tracemalloc.start()
     try:
-        value = _grid_max(points, (1 / 3, 1 / 3, 1 / 3), 97)
+        value = _grid_max(_SIX, (1 / 3, 1 / 3, 1 / 3), 97)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 5.5e6
     assert value == 1.5848096881785816  # as with every head built at once
+
+
+def test_grid_max_face_bound_keeps_most_lines_unbuilt(monkeypatch):
+    # Every lead column that reaches the line stage passes through `search`.
+    scored = []
+
+    def counting_grid_lines(*args):
+        lines, search = _grid_lines(*args)
+        return lines, lambda lead, best: scored.append(lead.shape[1]) or search(lead, best)
+
+    monkeypatch.setattr(entropy, "_grid_lines", counting_grid_lines)
+    assert _grid_max(_SIX, (1 / 3, 1 / 3, 1 / 3), 97) == 1.5848096881785816
+    assert sum(scored) < 0.05 * math.comb(101, 4)
 
 
 _CELLS = [(a, b, c) for a in range(3) for b in range(3) for c in range(3)]
@@ -667,17 +684,38 @@ def test_grid_max_plateaus():
             assert _grid_max(points, th, resolution) == pytest.approx(want, rel=0, abs=1e-12)
 
 
-@pytest.mark.parametrize("m, resolution", [(3, 1200), (4, 300), (5, 100)])
+@pytest.mark.parametrize("m, resolution", [(3, 1200), (4, 300), (5, 100), (6, 40)])
 def test_grid_max_matches_reference_bisection_at_workload_shapes(m, resolution):
+    # reference_grid_max builds every line; _grid_max drops the heads whose
+    # face bound falls below the best value found.  Weights: uniform, random,
+    # and random with one axis at 0 (no row in the bound) or 1e-9 (a row
+    # whose terms are near rounding size).
     rng = random.Random(7 * m + resolution)
     for _ in range(2):
         points = sorted(rng.sample(_CELLS, m))
         weights = [rng.random() for _ in range(3)]
-        weights[rng.randrange(3)] = 0.0
-        for w in [(1.0, 1.0, 1.0), weights]:
+        zero, tiny = weights.copy(), weights.copy()
+        axis = rng.randrange(3)
+        zero[axis], tiny[axis] = 0.0, 1e-9 * sum(weights)
+        for w in [(1.0, 1.0, 1.0), weights, zero, tiny]:
             th = tuple(v / sum(w) for v in w)
             want = reference_grid_max(points, th, resolution)
             assert _grid_max(points, th, resolution) == pytest.approx(want, rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize("points, th, resolutions", [
+    (sorted(unit(2).entries), (1 / 3, 1 / 3, 1 / 3), (2, 300, 1000)),
+    (sorted(unit(3).entries), (1 / 3, 1 / 3, 1 / 3), (30, 999)),
+    (sorted(unit(4).entries), (1 / 3, 1 / 3, 1 / 3), (4, 300)),
+    ([(0, 0, 0), (1, 1, 0), (1, 1, 1)], (0.5, 0.5, 0.0), (1, 7, 40)),
+    ([(0, 0, 0), (0, 1, 1), (1, 0, 0), (1, 1, 1)], (1.0, 0.0, 0.0), (1, 7, 40, 300)),
+], ids=["unit2", "unit3", "unit4", "3-points-weight-0", "4-points-weight-0"])
+def test_grid_max_matches_reference_bisection_on_plateaus(points, th, resolutions):
+    # The supports of test_grid_max_plateaus, and unit(4), where many heads
+    # tie with the maximum and faces of one head hold it.
+    for resolution in resolutions:
+        want = reference_grid_max(points, th, resolution)
+        assert _grid_max(points, th, resolution) == pytest.approx(want, rel=0, abs=1e-12)
 
 
 @st.composite
