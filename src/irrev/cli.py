@@ -270,6 +270,7 @@ def _cmd_diag(args) -> int:
             "nodes": res.nodes,
             "bound_prunes": res.bound_prunes,
             "box_prunes": res.box_prunes,
+            "root_orbits": res.root_orbits,
         }, args.precision)))
     else:
         print(f"size          {res.size}")

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import permutations
+from typing import Hashable, Mapping
 
 from .defaults import DEFAULT_NODE_BUDGET
 from .errors import ResourceLimitError
@@ -29,8 +31,10 @@ DEFAULT_POWER_POINT_LIMIT = 200_000
 @dataclass(frozen=True)
 class DiagonalResult:
     """Best free diagonal found; exact means the search tree was exhausted.
-    nodes counts the nodes visited, the prunes the branches cut by each test.
-    power is k when the search ran on the k-th Kronecker power of a support
+    nodes counts the nodes visited, the prunes the branches cut by each test,
+    root_orbits the root's branches: one per point, or one per orbit when
+    the search knows a symmetry group of the support. power is k when the
+    search ran on the k-th Kronecker power of a support
     (`monomial_subrank_power`), else 1; per_copy_rate = log2(size) / power."""
 
     size: int
@@ -39,6 +43,7 @@ class DiagonalResult:
     nodes: int
     bound_prunes: int
     box_prunes: int
+    root_orbits: int
     power: int = 1
 
     @property
@@ -63,21 +68,29 @@ def is_free_diagonal(support: Support, points) -> bool:
     return True
 
 
+def _bits(idx: list[int], n: int) -> int:
+    """The bit mask of the indices idx, all below n."""
+    bits = bytearray(n // 8 + 1)
+    for i in idx:
+        bits[i >> 3] |= 1 << (i & 7)
+    return int.from_bytes(bits, "little")
+
+
 def _slices(pts: list[Index], axis: int) -> list[int]:
     """Per point i, the bit mask of the points sharing its coordinate on `axis`."""
     rows: dict[int, list[int]] = {}
     for i, p in enumerate(pts):
         rows.setdefault(p[axis], []).append(i)
-    masks = {}
-    for c, idx in rows.items():
-        bits = bytearray(len(pts) // 8 + 1)
-        for i in idx:
-            bits[i >> 3] |= 1 << (i & 7)
-        masks[c] = int.from_bytes(bits, "little")
+    masks = {c: _bits(idx, len(pts)) for c, idx in rows.items()}
     return [masks[p[axis]] for p in pts]
 
 
-def max_free_diagonal(support: Support, node_budget: int = DEFAULT_NODE_BUDGET) -> DiagonalResult:
+def max_free_diagonal(
+    support: Support,
+    node_budget: int = DEFAULT_NODE_BUDGET,
+    *,
+    orbit_of: Mapping[Index, Hashable] | None = None,
+) -> DiagonalResult:
     """Exact branch-and-bound search for a maximum free diagonal.
 
     Point sets are int bitsets over the sorted support (bit i is pts[i]). A
@@ -93,15 +106,35 @@ def max_free_diagonal(support: Support, node_budget: int = DEFAULT_NODE_BUDGET) 
     the incumbent. node_budget counts nodes, as do the result's counters.
     The path is kept on a stack, not the call stack, so a diagonal of any
     size is searched without a recursion limit.
+
+    orbit_of, if given, labels each point by its orbit O under a group G of
+    maps of the support onto itself that send free diagonals to free
+    diagonals of the same size; it is trusted, not checked. The root then
+    branches once per orbit: O_j, taken in the order of their lowest points
+    r_j, gets the subtree of the D with r_j in D and no point of O_1, ...,
+    O_(j-1). Nothing is lost: a free D meets a first orbit O_j, in some p,
+    and a g in G with g(p) = r_j maps D into that subtree at the same size.
+    Without it each point is its own orbit, which is the plain tree.
     """
     if node_budget < 1:
         raise ValueError("node_budget must be positive")
     pts = sorted(support.points)
+    n = len(pts)
+    # free: the points of the orbits whose root branch has not been taken.
+    free = roots = (1 << n) - 1
+    orbit = None  # per point, the indices of its orbit's points
+    if orbit_of is not None:
+        members: dict[Hashable, list[int]] = {}
+        orbit = [members.setdefault(orbit_of[p], []) for p in pts]
+        for i, idx in enumerate(orbit):
+            idx.append(i)
+        roots = _bits([idx[0] for idx in members.values()], n)
+        del orbit_of, members  # a big power's labels go before its masks come
     s0, s1, s2 = slices = [_slices(pts, a) for a in range(3)]
     best_size = best_mask = nodes = bound_prunes = box_prunes = 0
     exact = False
     # The node being visited, and its ancestors' with their candidates left.
-    cand, size, chosen, m0, m1, m2 = (1 << len(pts)) - 1, 0, 0, 0, 0, 0
+    cand, size, chosen, m0, m1, m2 = roots, 0, 0, 0, 0, 0
     stack = []
     push, pop = stack.append, stack.pop
     while nodes < node_budget:
@@ -135,6 +168,9 @@ def max_free_diagonal(support: Support, node_budget: int = DEFAULT_NODE_BUDGET) 
                 exact = True  # the tree is exhausted
                 break
             push((cand, size, chosen, m0, m1, m2))
+            if not size:  # a root branch: the later ones avoid its orbit
+                cand = free
+                free &= ~(low if orbit is None else _bits(orbit[i], n))
             cand &= ~(n0 | n1 | n2)
             size += 1
             chosen |= low
@@ -145,7 +181,8 @@ def max_free_diagonal(support: Support, node_budget: int = DEFAULT_NODE_BUDGET) 
     if not best_size:  # stopped at the root: any one point is a free diagonal
         best_size, best_mask = 1, 1
     witness = tuple(pts[i] for i, b in enumerate(bin(best_mask)[:1:-1]) if b == "1")
-    return DiagonalResult(best_size, witness, exact, nodes, bound_prunes, box_prunes)
+    return DiagonalResult(best_size, witness, exact, nodes, bound_prunes, box_prunes,
+                          roots.bit_count())
 
 
 def power_support(t: Tensor, k: int) -> Support:
@@ -165,8 +202,50 @@ def power_support(t: Tensor, k: int) -> Support:
     return Support._unchecked((d0**k, d1**k, d2**k), frozenset(points))
 
 
+def _power_orbits(t: Tensor, k: int) -> dict[Index, int]:
+    """Label each point of supp(t^(x)k) by its orbit under the group G that
+    permutes the k factors and applies, to every factor at once, an axis
+    permutation that keeps t's dims and maps supp(t) onto itself.
+
+    Each generator permutes every axis's coordinates (possibly swapping
+    axes) and fixes the support, so G maps free diagonals to free diagonals
+    of the same size. A point is a word of base-point indices, one per
+    factor. Its orbit under the factor permutations is its sorted word, and
+    its label the number of the least sorted word over the axis permutations."""
+    base = sorted(t.entries)
+    dims = t.dims
+    where = {p: x for x, p in enumerate(base)}
+    autos = []  # the axis permutations that fix supp(t), acting on base indices
+    for perm in permutations(range(3)):
+        if all(dims[a] == dims[perm[a]] for a in range(3)):
+            image = [where.get((p[perm[0]], p[perm[1]], p[perm[2]])) for p in base]
+            if None not in image:
+                autos.append(image)
+    d0, d1, d2 = dims
+    number = {(): 0}  # sorted word -> its number, in order of appearance
+    label = {(0, 0, 0): 0}
+    for _ in range(k):  # as in power_support, with each point's sorted word's number
+        words, number = list(number), {}
+        grown = [[number.setdefault(tuple(sorted(word + (x,))), len(number))
+                  for x in range(len(base))] for word in words]
+        label = {(i * d0 + a, j * d1 + b, l * d2 + c): grown[w][x]
+                 for (i, j, l), w in label.items() for x, (a, b, c) in enumerate(base)}
+    least = [number[min(tuple(sorted(image[x] for x in word)) for image in autos)]
+             for word in number]
+    for p, w in label.items():
+        label[p] = least[w]
+    return label
+
+
 def monomial_subrank_power(t: Tensor, k: int, node_budget: int = DEFAULT_NODE_BUDGET) -> DiagonalResult:
     """Free-diagonal search on supp(t^(x)k); the rate log2(size)/k lower-bounds
-    log2 of the asymptotic monomial subrank (Fekete supremum over k)."""
-    found = max_free_diagonal(power_support(t, k), node_budget=node_budget)
+    log2 of the asymptotic monomial subrank (Fekete supremum over k).
+
+    The root branches once per orbit of `_power_orbits`' group G: for a free
+    D, take the first orbit O_j that D meets, at p; a g in G with
+    g(p) = r_j, the orbit's lowest point, maps D to a free diagonal of the
+    same size that contains r_j and misses O_1, ..., O_(j-1), the subtree
+    searched for O_j (see `max_free_diagonal`)."""
+    support = power_support(t, k)
+    found = max_free_diagonal(support, node_budget=node_budget, orbit_of=_power_orbits(t, k))
     return replace(found, power=k)

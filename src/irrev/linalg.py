@@ -144,9 +144,9 @@ def flattening_ranks(t: Tensor) -> tuple[int, int, int]:
     entry; else the rank over F_P of the dense nonzero-rows x nonzero-columns array if
     it reaches min(rows, cols) >= rank over Q >= rank mod P; else `rank_exact`.
 
-    The residues mod P are built once per call, with one inverse per distinct
-    denominator; a denominator that P divides sends every axis that is not free
-    to `rank_exact`."""
+    The residues mod P are built once per call, with one reduction per distinct
+    coefficient object and one inverse per distinct denominator; a denominator
+    that P divides sends every axis that is not free to `rank_exact`."""
     n = len(t.entries)
     coords = tuple(zip(*t.entries))
     pts = residues = None
@@ -158,11 +158,16 @@ def flattening_ranks(t: Tensor) -> tuple[int, int, int]:
         if pts is None:
             # dims below 2**31 keep the column key below 2**62
             pts = np.array(coords, dtype=object if max(t.dims) >= 2**31 else np.int64)
-            dens = {v.denominator for v in t.entries.values()}
+            # A file's equal coefficients share one Fraction (`tensor.from_json`),
+            # and hashing a Fraction costs more than reducing it, so each
+            # distinct object, told apart by id, is reduced once.
+            distinct = {id(v): v for v in t.entries.values()}
+            dens = {v.denominator for v in distinct.values()}
             if all(d % P for d in dens):
                 inv = {d: pow(d, -1, P) for d in dens}
-                residues = np.array([v.numerator * inv[v.denominator] % P
-                                     for v in t.entries.values()], dtype=np.int64)
+                residue = {i: v.numerator * inv[v.denominator] % P for i, v in distinct.items()}
+                residues = np.fromiter(map(residue.__getitem__, map(id, t.entries.values())),
+                                       dtype=np.int64, count=n)
         if residues is not None:
             rows, row_of = np.unique(pts[a], return_inverse=True)
             cols, col_of = np.unique(pts[b] * t.dims[c] + pts[c], return_inverse=True)

@@ -31,19 +31,27 @@ CHILD_ENV = {
 }
 
 
-def brute_force_max_free_diagonal(points) -> int:
+class _Budget(Exception):
+    pass
+
+
+def brute_force_max_free_diagonal(points, max_diagonals=None) -> int | None:
     """Largest free diagonal by exhaustive DFS over all diagonals.
 
     Subsets with pairwise-distinct coordinates are subset-closed, so the DFS
-    visits every diagonal; each is tested with the full predicate.
+    visits every diagonal; each is tested with the full predicate. With
+    max_diagonals, None once the DFS has visited that many diagonals.
     """
     pts = sorted(points)
     dims = tuple(max(p[a] for p in pts) + 1 for a in range(3))
     sup = Support(dims, frozenset(pts))
-    best = 0
+    best = visited = 0
 
     def dfs(start, chosen):
-        nonlocal best
+        nonlocal best, visited
+        visited += 1
+        if max_diagonals is not None and visited > max_diagonals:
+            raise _Budget
         if len(chosen) > best and is_free_diagonal(sup, chosen):
             best = len(chosen)
         for i in range(start, len(pts)):
@@ -51,12 +59,11 @@ def brute_force_max_free_diagonal(points) -> int:
             if all(p[a] != q[a] for q in chosen for a in (0, 1, 2)):
                 dfs(i + 1, chosen + [p])
 
-    dfs(0, [])
+    try:
+        dfs(0, [])
+    except _Budget:
+        return None
     return best
-
-
-class _Budget(Exception):
-    pass
 
 
 def reference_max_free_diagonal(support, node_budget=10**8):

@@ -310,6 +310,7 @@ def test_diag_json_counters(capsys, monkeypatch):
     assert code == 0 and doc["exact"] is False
     assert (doc["nodes"], doc["size"]) == (1000, 4)
     assert doc["bound_prunes"] > 0 and doc["box_prunes"] > 0
+    assert doc["root_orbits"] == 27  # of the 81 points of supp(z3^(x)2)
     # the text format has no counters
     code, out, _ = run_cli(capsys, argv, stdin=to_json(z3()), monkeypatch=monkeypatch)
     assert [line.split()[0] for line in out.splitlines()] == [

@@ -1,13 +1,15 @@
 import math
 import random
+from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from irrev import (
     ResourceLimitError,
     Support,
+    Tensor,
     cw,
     cw_big,
     is_free_diagonal,
@@ -23,7 +25,7 @@ from irrev import (
     z3,
 )
 from irrev import tensor as tensor_module
-from irrev.diagonal import DEFAULT_NODE_BUDGET
+from irrev.diagonal import DEFAULT_NODE_BUDGET, _power_orbits
 from conftest import (
     brute_force_max_free_diagonal,
     random_unit_tensor,
@@ -242,3 +244,133 @@ def test_witness_free_and_exact_size_brute_force(sup, budget):
     assert is_free_diagonal(sup, res.witness) and len(res.witness) == res.size
     if res.exact:
         assert res.size == brute_force_max_free_diagonal(sup.points)
+
+
+def test_plain_search_branches_on_every_point():
+    for t in (w(), z3(), tn(3)):
+        assert max_free_diagonal(t.support()).root_orbits == len(t.entries)
+
+
+@pytest.mark.parametrize(
+    "t, k, want",
+    [(w(), 4, (6, True, 9189, 4)), (z3(), 2, (4, True, 4163, 27))],
+    ids=["w^4", "z3^2"],
+)
+def test_power_search_node_counts_pinned(t, k, want):
+    # The plain tree takes 92,360 and 11,125 nodes: the root's 81 points
+    # fall into 4 orbits on W^4, and 27 on z3^2.
+    res = monomial_subrank_power(t, k)
+    assert (res.size, res.exact, res.nodes, res.root_orbits) == want
+
+
+def test_power_search_stopped_at_the_root_reports_the_least_point():
+    for t, k in ((w(), 1), (w(), 3), (z3(), 2)):
+        res = monomial_subrank_power(t, k, node_budget=1)
+        assert (res.size, res.exact, res.nodes) == (1, False, 1)
+        assert res.witness == (min(power_support(t, k).points),)
+
+
+_AXIS_MAPS = {
+    "swap": [lambda p: (p[1], p[0], p[2])],
+    "cycle": [lambda p: (p[1], p[2], p[0])],
+    "both": [lambda p: (p[1], p[0], p[2]), lambda p: (p[1], p[2], p[0])],
+}
+
+
+@st.composite
+def _small_tensors(draw):
+    """0/1 tensors in a box of at most 3^3 with at most 5 points, some closed
+    under an axis swap, the 3-cycle of the axes, or both."""
+    sym = draw(st.sampled_from([None, "swap", "cycle", "both"]))
+    if sym is None:
+        dims = tuple(draw(st.integers(1, 3)) for _ in range(3))
+    else:
+        dims = (draw(st.integers(2, 3)),) * 3
+    cells = sorted(product(*(range(d) for d in dims)))
+    pts = set(draw(st.sets(st.sampled_from(cells), min_size=1, max_size=5 if sym is None else 2)))
+    while sym is not None:
+        grown = pts | {f(p) for f in _AXIS_MAPS[sym] for p in pts}
+        if grown == pts:
+            break
+        pts = grown
+    assume(len(pts) <= 5)
+    try:
+        return Tensor(dims, {p: 1 for p in pts})
+    except ValueError:  # a simple tensor
+        assume(False)
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(_small_tensors(), st.sampled_from([1, 2, 3]),
+       st.sampled_from([1, 7, 50, DEFAULT_NODE_BUDGET]))
+def test_power_search_witness_free_and_exact_size_brute_force(t, k, budget):
+    sup = power_support(t, k)
+    res = monomial_subrank_power(t, k, node_budget=budget)
+    assert is_free_diagonal(sup, res.witness) and len(res.witness) == res.size
+    assert res.power == k and res.nodes <= budget
+    if res.exact:
+        # The DFS visits every diagonal, up to 2^27 on supp(unit(3)^(x)3); past
+        # 10^5 of them the plain search, which walks every point's branch, decides.
+        want = brute_force_max_free_diagonal(sup.points, max_diagonals=100_000)
+        if want is None:
+            plain = max_free_diagonal(sup)
+            assert plain.exact
+            want = plain.size
+        assert res.size == want
+
+
+def _orbits_by_generators(t, k):
+    """The orbits of supp(t^(x)k) under the factor swaps and the axis
+    permutations that fix dims and supp(t), by closing each point under
+    the generators applied to its per-factor digits."""
+    dims = t.dims
+    base = set(t.entries)
+    all_perms = ((0, 1, 2), (1, 0, 2), (0, 2, 1), (2, 1, 0), (1, 2, 0), (2, 0, 1))
+    axis_perms = [perm for perm in all_perms
+                  if all(dims[perm[a]] == dims[a] for a in range(3))
+                  and {tuple(p[perm[a]] for a in range(3)) for p in base} == base]
+
+    def digits(p):  # per factor, most significant first
+        return [tuple(p[a] // dims[a] ** (k - 1 - f) % dims[a] for a in range(3)) for f in range(k)]
+
+    def compose(factors):
+        return tuple(sum(q[a] * dims[a] ** (k - 1 - f) for f, q in enumerate(factors))
+                     for a in range(3))
+
+    def neighbours(p):
+        fs = digits(p)
+        for f in range(k - 1):
+            yield compose(fs[:f] + [fs[f + 1], fs[f]] + fs[f + 2:])
+        for perm in axis_perms:
+            yield compose([tuple(q[perm[a]] for a in range(3)) for q in fs])
+
+    orbits = set()
+    for p in sorted(power_support(t, k).points):
+        orbit, todo = {p}, [p]
+        while todo:
+            for q in neighbours(todo.pop()):
+                if q not in orbit:
+                    orbit.add(q)
+                    todo.append(q)
+        orbits.add(frozenset(orbit))
+    return orbits
+
+
+def _assert_labels_are_the_orbits(t, k) -> int:
+    groups = {}
+    for p, label in _power_orbits(t, k).items():
+        groups.setdefault(label, set()).add(p)
+    assert {frozenset(g) for g in groups.values()} == _orbits_by_generators(t, k)
+    return len(groups)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(_small_tensors(), st.sampled_from([1, 2, 3]))
+def test_power_orbit_labels_are_the_group_orbits(t, k):
+    assert monomial_subrank_power(t, k).root_orbits == _assert_labels_are_the_orbits(t, k)
+
+
+@pytest.mark.parametrize(
+    "t, k", [(w(), 4), (z3(), 2), (tn(4), 2), (cw_big(1), 3), (matmul(1, 2, 2), 3)])
+def test_power_orbit_labels_on_families(t, k):
+    _assert_labels_are_the_orbits(t, k)
