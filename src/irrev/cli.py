@@ -163,7 +163,7 @@ def _diag_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--power", type=int, default=1, help="Kronecker power (default 1)")
     p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET,
                    help=f"search node budget (default {DEFAULT_NODE_BUDGET}); it bounds nodes, "
-                        "not time: each node scans every candidate left")
+                        "not time: a node box-tests up to all of its candidates")
     _format_flag(p)
     _precision_flag(p)
 

@@ -111,16 +111,19 @@ class RhoResult:
 
 
 class _AxisEncoding:
-    """Per-axis integer recoding of support points for vectorized marginals."""
+    """Per-axis integer recoding of support points for vectorized marginals:
+    each coordinate becomes its rank among the axis's distinct coordinates
+    (np.unique's inverse codes, built from a dict, which is faster on the
+    few points of a support)."""
 
     def __init__(self, points: Sequence[Index]):
         self.idx: list[np.ndarray] = []
         self.sizes: list[int] = []
         for axis in range(3):
-            coords = np.array([p[axis] for p in points])
-            _, inverse = np.unique(coords, return_inverse=True)
-            self.idx.append(inverse)
-            self.sizes.append(int(inverse.max()) + 1)
+            coords = [p[axis] for p in points]
+            code = {c: j for j, c in enumerate(sorted(set(coords)))}
+            self.idx.append(np.array([code[c] for c in coords], dtype=np.intp))
+            self.sizes.append(len(code))
 
 
 def _entropy_and_log2(m: np.ndarray) -> tuple[float, np.ndarray]:

@@ -66,65 +66,75 @@ def brute_force_max_free_diagonal(points, max_diagonals=None) -> int | None:
     return best
 
 
-def reference_max_free_diagonal(support, node_budget=10**8):
-    """The set-based free-diagonal search that the bitset search replaced.
+def reference_max_free_diagonal(support, node_budget=10**8, *, admissible=True):
+    """The set-based free-diagonal search, independent of the bitset search.
 
-    Returns (size, witness, exact, nodes, bound_prunes, box_prunes).  The
-    walk is the old one: candidates rescanned from the sorted points at each
-    node, and the box check rescanning the whole support.  The node that
-    would exceed the budget is not counted as visited.
+    Returns (size, witness, exact, nodes, bound_prunes, box_prunes).  A
+    node's candidates are the points after its last one that avoid every
+    coordinate it uses: a child keeps those of its parent's after itself
+    that avoid its own coordinates.  The box check rescans the whole
+    support.  The node that would exceed the budget is not counted as
+    visited.
+
+    With admissible, a node with a nonempty diagonal that the bound does not
+    prune box-checks all its candidates first if there are at most as many
+    as nodes left in the budget.  It drops the refused ones, so its children
+    never see them, bounds again on the rest if it dropped any (an empty
+    rest is no prune), and branches on the rest without checking them
+    again.  Without it this is the plain walk, which checks each candidate
+    when it comes to it.
     """
     if node_budget < 1:
         raise ValueError("node_budget must be positive")
     pts = sorted(support.points)
-    pos = {p: i for i, p in enumerate(pts)}
     support_set = support.points
     best = []
     nodes = bound_prunes = box_prunes = 0
     chosen = []
-    used = [set(), set(), set()]
 
     def box_ok(p):
-        u = [used[a] | {p[a]} for a in range(3)]
+        u = [{q[a] for q in chosen} | {p[a]} for a in range(3)]
         c = set(chosen)
         for s in support_set:
             if s != p and s not in c and s[0] in u[0] and s[1] in u[1] and s[2] in u[2]:
                 return False
         return True
 
-    def walk(start):
+    def cannot_beat(candidates):
+        return len(chosen) + min(len({p[a] for p in candidates}) for a in range(3)) <= len(best)
+
+    def walk(candidates):
         nonlocal nodes, best, bound_prunes, box_prunes
         nodes += 1
         if nodes > node_budget:
             raise _Budget
         if len(chosen) > len(best):
             best = list(chosen)
-        candidates = [
-            p for p in pts[start:] if all(p[a] not in used[a] for a in range(3))
-        ]
         if not candidates:
             return
-        bound = len(chosen) + min(
-            len({p[a] for p in candidates}) for a in range(3)
-        )
-        if bound <= len(best):
+        if cannot_beat(candidates):
             bound_prunes += 1
             return
-        for p in candidates:
-            if not box_ok(p):
+        checked = admissible and chosen and len(candidates) <= node_budget - nodes
+        if checked:
+            kept = [p for p in candidates if box_ok(p)]
+            if len(kept) < len(candidates):
+                box_prunes += len(candidates) - len(kept)
+                candidates = kept
+                if kept and cannot_beat(kept):
+                    bound_prunes += 1
+                    return
+        for j, p in enumerate(candidates):
+            if not checked and not box_ok(p):
                 box_prunes += 1
                 continue
             chosen.append(p)
-            for a in range(3):
-                used[a].add(p[a])
-            walk(pos[p] + 1)
-            for a in range(3):
-                used[a].remove(p[a])
+            walk([q for q in candidates[j + 1:] if all(q[a] != p[a] for a in range(3))])
             chosen.pop()
 
     exact = True
     try:
-        walk(0)
+        walk(pts)
     except _Budget:
         exact = False
     return len(best), tuple(best), exact, min(nodes, node_budget), bound_prunes, box_prunes

@@ -634,6 +634,7 @@ def test_help_bare_and_unknown_command_load_no_numpy(capsys, monkeypatch):
     assert "--tol TOL optimizer tolerance (default 1e-10)" in irr_help
     assert "--iter-budget ITER_BUDGET iteration budget for the entropy optimizer" in irr_help
     assert "--budget BUDGET search node budget (default 100000000)" in diag_help
+    assert "it bounds nodes, not time: a node box-tests up to all of its candidates" in diag_help
 
 
 _BIG = [0] * 100_000

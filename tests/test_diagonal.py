@@ -218,8 +218,11 @@ def test_search_tree_matches_reference(t, k, budget):
 
 
 def test_z3_square_node_count_pinned():
+    # The plain walk, which tests each candidate when it comes to it, takes
+    # 11,125 nodes; bounding on the admissible candidates only, 8,965.
     res = max_free_diagonal(power_support(z3(), 2))
-    assert (res.size, res.exact, res.nodes) == (4, True, 11125)
+    assert (res.size, res.exact, res.nodes) == (4, True, 8965)
+    assert reference_max_free_diagonal(power_support(z3(), 2), admissible=False)[2:4] == (True, 11125)
 
 
 _small_supports = st.sets(
@@ -238,6 +241,36 @@ def test_search_tree_matches_reference_random(sup, budget):
 
 
 @settings(max_examples=60, deadline=None)
+@given(_small_supports, st.sampled_from([1, 2, 7, 50, 300, DEFAULT_NODE_BUDGET]))
+def test_admissible_tree_is_the_plain_tree_pruned(sup, budget):
+    # Bounding on the admissible candidates only cuts subtrees that cannot
+    # beat the incumbent. So against the plain walk at the same budget the
+    # search visits no more nodes and ends no smaller, and where the plain
+    # walk is exact it is too, with the same witness.
+    squares = [_square(sup)] if budget < DEFAULT_NODE_BUDGET or len(sup.points) <= 6 else []
+    for s in [sup] + squares:
+        res = max_free_diagonal(s, budget)
+        size, witness, exact, nodes = reference_max_free_diagonal(s, budget, admissible=False)[:4]
+        assert res.nodes <= nodes and res.size >= size
+        if exact:
+            assert res.exact and (res.size, res.witness) == (size, witness)
+
+
+@pytest.mark.parametrize("t, k", [(w(), 6), (z3(), 3)], ids=["w^6", "z3^3"])
+def test_short_budget_on_a_big_support_tests_lazily(t, k):
+    # 729 points at a budget of 40: below the root every node has more
+    # candidates than nodes left, so each is box-tested when the search comes
+    # to it, and every counter is the plain walk's. Testing them all up front
+    # would cut more branches here, at the cost of tests the budget never
+    # reaches.
+    sup = power_support(t, k)
+    res = max_free_diagonal(sup, 40)
+    counts = (res.size, res.witness, res.exact, res.nodes, res.bound_prunes, res.box_prunes)
+    assert counts == reference_max_free_diagonal(sup, 40, admissible=False)
+    assert res.box_prunes > 1000
+
+
+@settings(max_examples=60, deadline=None)
 @given(_small_supports, st.sampled_from([1, 2, 7, 50, DEFAULT_NODE_BUDGET]))
 def test_witness_free_and_exact_size_brute_force(sup, budget):
     res = max_free_diagonal(sup, budget)
@@ -253,12 +286,14 @@ def test_plain_search_branches_on_every_point():
 
 @pytest.mark.parametrize(
     "t, k, want",
-    [(w(), 4, (6, True, 9189, 4)), (z3(), 2, (4, True, 4163, 27))],
+    [(w(), 4, (6, True, 5216, 4)), (z3(), 2, (4, True, 3411, 27))],
     ids=["w^4", "z3^2"],
 )
 def test_power_search_node_counts_pinned(t, k, want):
-    # The plain tree takes 92,360 and 11,125 nodes: the root's 81 points
-    # fall into 4 orbits on W^4, and 27 on z3^2.
+    # The root's 81 points fall into 4 orbits on W^4, and 27 on z3^2.
+    # Without the orbits the search takes 49,242 and 8,965 nodes; with them
+    # but with a lazy box test, which bounds on every candidate left, 9,189
+    # and 4,163.
     res = monomial_subrank_power(t, k)
     assert (res.size, res.exact, res.nodes, res.root_orbits) == want
 

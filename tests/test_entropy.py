@@ -191,6 +191,18 @@ def _search_slope(bases, dirs, th, gamma):
     return d1
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(*[st.integers(0, 40)] * 3), min_size=1, max_size=30, unique=True))
+def test_axis_encoding_is_the_unique_inverse(points):
+    points = sorted(points)
+    enc = _AxisEncoding(points)
+    for axis in range(3):
+        values, inverse = np.unique([p[axis] for p in points], return_inverse=True)
+        assert enc.idx[axis].dtype == inverse.dtype
+        assert enc.idx[axis].tolist() == inverse.tolist()
+        assert enc.sizes[axis] == len(values)
+
+
 def _frank_wolfe_segments(seed):
     """(points, th, P, v, s, gamma_max): the toward and the away segment of
     away-step Frank-Wolfe at a random P on a random small support."""
