@@ -32,11 +32,12 @@ DEFAULT_POWER_POINT_LIMIT = 200_000
 class DiagonalResult:
     """Best free diagonal found; exact means the search tree was exhausted.
     nodes counts the nodes visited, bound_prunes the nodes whose candidates
-    the bound cut, box_prunes the candidates the box test refused (each
-    once per node that tests it), root_orbits the root's branches: one per
-    point, or one per orbit when the search knows a symmetry group of the
-    support. power is k when the search ran on the k-th Kronecker power of a
-    support (`monomial_subrank_power`), else 1;
+    the bound cut, box_prunes the candidates refused by the box test that
+    each node below the root makes on entry, summed over those nodes (a
+    point refused in two sibling subtrees counts twice), root_orbits the
+    root's branches: one per point, or one per orbit when the search knows
+    a symmetry group of the support. power is k when the search ran on the
+    k-th Kronecker power of a support (`monomial_subrank_power`), else 1;
     per_copy_rate = log2(size) / power."""
 
     size: int
@@ -126,26 +127,22 @@ def max_free_diagonal(
     A node with D nonempty whose candidates that bound does not prune
     box-tests them all on entry, drops the refused ones and, if it dropped
     any, bounds again on the admissible ones alone. Its children inherit the
-    admissible set and are taken without a second test; the root's single
-    points always pass. This only prunes subtrees that cannot beat the
-    incumbent, so against the lazy tree, which tests each candidate when it
-    comes to it, the search visits no more nodes, never ends smaller at the
-    same budget, and ends with the same witness when both are exact.
-    Testing up front costs nothing in a node whose loop runs to its end,
-    where the lazy test meets every candidate too; it is wasted in the
-    nodes whose loop the budget cuts short. Each child costs a node of the
-    budget, so a node with more candidates than nodes left cannot get
-    through them unless most are refused, and it keeps the lazy test. So an
-    exact search always tests up front, and a short budget on a huge support
-    tests lazily (up front, W^(x)11 at budget 300 took 3.3 times as long,
-    for the same result). A cap on the candidate count alone would also
-    cost exact searches on big supports the prunes at their widest nodes,
-    where a prune saves the most.
+    admissible set, so each child is just the node's lowest candidate left;
+    the root's single points always pass. The second bound only prunes
+    subtrees that cannot beat the incumbent, so against the plain tree,
+    which tests each candidate when it comes to it, the search visits no
+    more nodes, never ends smaller at the same budget, and ends with the
+    same witness when both are exact.
 
-    node_budget counts nodes. The result counts the nodes visited, the nodes
-    the bound cut (before or after the box test), and the candidates the box
-    test refused. The path is kept on a stack, not the call stack, so a
-    diagonal of any size is searched without a recursion limit.
+    node_budget counts nodes and does not shape the tree: the search walks
+    the same tree at every budget, and a run at budget B visits the first B
+    nodes of the exact run, so a larger budget never ends smaller. The cost
+    is the tests of the nodes a short budget cuts short: W^(x)11 (177,147
+    points) at budget 300 spends most of its time in them. The result counts
+    the nodes visited, the nodes the bound cut (before or after the box
+    test), and the candidates the box test refused. The path is kept on a
+    stack, not the call stack, so a diagonal of any size is searched without
+    a recursion limit.
 
     orbit_of, if given, labels each point by its orbit O under a group G of
     maps of the support onto itself that send free diagonals to free
@@ -173,9 +170,8 @@ def max_free_diagonal(
     s0, s1, s2 = slices = [_slices(pts, a) for a in range(3)]
     best_size = best_mask = nodes = bound_prunes = box_prunes = 0
     exact = False
-    # The node being visited, whether its candidates passed the box test
-    # already, and its ancestors' with their candidates left.
-    cand, size, chosen, m0, m1, m2, tested = roots, 0, 0, 0, 0, 0, True
+    # The node being visited, and its ancestors' with their candidates left.
+    cand, size, chosen, m0, m1, m2 = roots, 0, 0, 0, 0, 0
     stack = []
     push, pop = stack.append, stack.pop
     while nodes < node_budget:
@@ -187,8 +183,7 @@ def max_free_diagonal(
             if _cannot_beat(cand, room, slices):
                 bound_prunes += 1
                 cand = 0
-            elif size and cand.bit_count() <= node_budget - nodes:
-                tested = True  # box-test every candidate now, drop the refused
+            elif size:  # box-test every candidate, drop the refused
                 left = kept = cand
                 while left:
                     low = left & -left
@@ -202,32 +197,22 @@ def max_free_diagonal(
                     if kept and _cannot_beat(kept, room, slices):
                         bound_prunes += 1
                         cand = 0
-        while True:  # on to the next node: a child of the nearest node with one
-            while cand:
-                low = cand & -cand
-                cand ^= low
-                i = low.bit_length() - 1
-                n0, n1, n2 = m0 | s0[i], m1 | s1[i], m2 | s2[i]
-                if tested or n0 & n1 & n2 == chosen | low:
-                    break
-                box_prunes += 1
-            else:
-                if stack:
-                    cand, size, chosen, m0, m1, m2, tested = pop()
-                    continue
-                exact = True  # the tree is exhausted
-                break
-            push((cand, size, chosen, m0, m1, m2, tested))
-            if not size:  # a root branch: the later ones avoid its orbit
-                cand = free
-                free &= ~(low if orbit is None else _bits(orbit[i], n))
-            cand &= ~(n0 | n1 | n2)
-            size += 1
-            chosen |= low
-            m0, m1, m2, tested = n0, n1, n2, False
+        while not cand and stack:  # back to the nearest node with a candidate left
+            cand, size, chosen, m0, m1, m2 = pop()
+        if not cand:  # the tree is exhausted
+            exact = True
             break
-        if exact:
-            break
+        low = cand & -cand  # on to its child at its lowest candidate
+        cand ^= low
+        i = low.bit_length() - 1
+        push((cand, size, chosen, m0, m1, m2))
+        if not size:  # a root branch: the later ones avoid its orbit
+            cand = free
+            free &= ~(low if orbit is None else _bits(orbit[i], n))
+        m0, m1, m2 = m0 | s0[i], m1 | s1[i], m2 | s2[i]
+        cand &= ~(m0 | m1 | m2)
+        size += 1
+        chosen |= low
     if not best_size:  # stopped at the root: any one point is a free diagonal
         best_size, best_mask = 1, 1
     witness = tuple(pts[i] for i, b in enumerate(bin(best_mask)[:1:-1]) if b == "1")

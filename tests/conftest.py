@@ -10,7 +10,7 @@ import math
 import os
 import random
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from pathlib import Path
 
 import numpy as np
@@ -77,12 +77,11 @@ def reference_max_free_diagonal(support, node_budget=10**8, *, admissible=True):
     visited.
 
     With admissible, a node with a nonempty diagonal that the bound does not
-    prune box-checks all its candidates first if there are at most as many
-    as nodes left in the budget.  It drops the refused ones, so its children
-    never see them, bounds again on the rest if it dropped any (an empty
-    rest is no prune), and branches on the rest without checking them
-    again.  Without it this is the plain walk, which checks each candidate
-    when it comes to it.
+    prune box-checks all its candidates first, whatever the budget left.  It
+    drops the refused ones, so its children never see them, bounds again on
+    the rest if it dropped any (an empty rest is no prune), and branches on
+    the rest without checking them again.  Without it this is the plain
+    walk, which checks each candidate when it comes to it.
     """
     if node_budget < 1:
         raise ValueError("node_budget must be positive")
@@ -115,7 +114,7 @@ def reference_max_free_diagonal(support, node_budget=10**8, *, admissible=True):
         if cannot_beat(candidates):
             bound_prunes += 1
             return
-        checked = admissible and chosen and len(candidates) <= node_budget - nodes
+        checked = admissible and chosen
         if checked:
             kept = [p for p in candidates if box_ok(p)]
             if len(kept) < len(candidates):
@@ -165,39 +164,63 @@ def naive_grid_max(points, theta, resolution: int) -> float:
 
 
 def reference_grid_max(points, th, resolution: int) -> float:
-    """The full-range line bisection that the bracketed grid search replaced.
+    """The full-range line bisection that the bracketed grid search replaced,
+    built without the library's grid code.
 
-    The counts of all points but the last two come from `_grid_leads`; the
-    last two share the rest S.  Every line x + (S - x) is bisected over the
-    whole of [0, S] on the sign of f(x + 1) - f(x), and the result is the
-    largest f at the points found.
+    The counts of all points but the last two run over every vector of
+    m - 2 nonnegative ints with sum at most R (stars and bars, as in
+    `naive_grid_max`); the last two share the rest S.  Every line
+    x + (S - x) is bisected over the whole of [0, S] on the sign of
+    f(x + 1) - f(x), and the result is the largest f at the points found.
+    Each axis's marginal counts come from a 0/1 matrix of its values by
+    the points.
     """
-    from irrev.entropy import _axis_groups, _columns_objective, _grid_leads, _xlog2x_rows
-
     R, m = resolution, len(points)
     if m == 1:
         return 0.0
-    table = _xlog2x_rows(np.arange(R + 1) / R)
-    drop = table[:-1] - table[1:]
-    groups = _axis_groups(points)
-    sides = [(th[i], [r for r in a if r < m - 2], [r for r in b if r < m - 2])
-             for i in range(3) for a in groups[i] for b in groups[i]
-             if th[i] != 0.0 and m - 2 in a and m - 1 in b and a != b]
-    best = -math.inf
-    for lead in _grid_leads(m - 2, R):
-        S = R - lead.sum(axis=0)
-        rests = [(w, lead[a].sum(axis=0), lead[b].sum(axis=0) + S - 1) for w, a, b in sides]
-        lo, hi, todo = np.zeros_like(S), S.copy(), np.flatnonzero(S)
-        while len(todo):
-            x = (lo[todo] + hi[todo]) // 2
-            rise = sum((w * (drop[a[todo] + x] - drop[b[todo] - x]) for w, a, b in rests), 0 * x)
-            up = rise > 0
-            lo[todo[up]] = x[up] + 1
-            hi[todo[~up]] = x[~up]
-            todo = todo[lo[todo] < hi[todo]]
-        counts = np.vstack([lead, lo, S - lo])
-        best = max(best, float(_columns_objective(counts, groups, th, table.take).max()))
-    return best
+    p = m - 2
+    n = math.comb(R + p, p)
+    bars = np.fromiter(chain.from_iterable(combinations(range(R + p), p)), np.int64, n * p)
+    ends = np.ones((n, 1), dtype=np.int64)
+    parts = np.diff(np.hstack([-ends, bars.reshape(n, p), (R + p) * ends]), axis=1) - 1
+    lead, S = parts[:, :p], parts[:, p]
+    xlog2x = np.array([c / R * math.log2(c / R) if c else 0.0 for c in range(R + 1)])
+    axes = []  # per weighted axis: its weight, the lead's marginal counts, the last two's values
+    for i in range(3):
+        if th[i]:
+            values = sorted({q[i] for q in points})
+            holds = np.array([[int(q[i] == v) for q in points[:p]] for v in values], dtype=np.int64)
+            axes.append((th[i], holds @ lead.T,
+                         values.index(points[p][i]), values.index(points[p + 1][i])))
+
+    def f(x):
+        total = np.zeros(len(x))
+        for weight, marg, at0, at1 in axes:
+            counts = marg.copy()
+            counts[at0] += x
+            counts[at1] += S - x
+            total -= weight * xlog2x[counts].sum(axis=0)
+        return total
+
+    def rise(cols, x):
+        """f(x + 1) - f(x) on the lines cols: only the marginals of the last
+        two points' values move, and not where they share the value."""
+        total = np.zeros(len(cols))
+        for weight, marg, at0, at1 in axes:
+            if at0 != at1:
+                a, b = marg[at0, cols] + x, marg[at1, cols] + S[cols] - x
+                total += weight * (xlog2x[a] - xlog2x[a + 1] + xlog2x[b] - xlog2x[b - 1])
+        return total
+
+    lo, hi = np.zeros_like(S), S.copy()
+    todo = np.flatnonzero(S)
+    while len(todo):
+        x = (lo[todo] + hi[todo]) // 2
+        up = rise(todo, x) > 0
+        lo[todo[up]] = x[up] + 1
+        hi[todo[~up]] = x[~up]
+        todo = todo[lo[todo] < hi[todo]]
+    return float(f(lo).max())
 
 
 def certificate_gap(points, probs, theta) -> tuple[float, float]:
@@ -336,6 +359,16 @@ def reference_to_json(t: Tensor) -> str:
         for (i, j, k), c in sorted(t.entries.items())
     ]
     return json.dumps({"dims": list(t.dims), "entries": entries}, separators=(", ", ": "))
+
+
+# A 10-point support in a 5x5x5 box on which the optimizer stalls at this
+# theta, with one axis weight near 1e-11 and tol 1e-10: neither the Newton
+# step nor the Frank-Wolfe step makes progress, so the solve stops with its
+# residual just above tol. ROADMAP item 2's log-space route is meant to
+# solve it; the tests that use it then turn into convergence tests.
+STALL_POINTS = ((0, 4, 3), (0, 4, 4), (2, 1, 2), (2, 1, 4), (2, 3, 0),
+                (2, 4, 1), (3, 0, 0), (3, 4, 4), (4, 1, 4), (4, 3, 3))
+STALL_THETA = (0.6139588340532245, 0.38604116593677545, 1.0000056338554941e-11)
 
 
 def stalling_rho_upper(*stalls: int):

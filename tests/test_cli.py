@@ -16,7 +16,7 @@ from irrev import Tensor, barriers, cli, from_json, to_json, unit, w
 from irrev.entropy import ORACLE_GRID_LIMIT
 from irrev.tensor import matmul, z3
 
-from conftest import CHILD_ENV, certificate_gap, stalling_rho_upper
+from conftest import CHILD_ENV, STALL_POINTS, STALL_THETA, certificate_gap, stalling_rho_upper
 
 
 def run_cli(capsys, argv, stdin=None, monkeypatch=None):
@@ -92,6 +92,13 @@ def test_irr_w_text(capsys, monkeypatch):
     assert "irr_lb           1.08897" in out
     assert "barrier_basic    2.17795" in out
     assert "flattening_ranks 2 2 2" in out
+
+
+def test_irr_cw2_text_prints_the_laser_barrier(capsys, monkeypatch):
+    code, out, _ = run_cli(capsys, ["irr", "-"], stdin=to_json(irrev.cw(2)), monkeypatch=monkeypatch)
+    assert code == 0
+    assert "barrier_laser    2\n" in out
+    assert "notes" in out and "cw_2" in out
 
 
 def test_irr_exits_0_above_the_old_newton_cap(capsys, monkeypatch):
@@ -404,6 +411,33 @@ def test_flatrank(capsys, monkeypatch):
     assert code == 0
     assert "flattening_ranks 3 3 3" in out
     assert "max              3" in out
+
+
+def test_flatrank_json_by_the_prime_field_route(capsys, monkeypatch):
+    # A rational 2x2x2 tensor with no free axis: each rank reaches its bound
+    # mod P, so the exact elimination is never needed.
+    from irrev import linalg
+
+    entries = [{"i": i, "j": j, "k": k, "num": str(1 + i + 2 * j + 4 * k * k), "den": str(1 + j)}
+               for i in (0, 1) for j in (0, 1) for k in (0, 1)]
+    monkeypatch.setattr(linalg, "rank_exact", lambda matrix: pytest.fail("rank_exact called"))
+    code, out, _ = run_cli(capsys, ["flatrank", "-", "--format", "json"],
+                           stdin=json.dumps({"dims": [2, 2, 2], "entries": entries}),
+                           monkeypatch=monkeypatch)
+    assert code == 0
+    assert out == '{"flattening_ranks": [2, 2, 2], "max": 2}\n'
+
+
+def test_rho_stall_exit_5_reports_the_best_iterate(capsys, monkeypatch):
+    text = to_json(Tensor((5, 5, 5), {p: 1 for p in STALL_POINTS}))
+    theta = ",".join(repr(x) for x in STALL_THETA)
+    code, out, err = run_cli(capsys, ["rho", "-", "--theta", theta, "--tol", "1e-10"],
+                             stdin=text, monkeypatch=monkeypatch)
+    assert code == 5 and out == ""
+    assert "stalled after" in err
+    best = err.splitlines()[-1].split()
+    assert best[:2] == ["best:", "rho"] and best[3] == "residual"
+    assert float(best[4]) > 1e-10
 
 
 def test_precision_flag(capsys, monkeypatch):

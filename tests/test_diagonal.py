@@ -256,18 +256,44 @@ def test_admissible_tree_is_the_plain_tree_pruned(sup, budget):
             assert res.exact and (res.size, res.witness) == (size, witness)
 
 
+def _assert_never_decrease(runs) -> None:
+    """Size, nodes and prunes never decrease from one run to the next, at
+    increasing budgets."""
+    for short, long in zip(runs, runs[1:]):
+        for field in ("size", "nodes", "bound_prunes", "box_prunes"):
+            assert getattr(short, field) <= getattr(long, field)
+
+
 @pytest.mark.parametrize("t, k", [(w(), 6), (z3(), 3)], ids=["w^6", "z3^3"])
-def test_short_budget_on_a_big_support_tests_lazily(t, k):
-    # 729 points at a budget of 40: below the root every node has more
-    # candidates than nodes left, so each is box-tested when the search comes
-    # to it, and every counter is the plain walk's. Testing them all up front
-    # would cut more branches here, at the cost of tests the budget never
-    # reaches.
+def test_budgeted_search_is_the_exact_search_cut_short(t, k):
+    # 729 points, where below the root every node has more candidates than
+    # the budget has nodes left: each node still box-tests them all on entry.
     sup = power_support(t, k)
-    res = max_free_diagonal(sup, 40)
-    counts = (res.size, res.witness, res.exact, res.nodes, res.bound_prunes, res.box_prunes)
-    assert counts == reference_max_free_diagonal(sup, 40, admissible=False)
-    assert res.box_prunes > 1000
+    for budget in (1, 7, 40):
+        _assert_same_tree(sup, budget)
+    _assert_never_decrease([max_free_diagonal(sup, budget) for budget in (1, 7, 40)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(_small_supports)
+def test_budgeted_search_is_the_exact_search_cut_short_random(sup):
+    # Squares of 7-12 points take the exact search up to a million nodes.
+    for s in [sup] + ([_square(sup)] if len(sup.points) <= 6 else []):
+        whole = max_free_diagonal(s)
+        assert whole.exact
+        budgets = [b for b in (1, 2, 7, 50) if b < whole.nodes]
+        for budget in budgets:
+            _assert_same_tree(s, budget)
+        _assert_never_decrease([max_free_diagonal(s, budget) for budget in budgets] + [whole])
+        # At the exact run's node count the run is the exact run.
+        assert max_free_diagonal(s, whole.nodes) == whole
+
+
+def test_w8_short_budget_keeps_its_tree():
+    # Each node box-tests its candidates on entry however few nodes are
+    # left, so 300 nodes walk the exact tree's first 300 and reach 37.
+    res = monomial_subrank_power(w(), 8, node_budget=300)
+    assert (res.size, res.nodes, res.exact) == (37, 300, False)
 
 
 @settings(max_examples=60, deadline=None)
@@ -292,8 +318,8 @@ def test_plain_search_branches_on_every_point():
 def test_power_search_node_counts_pinned(t, k, want):
     # The root's 81 points fall into 4 orbits on W^4, and 27 on z3^2.
     # Without the orbits the search takes 49,242 and 8,965 nodes; with them
-    # but with a lazy box test, which bounds on every candidate left, 9,189
-    # and 4,163.
+    # but on the plain tree, which box-tests each candidate only when it
+    # comes to it and so bounds on every candidate left, 9,189 and 4,163.
     res = monomial_subrank_power(t, k)
     assert (res.size, res.exact, res.nodes, res.root_orbits) == want
 
@@ -402,7 +428,9 @@ def _assert_labels_are_the_orbits(t, k) -> int:
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
 @given(_small_tensors(), st.sampled_from([1, 2, 3]))
 def test_power_orbit_labels_are_the_group_orbits(t, k):
-    assert monomial_subrank_power(t, k).root_orbits == _assert_labels_are_the_orbits(t, k)
+    # root_orbits is fixed before the first node, so one node reads it.
+    res = monomial_subrank_power(t, k, node_budget=1)
+    assert res.root_orbits == _assert_labels_are_the_orbits(t, k)
 
 
 @pytest.mark.parametrize(

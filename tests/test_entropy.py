@@ -36,6 +36,8 @@ from irrev import (
     z3,
 )
 from conftest import (
+    STALL_POINTS,
+    STALL_THETA,
     certificate_gap,
     dense_newton_direction,
     naive_grid_max,
@@ -149,6 +151,18 @@ def test_rho_budget_error_carries_best():
     assert best is not None
     assert 0 < best.value < 3
     assert best.residual > 0
+
+
+def test_rho_stall_raises_with_its_best_iterate():
+    # Both steps are refused, so the solve stops early; the best iterate it
+    # carries is a distribution on the support whose residual is above tol.
+    support = Support((5, 5, 5), frozenset(STALL_POINTS))
+    with pytest.raises(BudgetExceededError, match="stalled after") as err:
+        rho_upper_on_support(support, Theta(*STALL_THETA), tol=1e-10)
+    best = err.value.best
+    assert best.residual > 1e-10
+    assert best.argmax.points == tuple(sorted(STALL_POINTS))
+    assert min(best.argmax.probs) >= 0 and math.fsum(best.argmax.probs) == pytest.approx(1.0)
 
 
 def test_line_search_away_step_stops_before_emptying_a_coordinate():
