@@ -416,19 +416,18 @@ def rho_upper(
 
 # Largest resolution, and count of lines or CW_q point-steps in its grid, the grid oracle takes.
 ORACLE_GRID_LIMIT = 1 << 22
-# Columns per block of the grid oracle.  On a 2-vCPU x86_64 machine, with
-# every line built, the benchmark's oracle workload (seeds 24-27) ran at
-# 163-172 jobs/s at 2**12, 160-169 at 2**13, 138 at 2**14 and 133 at 2**11,
-# with peak RSS 38.1, 38.7 and 41.1 MB at 2**12, 2**13 and 2**14.  With the
-# face bound of `_grid_max` it ran at 257-290 jobs/s and 38.3-38.5 MB at
-# each of 2**11 to 2**14, and 6 points at R = 97 took 8-11 ms.
+# Columns per block of the grid oracle, which bounds the memory it holds.
+# On a 2-vCPU x86_64 machine, with every line built, the benchmark's oracle
+# workload (seeds 24-27) peaked at 38.1, 38.7 and 41.1 MB RSS at 2**12,
+# 2**13 and 2**14; with the face bound of `_grid_max`, at 38.3-38.5 MB at
+# each of 2**11 to 2**14.
 _GRID_BLOCK = 1 << 12
 # Multiplicative-weight steps toward the maximum of a face before it is
 # bounded.  On the same machine, over the 300 seeded oracle supports of
 # seeds 100-159, the median time against building every line was 0.43 at
 # m = 4 and 0.18 at m = 5 with 4 steps, 0.33 and 0.17 with 8 or 16; 6
-# points at R = 97 sent 2.1% of their lines to the line search with 4
-# steps, 0.5% with 8 and 0.09% with 16.
+# points at R = 97 built 2.1% of their lines with 4 steps, 0.5% with 8 and
+# 0.09% with 16.
 _FACE_STEPS = 16
 
 
@@ -508,15 +507,11 @@ def _grid_lines(points: Sequence[Index], th: tuple, R: int):
     strictly decreasing.  So side s rises iff x < r_s = (b_s - a_s + 1) // 2,
     and the first x that does not rise (S if none) lies in [lo, hi] =
     [min r_s, max r_s] clipped to [0, S]; lo = hi = 0 with no side, where f
-    is constant.  By discrete concavity, f on the line is at most
-    f0 + max(rise(x0), 0) (hi - x0) + max(-rise(x0 - 1), 0) (x0 - lo),
-    with f0 = f(x0) at x0 = (lo + hi) // 2.
+    is constant.  By discrete concavity f is largest on the line at that x.
 
-    lines(lead) returns (S, rests, lo, hi, f0, bound), the bound computed on
-    the lines with lo < hi only.  search(lead, best) bisects, inside
-    [lo, hi], each line whose bound reaches max(best, f0) less 1e-12 (so
-    that a tie is still searched) and returns the largest of best and f at
-    the points found.
+    lines(lead) returns the bracket, as (S, rests, lo, hi).  search(lead,
+    best) bisects every line on the sign of rise inside [lo, hi] and returns
+    the largest of best and f at the points found.
     """
     m = len(points)
     table = _xlog2x_rows(np.arange(R + 1) / R)
@@ -525,9 +520,6 @@ def _grid_lines(points: Sequence[Index], th: tuple, R: int):
     sides = [(th[i], [r for r in a if r < m - 2], [r for r in b if r < m - 2])
              for i in range(3) for a in groups[i] for b in groups[i]
              if th[i] != 0.0 and m - 2 in a and m - 1 in b and a != b]
-
-    def f(counts):
-        return _columns_objective(counts, groups, th, table.take)
 
     def rise(rests, x):
         return sum((w * (drop[a + x] - drop[b - x]) for w, a, b in rests), 0 * x)
@@ -539,28 +531,19 @@ def _grid_lines(points: Sequence[Index], th: tuple, R: int):
         roots = [(b - a + 1) >> 1 for _, a, b in rests] or [0 * S]
         lo = np.minimum(np.maximum(reduce(np.minimum, roots), 0), S)
         hi = np.minimum(np.maximum(reduce(np.maximum, roots), 0), S)
-        del roots
-        x = (lo + hi) >> 1
-        f0 = f([*lead, x, S - x])
-        cols = np.flatnonzero(lo < hi)
-        x, below, above = x[cols], lo[cols], hi[cols]
-        here = [(w, a[cols], b[cols]) for w, a, b in rests]
-        bound = f0.copy()
-        bound[cols] += (np.maximum(rise(here, x), 0) * (above - x)
-                        + np.maximum(-rise(here, np.maximum(x - 1, below)), 0) * (x - below))
-        return S, rests, lo, hi, f0, bound
+        return S, rests, lo, hi
 
     def search(lead, best):
-        S, rests, lo, hi, f0, bound = lines(lead)
-        keep = np.flatnonzero(bound >= max(best, f0.max()) - 1e-12)
-        todo = keep[lo[keep] < hi[keep]]
+        S, rests, lo, hi = lines(lead)
+        todo = np.flatnonzero(lo < hi)
         while len(todo):
             x = (lo[todo] + hi[todo]) // 2
             up = rise([(w, a[todo], b[todo]) for w, a, b in rests], x) > 0
             lo[todo[up]] = x[up] + 1
             hi[todo[~up]] = x[~up]
             todo = todo[lo[todo] < hi[todo]]
-        return float(f([*lead[:, keep], lo[keep], S[keep] - lo[keep]]).max(initial=best))
+        f = _columns_objective([*lead, lo, S - lo], groups, th, table.take)
+        return float(f.max(initial=best))
 
     return lines, search
 
@@ -573,8 +556,7 @@ def _grid_max(points: Sequence[Index], th: tuple, resolution: int) -> float:
     The counts of all points but the last two are enumerated, as the columns
     of `_grid_leads(m - 2, R)`; the last two share the rest, S.  f is
     concave, so discretely concave on each line x + (S - x).  `_grid_lines`
-    brackets the maximum of each line, bounds f on it, and bisects only the
-    lines whose bound reaches the best f found.
+    brackets the maximum of each line built and bisects it in its bracket.
 
     Before a head of 0 < k < m - 2 counts is expanded, f is bounded on its
     face, where the other m - k points share S.  At any x0 in the face, the
@@ -637,13 +619,11 @@ def rho_grid_oracle(t: Tensor, theta: Theta | None = None, resolution: int = 100
     Dense mode returns the maximum over all distributions with denominator
     `resolution` on supports of at most 6 points.  The splits between the
     last two points form lines on which the entropy is concave: the roots
-    of its per-axis slopes bracket each line's maximum, and a line is
-    bisected, inside its bracket, only when a concavity bound from the
-    bracket's midpoint reaches the best value found (see `_grid_lines`).
-    Before any line is built, the counts of the first points are fixed one
-    at a time, and a face of the grid whose first-order concavity bound is
-    below the best value found is dropped with all its lines (see
-    `_grid_max`).
+    of its per-axis slopes bracket each line's maximum, and every line built
+    is bisected inside its bracket (see `_grid_lines`).  Before any line is
+    built, the counts of the first points are fixed one at a time, and a
+    face of the grid whose first-order concavity bound is below the best
+    value found is dropped with all its lines (see `_grid_max`).
     For the Coppersmith-Winograd families (recognized structurally) and
     uniform theta, concavity plus support symmetry reduce the search to the
     symmetric family, handled at any size: all resolution + 1 steps of it

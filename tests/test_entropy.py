@@ -759,15 +759,15 @@ def _grid_line_cases(draw):
 
 
 def _line_scan(case):
-    """The bracket and bound `_grid_lines` gives the line of `case`, and f at
-    every split x + (S - x) of its last two points, from dicts."""
+    """The bracket `_grid_lines` gives the line of `case`, and f at every
+    split x + (S - x) of its last two points, from dicts."""
     points, th, resolution, lead = case
     lines, _ = _grid_lines(points, th, resolution)
-    _, _, lo, hi, _, bound = lines(np.array(lead, dtype=np.intp).reshape(-1, 1))
+    _, _, lo, hi = lines(np.array(lead, dtype=np.intp).reshape(-1, 1))
     S = resolution - sum(lead)
     f = [certificate_gap(points, [c / resolution for c in (*lead, x, S - x)], th)[0]
          for x in range(S + 1)]
-    return int(lo[0]), int(hi[0]), float(bound[0]), f
+    return int(lo[0]), int(hi[0]), f
 
 
 _UNIFORM = (1 / 3, 1 / 3, 1 / 3)
@@ -791,7 +791,7 @@ def _with_line_examples(test):
 @given(_grid_line_cases())
 @_with_line_examples
 def test_grid_line_bracket_holds_the_first_split_that_does_not_rise(case):
-    lo, hi, _, f = _line_scan(case)
+    lo, hi, f = _line_scan(case)
     # Below lo every side rises, by more than 1e-5 at these weights and
     # resolutions, so a rise of at most 1e-12 is rounding.
     first = next((x for x in range(len(f) - 1) if f[x + 1] - f[x] <= 1e-12), len(f) - 1)
@@ -804,9 +804,11 @@ def test_grid_line_bracket_holds_the_first_split_that_does_not_rise(case):
 @settings(max_examples=150, deadline=None)
 @given(_grid_line_cases())
 @_with_line_examples
-def test_grid_line_bound_is_at_least_the_line_maximum(case):
-    _, _, bound, f = _line_scan(case)
-    assert bound >= max(f) - 1e-12
+def test_grid_line_search_finds_the_line_maximum(case):
+    points, th, resolution, lead = case
+    _, search = _grid_lines(points, th, resolution)
+    got = search(np.array(lead, dtype=np.intp).reshape(-1, 1), -math.inf)
+    assert got == pytest.approx(max(_line_scan(case)[2]), rel=0, abs=1e-12)
 
 
 def test_grid_oracle_refuses_grids_over_the_limit_before_allocating():
