@@ -60,6 +60,7 @@ _LAZY = {
         "rho_grid_oracle",
         "rho_upper",
         "rho_upper_on_support",
+        "tn_entropy_bound",
     ), "entropy"),
     **dict.fromkeys(("linalg", "flattening_ranks", "rank_exact"), "linalg"),
     **dict.fromkeys((

@@ -32,10 +32,11 @@ from .entropy import (
     cw_big_marginal_entropy,
     cw_small_entropy_bound,
     rho_upper,
+    tn_entropy_bound,
 )
 from .errors import BudgetExceededError, DegenerateInputError
 from .linalg import flattening_ranks
-from .tensor import Tensor, cw_big, cw_param, to_json, tn
+from .tensor import Tensor, cw_param, to_json
 
 # The interpreter's own SHA-256, which loads no OpenSSL (hashlib's import
 # costs about 6 ms and 3.4 MB of RSS); hashlib where it is missing.
@@ -333,10 +334,7 @@ def cw_better_barrier(q: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Table generators
-
-TABLE_TOL = 1e-9
-CW_BIG_CROSS_CHECK_TOL = 1e-6
+# Table generators: each row a closed form, with no optimizer call
 
 
 def _table_range(table: str, var: str, lo: int, hi: int, first: int) -> range:
@@ -353,37 +351,27 @@ def cw_table(q_lo: int = 2, q_hi: int = 7) -> list[tuple[int, float]]:
 
 
 def cw_big_table(q_lo: int = 1, q_hi: int = 6) -> list[tuple[int, float]]:
-    """Basic barrier for the big Coppersmith-Winograd family.
-
-    Each row is the closed form 2 log2(q+2) / f(argmax), cross-checked
-    against the general entropy optimizer on the actual support at TABLE_TOL:
-    an ArithmeticError if they differ by more than CW_BIG_CROSS_CHECK_TOL.
-    """
+    """Basic barrier for the big Coppersmith-Winograd family: each row is
+    2 log2(q+2) / f(argmax), f the marginal entropy of the symmetric
+    distribution on supp(CW_q) (cw_big_marginal_entropy at
+    cw_big_entropy_argmax)."""
     rows = []
     for q in _table_range("cw_big", "q", q_lo, q_hi, 1):
         peak = cw_big_marginal_entropy(q, cw_big_entropy_argmax(q))
-        opt = rho_upper(cw_big(q), tol=TABLE_TOL)
-        if abs(peak - opt.value) > CW_BIG_CROSS_CHECK_TOL:
-            raise ArithmeticError(
-                f"closed form {peak} and optimizer {opt.value} disagree at q={q}"
-            )
         rows.append((q, 2.0 * _irr(math.log2(q + 2), peak)))
     return rows
 
 
 def tn_table(m_lo: int = 2, m_hi: int = 7) -> list[tuple[int, int, float]]:
-    """Basic barrier for reduced polynomial multiplication tensors, with
-    rho solved at TABLE_TOL.
+    """Basic barrier for reduced polynomial multiplication tensors,
+    2 log2(m) / tn_entropy_bound(m), a closed-form entropy bound.
 
     Rows are (m, m - 1, barrier): m is the tensor size (indices 0..m-1), and
     m - 1 is the row index used by the conventional family table, which is
     shifted by one relative to the size.
     """
-    rows = []
-    for m in _table_range("tn", "m", m_lo, m_hi, 2):
-        rho = rho_upper(tn(m), tol=TABLE_TOL)
-        rows.append((m, m - 1, 2.0 * _irr(math.log2(m), rho.value)))
-    return rows
+    return [(m, m - 1, 2.0 * _irr(math.log2(m), tn_entropy_bound(m)))
+            for m in _table_range("tn", "m", m_lo, m_hi, 2)]
 
 
 def laser_table(

@@ -5,8 +5,8 @@ maximum), diag (free-diagonal search), table (barrier tables), flatrank
 (flattening ranks).  Each subcommand takes only the flags it reads.
 
 Exit codes: 0 success, 2 usage or parse error, 3 degenerate input, 4
-optimizer/oracle mismatch (including ArithmeticError from a closed-form
-cross-check or exact elimination), 5 resource or iteration budget exceeded.
+mismatch (grid oracle against optimizer, or an ArithmeticError from a broken
+exact-elimination invariant), 5 resource or iteration budget exceeded.
 """
 
 from __future__ import annotations
@@ -363,8 +363,8 @@ def main(argv=None) -> int:
                   f"iterations {best.iterations}", file=sys.stderr)
         return EXIT_RESOURCE
     except ArithmeticError as exc:
-        # A closed form disagreeing with the optimizer, or a broken exact
-        # elimination invariant: a mismatch, not a usage error.
+        # A broken exact-elimination invariant: a mismatch, like the grid
+        # oracle disagreeing with the optimizer, not a usage error.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ORACLE_MISMATCH
     except (ValueError, OSError) as exc:

@@ -669,7 +669,7 @@ def _xlog2x_rows(p: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Closed forms for the Coppersmith-Winograd families
+# Closed forms for the Coppersmith-Winograd families and tn
 
 
 def _xlog2x(v: float) -> float:
@@ -702,3 +702,27 @@ def cw_big_entropy_argmax(q: int) -> float:
     if q == 2:  # the general formula's 0/0
         return 1.0 / 9.0
     return (3.0 * q - math.sqrt(32.0 + q * q)) / (6.0 * (q * q - 4.0))
+
+
+def tn_entropy_bound(m: int) -> float:
+    """Upper bound on the entropy maximum for tn(m) at uniform theta.
+
+    Cross-entropy is at least entropy, so any axis distributions q bound the
+    maximum by max_s sum_i theta_i log2(1/q_i(s_i)).  On supp(tn(m)), with
+    q(a) proportional to x^a on the first two axes and to x^(m-1-a) on the
+    third, every point scores log2 Z(x) - ((m-1)/3) log2 x, Z(x) = sum_a x^a,
+    for each x in (0, 1].  The score is least where sum_a (a - (m-1)/3) x^a
+    = 0; bisection on its sign, down to adjacent floats, finds that x.
+    """
+    if m < 2:
+        raise ValueError("needs m >= 2")
+    c = (m - 1) / 3.0
+    lo, hi = 0.0, 1.0
+    mid = 0.5
+    while lo < mid < hi:
+        if math.fsum((a - c) * mid**a for a in range(m)) < 0:
+            lo = mid
+        else:
+            hi = mid
+        mid = 0.5 * (lo + hi)
+    return math.log2(math.fsum(hi**a for a in range(m))) - c * math.log2(hi)

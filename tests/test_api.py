@@ -23,7 +23,8 @@ PUBLIC = [
     "irr_lower", "is_free_diagonal", "kron", "laser_table", "linalg", "matmul",
     "max_free_diagonal", "min_rho_over_theta", "monomial_subrank_power", "permute_legs",
     "power_support", "rank_exact", "read_tensor", "rho_grid_oracle", "rho_upper",
-    "rho_upper_on_support", "tensor", "tn", "tn_table", "to_json", "unit", "w", "z3",
+    "rho_upper_on_support", "tensor", "tn", "tn_entropy_bound", "tn_table", "to_json", "unit",
+    "w", "z3",
 ]
 
 _BARE_IMPORT_CHILD = """

@@ -31,7 +31,7 @@ from irrev import (
     w,
     z3,
 )
-from irrev import barriers
+from irrev import barriers, entropy
 
 from conftest import stalling_rho_upper
 
@@ -223,9 +223,7 @@ def test_cw_big_table_cross_checks_optimizer():
     rows = cw_big_table(1, 3)
     for q, v in rows:
         peak = 2 * math.log2(q + 2) / v
-        # reproduce the cross-check by hand against the optimizer
-        from irrev import rho_upper
-
+        # the optimizer on the actual support agrees with the closed form
         assert rho_upper(cw_big(q), tol=1e-9).value == pytest.approx(peak, abs=1e-6)
 
 
@@ -265,8 +263,8 @@ def test_laser_table_default_range_follows_rank_mode():
 
 def test_closed_forms_pinned_bit_for_bit():
     # Recorded from the published tables' code; a refactor of the formulas
-    # must reproduce every double exactly.  tn_table is left to its
-    # approximate pin above, as its values follow the optimizer's path.
+    # must reproduce every double exactly.  Every table is a closed form, so
+    # none of these doubles depends on an optimizer's path.
     assert cw_table() == [
         (2, 2.0), (3, 2.0253805487847796), (4, 2.0624427223787434), (5, 2.096271427975897),
         (6, 2.125492498993707), (7, 2.1506410948196013),
@@ -274,6 +272,10 @@ def test_closed_forms_pinned_bit_for_bit():
     assert cw_big_table() == [
         (1, 2.168052533053057), (2, 2.177947373636157), (3, 2.1914627837527907),
         (4, 2.205505349395), (5, 2.219128384995452), (6, 2.2320064180707027),
+    ]
+    assert tn_table() == [
+        (2, 1, 2.177947373636157), (3, 2, 2.168052533053057), (4, 3, 2.159493735197743),
+        (5, 4, 2.1523707953458073), (6, 5, 2.1464087883868035), (7, 6, 2.141350698326431),
     ]
     assert laser_table() == [
         (2, 2.0), (3, 2.04743802857166), (4, 2.1054483912493094), (5, 2.1533827903669653),
@@ -298,6 +300,18 @@ def test_closed_forms_pinned_bit_for_bit():
     assert barrier_schonhage(1.5, 1, 2) == 3.25
     assert barrier_schonhage(1.2, 3, 1) == 3.0
     assert barrier_schonhage(2.0, 2, 5) == 4.4
+
+
+def test_tables_call_no_optimizer(monkeypatch):
+    tables = (cw_table, cw_big_table, tn_table, laser_table, better_table)
+    want = [table() for table in tables]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a table called the entropy optimizer")
+
+    monkeypatch.setattr(barriers, "rho_upper", refuse)
+    monkeypatch.setattr(entropy, "rho_upper_on_support", refuse)
+    assert [table() for table in tables] == want
 
 
 def test_table_range_validation():

@@ -5,6 +5,7 @@ import math
 import struct
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -272,13 +273,6 @@ def test_rho_oracle_mismatch_exit_4(capsys, monkeypatch):
     assert "mismatch" in err
 
 
-def test_table_cross_check_mismatch_exit_4(capsys, monkeypatch):
-    monkeypatch.setattr(barriers, "cw_big_marginal_entropy", lambda q, x: 1.0)
-    code, out, err = run_cli(capsys, ["table", "CW", "--qmax", "1"])
-    assert code == 4
-    assert "disagree" in err and out == ""
-
-
 @pytest.mark.parametrize(
     "field,value",
     [("i", 0.9), ("j", True), ("k", "0"), ("num", 1.7), ("num", "1.7"), ("den", False)],
@@ -426,6 +420,26 @@ def test_flatrank_json_by_the_prime_field_route(capsys, monkeypatch):
                            monkeypatch=monkeypatch)
     assert code == 0
     assert out == '{"flattening_ranks": [2, 2, 2], "max": 2}\n'
+
+
+def test_flatrank_broken_elimination_invariant_exit_4(capsys, monkeypatch):
+    # Slice i = 2 is slice 0 plus twice slice 1, so axis 1 has rank 2 < 3 mod P
+    # and goes to the exact elimination, whose invariant check is made to fail.
+    from irrev import linalg
+
+    def broken(x, d):
+        raise ArithmeticError("fraction-free elimination invariant violated")
+
+    slices = [[1, 2, 3, 4], [Fraction(1, 2), 1, 1, 1]]
+    slices.append([a + 2 * b for a, b in zip(*slices)])
+    entries = [{"i": i, "j": c // 2, "k": c % 2, "num": str(v.numerator), "den": str(v.denominator)}
+               for i, row in enumerate(slices) for c, v in enumerate(map(Fraction, row))]
+    monkeypatch.setattr(linalg, "_exact_div", broken)
+    code, out, err = run_cli(capsys, ["flatrank", "-"],
+                             stdin=json.dumps({"dims": [3, 2, 2], "entries": entries}),
+                             monkeypatch=monkeypatch)
+    assert code == 4 and out == ""
+    assert err == "error: fraction-free elimination invariant violated\n"
 
 
 def test_rho_stall_exit_5_reports_the_best_iterate(capsys, monkeypatch):

@@ -31,6 +31,7 @@ from irrev import (
     rho_upper,
     rho_upper_on_support,
     tn,
+    tn_entropy_bound,
     unit,
     w,
     z3,
@@ -871,6 +872,58 @@ def test_cw_big_entropy_argmax_values():
     assert cw_big_entropy_argmax(3) == pytest.approx((9 - math.sqrt(41)) / 30, abs=1e-15)
     with pytest.raises(ValueError):
         cw_big_entropy_argmax(0)
+
+
+def _cross_entropy_scores(points, axes):
+    """Score of each point against axis distributions axes[i] (dicts):
+    sum_i (1/3) log2(1 / axes[i][s_i]), which bounds the entropy maximum at
+    uniform theta from above, as cross-entropy is at least entropy."""
+    return {s: math.fsum(-math.log2(axes[i][s[i]]) for i in range(3)) / 3 for s in points}
+
+
+def _tn_score(m, x):
+    return math.log2(math.fsum(x**a for a in range(m))) - (m - 1) / 3 * math.log2(x)
+
+
+@pytest.mark.parametrize("m", range(2, 12))
+def test_tn_cross_entropy_score_is_flat_on_the_support(m):
+    for x in (0.01, 0.3, 0.5, 0.77, 1.0):
+        z = math.fsum(x**a for a in range(m))
+        up = {a: x**a / z for a in range(m)}
+        down = {c: x ** (m - 1 - c) / z for c in range(m)}
+        scores = _cross_entropy_scores(tn(m).entries, (up, up, down))
+        assert len(scores) == m * (m + 1) // 2
+        for score in scores.values():
+            assert abs(score - _tn_score(m, x)) <= 1e-12, (m, x, score)
+
+
+@pytest.mark.parametrize("m", range(2, 12))
+def test_tn_entropy_bound_brackets_the_optimizer_and_the_grid(m):
+    bound = tn_entropy_bound(m)
+    res = rho_upper(tn(m), tol=1e-12)
+    assert res.value - 1e-14 <= bound <= res.value + res.residual + 1e-14
+    assert min(_tn_score(m, k / 1000) for k in range(1, 1001)) >= bound - 1e-14
+
+
+def test_tn_entropy_bound_values():
+    assert tn_entropy_bound(2) == pytest.approx(H13, abs=1e-15)  # w's support
+    with pytest.raises(ValueError):
+        tn_entropy_bound(1)
+
+
+@pytest.mark.parametrize("q", range(1, 11))
+def test_cw_big_peak_is_its_own_cross_entropy_bound(q):
+    # U, the largest score of a point against the marginals of the symmetric
+    # distribution at the argmax, bounds rho above; the peak is the entropy
+    # that distribution attains.  Their meeting certifies the peak as rho.
+    x = cw_big_entropy_argmax(q)
+    P = {s: (1 / 3 - q * x if q + 1 in s else x) for s in cw_big(q).entries}
+    margs = [{} for _ in range(3)]
+    for s, p in P.items():
+        for i in range(3):
+            margs[i][s[i]] = margs[i].get(s[i], 0.0) + p
+    U = max(_cross_entropy_scores(P, margs).values())
+    assert abs(U - cw_big_marginal_entropy(q, x)) <= 1e-14, q
 
 
 def _entropy_curve_derivative(q, x):
