@@ -35,8 +35,11 @@ class DiagonalResult:
     the bound cut, box_prunes the candidates refused by the box test that
     each node below the root makes on entry, summed over those nodes (a
     point refused in two sibling subtrees counts twice), root_orbits the
-    root's branches: one per point, or one per orbit when the search knows
-    a symmetry group of the support. power is k when the search ran on the
+    number of orbits among the root's candidates: one per point, or one per
+    orbit when the search knows a symmetry group of the support. The
+    incumbent starts as the lowest point, so on a support that uses one
+    coordinate on some axis the root's bound decides the search: size 1,
+    exact, one node, one bound prune. power is k when the search ran on the
     k-th Kronecker power of a support (`monomial_subrank_power`), else 1;
     per_copy_rate = log2(size) / power."""
 
@@ -122,7 +125,12 @@ def max_free_diagonal(
     N0 & N1 & N2 != D | p with Na = Ma | slice_a(p). A refusal is final, as a
     trapped point shares a coordinate with D, so p stays refused in the
     whole subtree. A branch is pruned when |D| plus the per-axis count of
-    coordinates among the candidates cannot beat the incumbent.
+    coordinates among the candidates cannot beat the incumbent. The root is
+    such a node: its candidates are the points of the orbits whose branch
+    has not been taken (below), all points at first, and the incumbent
+    starts as the lowest point, a free diagonal. So a support that uses one
+    coordinate on some axis, where no free diagonal has two points, is
+    decided at the root.
 
     A node with D nonempty whose candidates that bound does not prune
     box-tests them all on entry, drops the refused ones and, if it dropped
@@ -149,29 +157,30 @@ def max_free_diagonal(
     diagonals of the same size; it is trusted, not checked. The root then
     branches once per orbit: O_j, taken in the order of their lowest points
     r_j, gets the subtree of the D with r_j in D and no point of O_1, ...,
-    O_(j-1). Nothing is lost: a free D meets a first orbit O_j, in some p,
-    and a g in G with g(p) = r_j maps D into that subtree at the same size.
+    O_(j-1): taking a branch drops its orbit from the root's candidates, so
+    the root's lowest candidate is the next orbit's lowest point. Nothing is
+    lost: a free D meets a first orbit O_j, in some p, and a g in G with
+    g(p) = r_j maps D into that subtree at the same size.
     Without it each point is its own orbit, which is the plain tree.
     """
     if node_budget < 1:
         raise ValueError("node_budget must be positive")
     pts = sorted(support.points)
-    n = len(pts)
-    # free: the points of the orbits whose root branch has not been taken.
-    free = roots = (1 << n) - 1
+    n = root_orbits = len(pts)
     orbit = None  # per point, the indices of its orbit's points
     if orbit_of is not None:
         members: dict[Hashable, list[int]] = {}
         orbit = [members.setdefault(orbit_of[p], []) for p in pts]
         for i, idx in enumerate(orbit):
             idx.append(i)
-        roots = _bits([idx[0] for idx in members.values()], n)
+        root_orbits = len(members)
         del orbit_of, members  # a big power's labels go before its masks come
     s0, s1, s2 = slices = [_slices(pts, a) for a in range(3)]
-    best_size = best_mask = nodes = bound_prunes = box_prunes = 0
+    best_size, best_mask = 1, 1  # the lowest point, a free diagonal
+    nodes = bound_prunes = box_prunes = 0
     exact = False
     # The node being visited, and its ancestors' with their candidates left.
-    cand, size, chosen, m0, m1, m2 = roots, 0, 0, 0, 0, 0
+    cand, size, chosen, m0, m1, m2 = (1 << n) - 1, 0, 0, 0, 0, 0
     stack = []
     push, pop = stack.append, stack.pop
     while nodes < node_budget:
@@ -205,19 +214,16 @@ def max_free_diagonal(
         low = cand & -cand  # on to its child at its lowest candidate
         cand ^= low
         i = low.bit_length() - 1
-        push((cand, size, chosen, m0, m1, m2))
-        if not size:  # a root branch: the later ones avoid its orbit
-            cand = free
-            free &= ~(low if orbit is None else _bits(orbit[i], n))
+        if size or orbit is None:
+            push((cand, size, chosen, m0, m1, m2))
+        else:  # a root branch: the later ones avoid its orbit
+            push((cand & ~_bits(orbit[i], n), size, chosen, m0, m1, m2))
         m0, m1, m2 = m0 | s0[i], m1 | s1[i], m2 | s2[i]
         cand &= ~(m0 | m1 | m2)
         size += 1
         chosen |= low
-    if not best_size:  # stopped at the root: any one point is a free diagonal
-        best_size, best_mask = 1, 1
     witness = tuple(pts[i] for i, b in enumerate(bin(best_mask)[:1:-1]) if b == "1")
-    return DiagonalResult(best_size, witness, exact, nodes, bound_prunes, box_prunes,
-                          roots.bit_count())
+    return DiagonalResult(best_size, witness, exact, nodes, bound_prunes, box_prunes, root_orbits)
 
 
 def power_support(t: Tensor, k: int) -> Support:

@@ -696,12 +696,12 @@ def cw_big_marginal_entropy(q: int, x: float) -> float:
 
 
 def cw_big_entropy_argmax(q: int) -> float:
-    """Maximizer of cw_big_marginal_entropy(q, .) on [0, 1/(3q)], in closed form."""
+    """Maximizer of cw_big_marginal_entropy(q, .) on [0, 1/(3q)], in closed form:
+    the root (3q - sqrt(q^2 + 32)) / (6(q^2 - 4)) with its 0/0 at q = 2
+    cancelled."""
     if q < 1:
         raise ValueError("needs q >= 1")
-    if q == 2:  # the general formula's 0/0
-        return 1.0 / 9.0
-    return (3.0 * q - math.sqrt(32.0 + q * q)) / (6.0 * (q * q - 4.0))
+    return 4.0 / (3.0 * (3.0 * q + math.sqrt(q * q + 32.0)))
 
 
 def tn_entropy_bound(m: int) -> float:

@@ -66,6 +66,33 @@ def brute_force_max_free_diagonal(points, max_diagonals=None) -> int | None:
     return best
 
 
+def direct_sum_blocks(points) -> list[list]:
+    """The direct-sum blocks of a point set: the classes of the relation
+    "shares a coordinate on some axis", closed transitively.
+
+    A union-find over the (axis, coordinate) pairs joins each point's three
+    pairs; a block is the points whose pairs share a root.
+    """
+    parent = {}
+
+    def find(x):
+        parent.setdefault(x, x)
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for p in points:
+        roots = {find((a, p[a])) for a in range(3)}
+        top = roots.pop()
+        for r in roots:
+            parent[r] = top
+    blocks = {}
+    for p in sorted(points):
+        blocks.setdefault(find((0, p[0])), []).append(p)
+    return list(blocks.values())
+
+
 def reference_max_free_diagonal(support, node_budget=10**8, *, admissible=True):
     """The set-based free-diagonal search, independent of the bitset search.
 
@@ -73,7 +100,9 @@ def reference_max_free_diagonal(support, node_budget=10**8, *, admissible=True):
     node's candidates are the points after its last one that avoid every
     coordinate it uses: a child keeps those of its parent's after itself
     that avoid its own coordinates.  The box check rescans the whole
-    support.  The node that would exceed the budget is not counted as
+    support.  The incumbent starts as the lowest point, which is a free
+    diagonal, so the root's bound prunes a support that uses one coordinate
+    on some axis.  The node that would exceed the budget is not counted as
     visited.
 
     With admissible, a node with a nonempty diagonal that the bound does not
@@ -87,7 +116,7 @@ def reference_max_free_diagonal(support, node_budget=10**8, *, admissible=True):
         raise ValueError("node_budget must be positive")
     pts = sorted(support.points)
     support_set = support.points
-    best = []
+    best = pts[:1]
     nodes = bound_prunes = box_prunes = 0
     chosen = []
 

@@ -330,6 +330,18 @@ def test_diag_stopped_at_the_root_prints_strict_json(capsys, monkeypatch):
     assert (doc["size"], doc["per_copy_rate"], doc["witness"]) == (1, 0.0, [[0, 0, 1]])
 
 
+def test_diag_one_coordinate_on_an_axis_ends_at_the_root(capsys, monkeypatch):
+    # No free diagonal has two points, and the root's bound, against the
+    # lowest point as incumbent, proves it in one node.
+    flat = Tensor((1, 2, 2), {(0, 0, 0): 1, (0, 1, 1): 1})
+    code, out, _ = run_cli(capsys, ["diag", "-", "--format", "json"], stdin=to_json(flat),
+                           monkeypatch=monkeypatch)
+    assert code == 0
+    assert out.strip() == (
+        '{"size": 1, "per_copy_rate": 0.0, "exact": true, "witness": [[0, 0, 0]], '
+        '"nodes": 1, "bound_prunes": 1, "box_prunes": 0, "root_orbits": 2}')
+
+
 def test_diag_matmul222(capsys, monkeypatch):
     code, out, _ = run_cli(
         capsys,

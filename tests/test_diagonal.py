@@ -28,6 +28,7 @@ from irrev import tensor as tensor_module
 from irrev.diagonal import DEFAULT_NODE_BUDGET, _power_orbits
 from conftest import (
     brute_force_max_free_diagonal,
+    direct_sum_blocks,
     random_unit_tensor,
     reference_max_free_diagonal,
 )
@@ -191,10 +192,7 @@ def _square(sup: Support) -> Support:
 def _assert_same_tree(sup: Support, budget: int) -> None:
     res = max_free_diagonal(sup, budget)
     counts = (res.size, res.witness, res.exact, res.nodes, res.bound_prunes, res.box_prunes)
-    want = reference_max_free_diagonal(sup, budget)
-    if want[0] == 0:  # stopped at the root, where any one point is a free diagonal
-        want = (1, (min(sup.points),)) + want[2:]
-    assert counts == want
+    assert counts == reference_max_free_diagonal(sup, budget)
 
 
 @pytest.mark.parametrize(
@@ -331,6 +329,21 @@ def test_power_search_stopped_at_the_root_reports_the_least_point():
         assert res.witness == (min(power_support(t, k).points),)
 
 
+@pytest.mark.parametrize("budget", [1, DEFAULT_NODE_BUDGET])
+def test_one_coordinate_on_an_axis_is_decided_at_the_root(budget):
+    # The incumbent starts as the lowest point, and the root's candidates
+    # use one coordinate on some axis, so its bound ends the search.
+    single = Support((2, 2, 2), [(1, 1, 1)])
+    flat = Support((1, 2, 2), [(0, 0, 0), (0, 1, 1)])
+    slab = Support((3, 3, 3), [(0, 1, 2), (1, 1, 0), (2, 1, 1), (0, 1, 1)])
+    for sup in (single, flat, slab):
+        res = max_free_diagonal(sup, budget)
+        assert (res.size, res.exact, res.nodes, res.bound_prunes, res.box_prunes) == (1, True, 1, 1, 0)
+        assert res.witness == (min(sup.points),)
+    res = monomial_subrank_power(Tensor((1, 2, 2), {(0, 0, 0): 1, (0, 1, 1): 1}), 2, budget)
+    assert (res.size, res.exact, res.nodes, res.bound_prunes) == (1, True, 1, 1)
+
+
 _AXIS_MAPS = {
     "swap": [lambda p: (p[1], p[0], p[2])],
     "cycle": [lambda p: (p[1], p[2], p[0])],
@@ -370,14 +383,35 @@ def test_power_search_witness_free_and_exact_size_brute_force(t, k, budget):
     assert is_free_diagonal(sup, res.witness) and len(res.witness) == res.size
     assert res.power == k and res.nodes <= budget
     if res.exact:
-        # The DFS visits every diagonal, up to 2^27 on supp(unit(3)^(x)3); past
-        # 10^5 of them the plain search, which walks every point's branch, decides.
-        want = brute_force_max_free_diagonal(sup.points, max_diagonals=100_000)
-        if want is None:
+        # The largest free diagonal is the sum of its direct-sum blocks'
+        # largest, so supp(unit(3)^(x)3)'s 2^27 diagonals cost 27 one-point
+        # blocks. The DFS visits every diagonal of a block; past 10^5 of
+        # them, as on most 5-point supports cubed, the plain search, which
+        # walks every point's branch, decides.
+        sizes = [brute_force_max_free_diagonal(block, max_diagonals=100_000)
+                 for block in direct_sum_blocks(sup.points)]
+        if None in sizes:
             plain = max_free_diagonal(sup)
             assert plain.exact
             want = plain.size
+        else:
+            want = sum(sizes)
         assert res.size == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(_small_supports, _small_supports)
+def test_direct_sum_blocks_add_up_to_the_whole_brute_force(a, b):
+    # The oracle above: a free diagonal's box condition splits block by
+    # block, so the blocks' largest free diagonals add up to the whole's.
+    points = set(a.points) | {(i + 4, j + 4, k + 4) for i, j, k in b.points}
+    blocks = direct_sum_blocks(points)
+    assert sorted(p for block in blocks for p in block) == sorted(points)
+    assert len(blocks) >= 2
+    for x, y in product(blocks, repeat=2):
+        if x is not y:
+            assert all(p[i] != q[i] for p in x for q in y for i in range(3))
+    assert sum(map(brute_force_max_free_diagonal, blocks)) == brute_force_max_free_diagonal(points)
 
 
 def _orbits_by_generators(t, k):
