@@ -283,7 +283,6 @@ def barrier_rect(
     a: int,
     b: int,
     c: int,
-    theta: Theta | None = None,
     tol: float = DEFAULT_TOL,
 ) -> float:
     """Barrier for approaches targeting the rectangular tensor <a,b,c> with
@@ -293,20 +292,18 @@ def barrier_rect(
     from t alone with two identities: flattening ranks multiply under (x), so
     every flattening of cyc t has rank r1 r2 r3; and in a fixed basis the
     entropy maximum adds under (x), so rho_theta(cyc t) is the sum of rho(t)
-    at the three cyclic rotations of theta.  Each distinct rotation is solved
-    once, at tol / 3, so the sum is within tol of its maximum; uniform theta
-    takes one solve.
+    at the three cyclic rotations of theta.  That sum is convex in theta
+    (rho_theta is a maximum of maps linear in theta) and rotation-invariant,
+    so it is least at uniform theta, where it is 3 rho(t): no other theta
+    gives a larger bound.  The one solve runs at tol / 3, so the sum is
+    within tol of its maximum.
     """
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
     if min(a, b, c) < 1 or a * b * c < 2:
         raise ValueError("need abc >= 2")
-    t1, t2, t3 = (theta or Theta.uniform()).as_tuple()
-    # Leg i of rot^s(t) is leg (i + s) mod 3 of t, so its axis weights act on
-    # t rotated the other way.
-    rotations = [(t1, t2, t3), (t3, t1, t2), (t2, t3, t1)]
-    rho = {th: rho_upper(t, Theta(*th), tol=tol / 3.0).value for th in set(rotations)}
-    irr = _irr(math.log2(math.prod(flattening_ranks(t))), sum(rho[th] for th in rotations))
+    rho = rho_upper(t, tol=tol / 3.0).value
+    irr = _irr(math.log2(math.prod(flattening_ranks(t))), 3.0 * rho)
     return _outer_barrier(irr, alpha, math.log2(a * b * c) / 3.0)
 
 

@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING
 # below imports the rest.  So gen and the parsers (--help) load neither numpy
 # nor diagonal, and diag loads no numpy.
 from . import tensor
-from .defaults import DEFAULT_ITER_BUDGET, DEFAULT_NODE_BUDGET, DEFAULT_TOL
+from .defaults import DEFAULT_ITER_BUDGET, DEFAULT_NODE_BUDGET, DEFAULT_RESOLUTION, DEFAULT_TOL
 from .errors import BudgetExceededError, DegenerateInputError, ResourceLimitError
 
 if TYPE_CHECKING:
@@ -121,7 +121,8 @@ def _solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tol", type=float, default=DEFAULT_TOL,
                    help=f"optimizer tolerance (default {DEFAULT_TOL:g})")
     p.add_argument("--iter-budget", type=int, default=DEFAULT_ITER_BUDGET,
-                   help="iteration budget for the entropy optimizer")
+                   help="iteration budget for the entropy optimizer "
+                        f"(default {DEFAULT_ITER_BUDGET})")
 
 
 def _gen_args(p: argparse.ArgumentParser) -> None:
@@ -151,8 +152,8 @@ def _rho_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--theta", help="axis weights t1,t2,t3 (default uniform)")
     p.add_argument("--oracle", action="store_true",
                    help="also run the grid oracle and compare")
-    p.add_argument("--resolution", type=int, default=1000,
-                   help="grid oracle resolution (default 1000)")
+    p.add_argument("--resolution", type=int,
+                   help=f"grid oracle resolution; needs --oracle (default {DEFAULT_RESOLUTION})")
     _format_flag(p)
     _precision_flag(p)
     _solver_flags(p)
@@ -229,13 +230,16 @@ def _cmd_irr(args) -> int:
 def _cmd_rho(args) -> int:
     from . import entropy
 
+    if args.resolution is not None and not args.oracle:
+        raise ValueError("--resolution needs --oracle")
     t = tensor.read_tensor(args.path)
     theta = _parse_theta(args.theta)
     p = args.precision
     res = entropy.rho_upper(t, theta, tol=args.tol, iter_budget=args.iter_budget)
     oracle_value = None
     if args.oracle:
-        oracle_value = entropy.rho_grid_oracle(t, theta, resolution=args.resolution)
+        resolution = DEFAULT_RESOLUTION if args.resolution is None else args.resolution
+        oracle_value = entropy.rho_grid_oracle(t, theta, resolution=resolution)
     if args.format == "json":
         doc = res.to_json_dict()
         if oracle_value is not None:

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .defaults import DEFAULT_ITER_BUDGET, DEFAULT_TOL
+from .defaults import DEFAULT_ITER_BUDGET, DEFAULT_RESOLUTION, DEFAULT_TOL
 from .errors import BudgetExceededError, ResourceLimitError
 from .tensor import Index, Support, Tensor, cw_param
 
@@ -613,7 +613,9 @@ def _grid_max(points: Sequence[Index], th: tuple, resolution: int) -> float:
     return best
 
 
-def rho_grid_oracle(t: Tensor, theta: Theta | None = None, resolution: int = 1000) -> float:
+def rho_grid_oracle(
+    t: Tensor, theta: Theta | None = None, resolution: int = DEFAULT_RESOLUTION
+) -> float:
     """Brute-force lower estimate of the entropy maximum, for cross-checking.
 
     Dense mode returns the maximum over all distributions with denominator

@@ -692,7 +692,8 @@ def test_help_bare_and_unknown_command_load_no_numpy(capsys, monkeypatch):
         assert run == [code, out.out, out.err], argv
     irr_help, diag_help = (" ".join(run[1].split()) for run in child["runs"][3:])
     assert "--tol TOL optimizer tolerance (default 1e-10)" in irr_help
-    assert "--iter-budget ITER_BUDGET iteration budget for the entropy optimizer" in irr_help
+    assert ("--iter-budget ITER_BUDGET iteration budget for the entropy optimizer "
+            "(default 1000000)") in irr_help
     assert "--budget BUDGET search node budget (default 100000000)" in diag_help
     assert "it bounds nodes, not time: a node box-tests up to all of its candidates" in diag_help
 
@@ -750,6 +751,7 @@ IGNORED_FLAGS = [
     (["diag", "{w}", "--node-budget", "5", "--budget", "100000", "--tol", "7",
       "--iter-budget", "3"], "--node-budget", "--budget"),
     (["table", "cw", "--assume-rank", "conjectured", "--mmax", "3"], "--assume-rank", "--qmin"),
+    (["rho", "{w}", "--resolution", "-5"], "--resolution", "--oracle"),
 ]
 
 
