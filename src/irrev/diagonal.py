@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import permutations
+from itertools import permutations, product
 from typing import Hashable, Mapping
 
 from .defaults import DEFAULT_NODE_BUDGET
@@ -243,35 +243,281 @@ def power_support(t: Tensor, k: int) -> Support:
     return Support._unchecked((d0**k, d1**k, d2**k), frozenset(points))
 
 
-def _power_orbits(t: Tensor, k: int) -> dict[Index, int]:
-    """Label each point of supp(t^(x)k) by its orbit under the group G that
-    permutes the k factors and applies, to every factor at once, an axis
-    permutation that keeps t's dims and maps supp(t) onto itself.
+# The symmetry search spends at most this many steps per support point; a
+# step is one point recoloured in one round of colour refinement. Each named
+# family's search ends within 51 per point (cw(2)), and the bound keeps a
+# large symmetric support to 128 rounds over the doubled support.
+_SYMMETRY_STEPS_PER_POINT = 256
 
-    Each generator permutes every axis's coordinates (possibly swapping
-    axes) and fixes the support, so G maps free diagonals to free diagonals
-    of the same size. A point is a word of base-point indices, one per
-    factor. Its orbit under the factor permutations is its sorted word, and
-    its label the number of the least sorted word over the axis permutations."""
-    base = sorted(t.entries)
-    dims = t.dims
-    where = {p: x for x, p in enumerate(base)}
-    autos = []  # the axis permutations that fix supp(t), acting on base indices
+
+def _find(parent: list[int], x: int) -> int:
+    """The root of x in the union-find forest parent, halving its path."""
+    while parent[x] != x:
+        parent[x] = x = parent[parent[x]]
+    return x
+
+
+def _is_automorphism(base: list[Index], perm: tuple[int, ...], image: list[int]) -> bool:
+    """Whether x -> image[x] is an automorphism of the support `base`: a
+    permutation of its points that, on each axis a, maps the points' axis-a
+    coordinates to their images' axis-perm[a] coordinates by a well-defined
+    map. Each such map is onto, as every point is an image, so axis perm[a]
+    uses no more coordinates than axis a; around each cycle of perm the
+    counts are then equal and the maps injective. So two points share their
+    axis-a coordinate iff their images share their axis-perm[a] one, and the
+    map sends free diagonals to free diagonals of the same size, as does
+    applying automorphisms of one perm to the factors of a power, each its
+    own."""
+    if sorted(perm) != [0, 1, 2] or sorted(image) != list(range(len(base))):
+        return False
+    for a, b in enumerate(perm):
+        to: dict[int, int] = {}
+        for p, y in zip(base, image):
+            if to.setdefault(p[a], base[y][b]) != base[y][b]:
+                return False
+    return True
+
+
+def _structure(base: list[Index]):
+    """The support as coloured points and coordinates: per point the ids of
+    its three coordinates, per coordinate id its points, and per coordinate
+    id its axis, which is its first colour. Ids grow with the coordinate
+    within an axis."""
+    keys = [(a, c) for a in range(3) for c in sorted({p[a] for p in base})]
+    ids = {key: v for v, key in enumerate(keys)}
+    pts = [(ids[0, p[0]], ids[1, p[1]], ids[2, p[2]]) for p in base]
+    members: list[list[int]] = [[] for _ in keys]
+    for i, p in enumerate(pts):
+        for v in p:
+            members[v].append(i)
+    return pts, members, [a for a, _ in keys]
+
+
+def _joint(structure, perm: tuple[int, ...]):
+    """The disjoint union of a `_structure` and its copy with the axes
+    permuted by perm: the copy's point j is point order[j], with the copy of
+    its axis-perm[a] coordinate on axis a, and order sorts the points by
+    these permuted coordinates. Returns the union's points, members and
+    first colours, and order."""
+    pts, members, axis = structure
+    n, m = len(pts), len(members)
+    order = sorted(range(n), key=lambda i: tuple(pts[i][b] for b in perm))
+    at = [0] * n
+    for j, i in enumerate(order):
+        at[i] = n + j
+    to = {b: a for a, b in enumerate(perm)}
+    return (pts + [tuple(pts[i][b] + m for b in perm) for i in order],
+            members + [[at[i] for i in ms] for ms in members],
+            axis + [to[a] for a in axis], order)
+
+
+def _refine(pts, members, pc: list[int], cc: list[int], budget: int):
+    """Colour refinement until no class splits or the budget is spent: a
+    coordinate's next colour is its colour and the multiset of its points'
+    colours, a point's its colour and its coordinates' colours. Colours are
+    numbered by one table over both sides of a joint structure, so they
+    compare across the sides. pc must already tell apart points whose
+    coordinates cc tells apart, so a step that splits no class ends it.
+    Returns the colourings and the budget left."""
+    ccount, pcount = len(set(cc)), len(set(pc))
+    while budget > 0:
+        budget -= len(pts)
+        key: dict = {}
+        cc = [key.setdefault((cc[v], tuple(sorted([pc[i] for i in m]))), len(key))
+              for v, m in enumerate(members)]
+        if len(key) == ccount:
+            break
+        ccount, key = len(key), {}
+        pc = [key.setdefault((pc[i], cc[u], cc[v], cc[w]), len(key)) for i, (u, v, w) in enumerate(pts)]
+        if len(key) == pcount:
+            break
+        pcount = len(key)
+    return pc, cc, budget
+
+
+def _individualize(pc: list[int], x: int, y: int) -> list[int]:
+    """pc with points x and y given one new colour of their own."""
+    pc = pc[:]
+    pc[x] = pc[y] = len(pc)
+    return pc
+
+
+def _match(base: list[Index], perm: tuple[int, ...], joint, pc: list[int], cc: list[int], budget: int):
+    """Depth-first individualization-refinement search for an automorphism
+    of `base` with axis permutation perm, as a colour-preserving map from the
+    first side of `joint` (base) to the second (base with its axes permuted).
+
+    A node refines its colouring; if every colour has as many points on
+    each side, it tries the map that pairs them in order, colour by colour,
+    and otherwise branches on the images of the first point of a smallest
+    class of two or more. Returns (image or None, budget left); the path is
+    kept on a stack, not the call stack."""
+    pts, members, _, order = joint
+    n = len(base)
+    stack = []
+    while True:
+        pc, cc, budget = _refine(pts, members, pc, cc, budget)
+        if budget <= 0:
+            return None, budget
+        cells: dict[int, tuple[list[int], list[int]]] = {}
+        for i, c in enumerate(pc):
+            cells.setdefault(c, ([], []))[i >= n].append(i)
+        if all(len(xs) == len(ys) for xs, ys in cells.values()):
+            image = [0] * n
+            for xs, ys in cells.values():
+                for x, y in zip(xs, ys):
+                    image[x] = order[y - n]
+            if _is_automorphism(base, perm, image):
+                return image, budget
+            big = [cell for cell in cells.values() if len(cell[0]) > 1]
+            if big:
+                xs, ys = min(big, key=lambda cell: len(cell[0]))
+                stack.append((pc, cc, xs[0], ys[::-1]))
+        while stack and not stack[-1][3]:
+            stack.pop()
+        if not stack:
+            return None, budget
+        pc, cc, x, ys = stack[-1]
+        pc = _individualize(pc, x, ys.pop())
+
+
+def _symmetries(base: list[Index]) -> list[tuple[tuple[int, ...], list[int]]]:
+    """Automorphisms (perm, image) of the support `base` (see
+    `_is_automorphism`), found by an untrusted search that stops after
+    `_SYMMETRY_STEPS_PER_POINT` steps per point: one for each axis
+    permutation outside the group of those found so far that has one, and
+    relabellings (perm the identity) that join the classes of the stable
+    colour refinement into orbits. Within a class, the lowest point x not
+    yet joined is matched against the others, the highest first: on a class
+    whose points a pairing in order can map, one match can join it whole."""
+    n = len(base)
+    budget = _SYMMETRY_STEPS_PER_POINT * n
+    found = []
+    single = _structure(base)
+    pts, members, axis = single
+    # An automorphism maps axis a's coordinates onto axis perm[a]'s, each
+    # onto one that holds as many points.
+    degrees = [sorted(len(ms) for ms, b in zip(members, axis) if b == a) for a in range(3)]
+    perms = {(0, 1, 2)}  # the group of the axis permutations found
     for perm in permutations(range(3)):
-        if all(dims[a] == dims[perm[a]] for a in range(3)):
-            image = [where.get((p[perm[0]], p[perm[1]], p[perm[2]])) for p in base]
-            if None not in image:
-                autos.append(image)
-    d0, d1, d2 = dims
-    number = {(): 0}  # sorted word -> its number, in order of appearance
+        if perm not in perms and all(degrees[a] == degrees[b] for a, b in enumerate(perm)):
+            joint = _joint(single, perm)
+            image, budget = _match(base, perm, joint, [0] * 2 * n, joint[2], budget)
+            if image is not None:
+                found.append((perm, image))
+                perms.add(perm)
+                while (more := {tuple(p[b] for b in q) for p in perms for q in perms}) != perms:
+                    perms = more
+    pc, cc, budget = _refine(pts, members, [0] * n, axis, budget)
+    cells: dict[int, list[int]] = {}
+    for x in range(n):
+        cells.setdefault(pc[x], []).append(x)
+    big = [cell for cell in cells.values() if len(cell) > 1]
+    if big:
+        # Two copies of the support refine alike, so the joint one starts
+        # from the stable colouring of one; its order is the identity.
+        joint, pc, cc = _joint(single, (0, 1, 2)), pc + pc, cc + cc
+    parent = list(range(n))  # the orbits joined so far, as a union-find
+    for cell in big:
+        while len(cell) > 1 and budget > 0:
+            x, apart = cell[0], []
+            for y in reversed(cell[1:]):
+                root = _find(parent, y)
+                if root == _find(parent, x) or any(root == _find(parent, z) for z in apart):
+                    continue
+                image, budget = _match(base, (0, 1, 2), joint, _individualize(pc, x, n + y), cc, budget)
+                if image is None:
+                    if budget <= 0:
+                        break
+                    apart.append(y)
+                else:
+                    found.append(((0, 1, 2), image))
+                    for z, gz in enumerate(image):
+                        parent[_find(parent, z)] = _find(parent, gz)
+            cell = [y for y in cell if _find(parent, y) != _find(parent, x)]
+    return found
+
+
+def _orbit_classes(base: list[Index], autos) -> tuple[list[int], list[dict[int, int]]]:
+    """The orbits of a group of automorphisms of the support `base`, made
+    only from the maps in autos that pass `_is_automorphism`, so a search
+    that missed some gives finer orbits, never wrong ones.
+
+    Returns cls, with cls[x] the class of base point x, and per axis
+    permutation of the group one map of the classes. The classes are the
+    orbits of a group N' of relabellings (perm the identity), found by a
+    union-find of f(x) with g(x) over every x, for f and g with the same
+    perm (g f^-1 is a relabelling): two checked maps, or a kept map times a
+    checked one and the kept map of the product's perm. Then f(x) is joined
+    with f(y) for x, y in one class and each checked f (f h f^-1 is in N',
+    for h in N' with h(x) = y), until nothing merges. So the kept maps, one
+    per perm of the group the checked perms generate, map classes to
+    classes, and the product of two equals a third up to N'."""
+    n = len(base)
+    parent = list(range(n))
+
+    def join(f, g) -> bool:
+        """Join f(x) with g(x) for every x; whether two classes merged."""
+        merged = False
+        for a, b in zip(f, g):
+            a, b = _find(parent, a), _find(parent, b)
+            if a != b:
+                parent[max(a, b)] = min(a, b)
+                merged = True
+        return merged
+
+    reps = {(0, 1, 2): list(range(n))}  # per axis permutation, one automorphism
+    gens = []  # the perms of the checked maps, which generate those of reps
+    for perm, image in autos:
+        if _is_automorphism(base, perm, image):
+            if perm in reps:
+                join(image, reps[perm])
+            else:
+                reps[perm] = list(image)
+                gens.append(perm)
+    merged = True
+    while merged:
+        merged = False
+        for (p, f), q in product(list(reps.items()), gens):
+            pq, fg = tuple(p[b] for b in q), [f[y] for y in reps[q]]
+            if pq in reps:
+                merged |= join(fg, reps[pq])
+            else:
+                reps[pq], merged = fg, True
+        for q in gens:
+            f = reps[q]
+            merged |= join(f, [f[_find(parent, x)] for x in range(n)])
+    cls = [_find(parent, x) for x in range(n)]
+    return cls, [{cls[x]: cls[y] for x, y in enumerate(f)} for f in reps.values()]
+
+
+def _power_orbits(t: Tensor, k: int) -> dict[Index, int]:
+    """Label each point of supp(t^(x)k) by its orbit under the group G
+    generated by the permutations of the k factors, the relabellings of the
+    coordinates of each factor on its own (perm the identity), and the
+    automorphisms of supp(t) applied to every factor at once; an
+    automorphism is an axis permutation with a bijection of the used
+    coordinates on each axis that maps supp(t) onto itself
+    (`_is_automorphism`). G maps free diagonals to free diagonals of the
+    same size. A symmetry search cut short gives the orbits of a subgroup.
+
+    A point is a word of base points, one per factor. `_orbit_classes`
+    gives the orbits of the base points under the relabellings and one
+    automorphism g per axis permutation; the relabellings are normal, being
+    the kernel of the map to axis permutations, so a word's orbit is named
+    by the least, over the g, of the sorted word of the classes of g(x_f)."""
+    base = sorted(t.entries)
+    cls, moves = _orbit_classes(base, _symmetries(base))
+    d0, d1, d2 = t.dims
+    number = {(): 0}  # sorted word of classes -> its number, in order of appearance
     label = {(0, 0, 0): 0}
     for _ in range(k):  # as in power_support, with each point's sorted word's number
         words, number = list(number), {}
-        grown = [[number.setdefault(tuple(sorted(word + (x,))), len(number))
-                  for x in range(len(base))] for word in words]
+        grown = [[number.setdefault(tuple(sorted(word + (c,))), len(number)) for c in cls]
+                 for word in words]
         label = {(i * d0 + a, j * d1 + b, l * d2 + c): grown[w][x]
                  for (i, j, l), w in label.items() for x, (a, b, c) in enumerate(base)}
-    least = [number[min(tuple(sorted(image[x] for x in word)) for image in autos)]
+    least = [number[min(tuple(sorted(move[c] for c in word)) for move in moves)]
              for word in number]
     for p, w in label.items():
         label[p] = least[w]
@@ -282,11 +528,15 @@ def monomial_subrank_power(t: Tensor, k: int, node_budget: int = DEFAULT_NODE_BU
     """Free-diagonal search on supp(t^(x)k); the rate log2(size)/k lower-bounds
     log2 of the asymptotic monomial subrank (Fekete supremum over k).
 
-    The root branches once per orbit of `_power_orbits`' group G: for a free
-    D, take the first orbit O_j that D meets, at p; a g in G with
-    g(p) = r_j, the orbit's lowest point, maps D to a free diagonal of the
-    same size that contains r_j and misses O_1, ..., O_(j-1), the subtree
-    searched for O_j (see `max_free_diagonal`)."""
+    The root branches once per orbit of `_power_orbits`' group G, which
+    permutes the factors and relabels coordinates within an axis as well as
+    permuting the axes (z3's translations, for one): for a free D, take the
+    first orbit O_j that D meets, at p; a g in G with g(p) = r_j, the
+    orbit's lowest point, maps D to a free diagonal of the same size that
+    contains r_j and misses O_1, ..., O_(j-1), the subtree searched for O_j
+    (see `max_free_diagonal`). G comes from a bounded, untrusted search
+    whose every map is checked before use, so a search cut short gives
+    finer orbits and a larger tree, never a smaller maximum."""
     support = power_support(t, k)
     found = max_free_diagonal(support, node_budget=node_budget, orbit_of=_power_orbits(t, k))
     return replace(found, power=k)

@@ -152,7 +152,8 @@ def flattening_ranks(t: Tensor) -> tuple[int, int, int]:
     pts = residues = None
     ranks = []
     for axis, (a, b, c) in _LEGS.items():
-        if len(set(zip(coords[b], coords[c]))) == n:
+        # More entries than columns cannot all sit in distinct columns.
+        if n <= t.dims[b] * t.dims[c] and len(set(zip(coords[b], coords[c]))) == n:
             ranks.append(len(set(coords[a])))
             continue
         if pts is None:

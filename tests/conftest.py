@@ -93,7 +93,7 @@ def direct_sum_blocks(points) -> list[list]:
     return list(blocks.values())
 
 
-def reference_max_free_diagonal(support, node_budget=10**8, *, admissible=True):
+def reference_max_free_diagonal(support, node_budget=10**8, *, admissible=True, orbit_of=None):
     """The set-based free-diagonal search, independent of the bitset search.
 
     Returns (size, witness, exact, nodes, bound_prunes, box_prunes).  A
@@ -111,6 +111,10 @@ def reference_max_free_diagonal(support, node_budget=10**8, *, admissible=True):
     the rest if it dropped any (an empty rest is no prune), and branches on
     the rest without checking them again.  Without it this is the plain
     walk, which checks each candidate when it comes to it.
+
+    With orbit_of, a map from each point to its orbit's name, the root
+    branches once per orbit, at its lowest point, and a root branch's
+    subtree holds no point of an orbit whose branch came before.
     """
     if node_budget < 1:
         raise ValueError("node_budget must be positive")
@@ -152,13 +156,20 @@ def reference_max_free_diagonal(support, node_budget=10**8, *, admissible=True):
                 if kept and cannot_beat(kept):
                     bound_prunes += 1
                     return
+        taken = set()  # at the root of an orbit search, the orbits branched on
         for j, p in enumerate(candidates):
+            orbit = orbit_of[p] if orbit_of is not None and not chosen else None
+            if orbit is not None and orbit in taken:
+                continue
             if not checked and not box_ok(p):
                 box_prunes += 1
                 continue
             chosen.append(p)
-            walk([q for q in candidates[j + 1:] if all(q[a] != p[a] for a in range(3))])
+            walk([q for q in candidates[j + 1:] if all(q[a] != p[a] for a in range(3))
+                  and (orbit is None or orbit_of[q] not in taken)])
             chosen.pop()
+            if orbit is not None:
+                taken.add(orbit)
 
     exact = True
     try:

@@ -1,6 +1,7 @@
 import math
 import random
-from itertools import product
+from itertools import permutations, product
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -24,8 +25,16 @@ from irrev import (
     w,
     z3,
 )
+from irrev import diagonal
 from irrev import tensor as tensor_module
-from irrev.diagonal import DEFAULT_NODE_BUDGET, _power_orbits
+from irrev.diagonal import (
+    DEFAULT_NODE_BUDGET,
+    _is_automorphism,
+    _power_orbits,
+    _refine,
+    _structure,
+    _symmetries,
+)
 from conftest import (
     brute_force_max_free_diagonal,
     direct_sum_blocks,
@@ -310,16 +319,23 @@ def test_plain_search_branches_on_every_point():
 
 @pytest.mark.parametrize(
     "t, k, want",
-    [(w(), 4, (6, True, 5216, 4)), (z3(), 2, (4, True, 3411, 27))],
-    ids=["w^4", "z3^2"],
+    [(w(), 4, (6, True, 5216, 4)), (z3(), 2, (4, True, 393, 1)), (tn(4), 2, (6, True, 16115, 13))],
+    ids=["w^4", "z3^2", "tn4^2"],
 )
 def test_power_search_node_counts_pinned(t, k, want):
-    # The root's 81 points fall into 4 orbits on W^4, and 27 on z3^2.
-    # Without the orbits the search takes 49,242 and 8,965 nodes; with them
-    # but on the plain tree, which box-tests each candidate only when it
-    # comes to it and so bounds on every candidate left, 9,189 and 4,163.
+    # The root's 81 points fall into 4 orbits on W^4, and into 1 on z3^2,
+    # whose group holds z3's translations within each axis; tn(4)^2's 100
+    # fall into 13. Without the orbits the search takes 49,242, 8,965 and
+    # 96,253 nodes; with them but on the plain tree, which box-tests each
+    # candidate only when it comes to it and so bounds on every candidate
+    # left, 9,189, 466 and 29,982.
     res = monomial_subrank_power(t, k)
     assert (res.size, res.exact, res.nodes, res.root_orbits) == want
+    # The set-based walk, fed the orbits of the brute-force group, takes the
+    # same tree.
+    orbit_of = {p: i for i, orbit in enumerate(_orbits_by_generators(t, k)) for p in orbit}
+    counts = (res.size, res.witness, res.exact, res.nodes, res.bound_prunes, res.box_prunes)
+    assert counts == reference_max_free_diagonal(power_support(t, k), orbit_of=orbit_of)
 
 
 def test_power_search_stopped_at_the_root_reports_the_least_point():
@@ -414,39 +430,72 @@ def test_direct_sum_blocks_add_up_to_the_whole_brute_force(a, b):
     assert sum(map(brute_force_max_free_diagonal, blocks)) == brute_force_max_free_diagonal(points)
 
 
-def _orbits_by_generators(t, k):
-    """The orbits of supp(t^(x)k) under the factor swaps and the axis
-    permutations that fix dims and supp(t), by closing each point under
-    the generators applied to its per-factor digits."""
-    dims = t.dims
+def _apply(g, p):
+    """The image of point p under g = (perm, maps): its axis-a coordinate,
+    relabelled by maps[a], becomes the axis-perm[a] coordinate."""
+    perm, maps = g
+    q = [0, 0, 0]
+    for a in range(3):
+        q[perm[a]] = maps[a][p[a]]
+    return tuple(q)
+
+
+def _automorphisms_by_brute_force(t):
+    """Every automorphism of supp(t), by trying every axis permutation with
+    every bijection of each axis's used coordinates onto those of its image
+    axis."""
     base = set(t.entries)
-    all_perms = ((0, 1, 2), (1, 0, 2), (0, 2, 1), (2, 1, 0), (1, 2, 0), (2, 0, 1))
-    axis_perms = [perm for perm in all_perms
-                  if all(dims[perm[a]] == dims[a] for a in range(3))
-                  and {tuple(p[perm[a]] for a in range(3)) for p in base} == base]
+    used = [sorted({p[a] for p in base}) for a in range(3)]
+    group = []
+    for perm in permutations(range(3)):
+        if all(len(used[a]) == len(used[perm[a]]) for a in range(3)):
+            for images in product(*(permutations(used[perm[a]]) for a in range(3))):
+                g = (perm, [dict(zip(used[a], images[a])) for a in range(3)])
+                if {_apply(g, p) for p in base} == base:
+                    group.append(g)
+    return group
 
-    def digits(p):  # per factor, most significant first
-        return [tuple(p[a] // dims[a] ** (k - 1 - f) % dims[a] for a in range(3)) for f in range(k)]
 
-    def compose(factors):
-        return tuple(sum(q[a] * dims[a] ** (k - 1 - f) for f, q in enumerate(factors))
-                     for a in range(3))
+def _digits(p, dims, k):
+    """A point of supp(t^(x)k) as its k factors, most significant first."""
+    return [tuple(p[a] // dims[a] ** (k - 1 - f) % dims[a] for a in range(3)) for f in range(k)]
+
+
+def _compose(factors, dims):
+    """The point of the power with these factors, most significant first."""
+    k = len(factors)
+    return tuple(sum(q[a] * dims[a] ** (k - 1 - f) for f, q in enumerate(factors)) for a in range(3))
+
+
+def _orbits_by_generators(t, k):
+    """The orbits of supp(t^(x)k) under the factor swaps, every automorphism
+    of supp(t) applied to every factor at once, and every relabelling (an
+    automorphism that keeps each axis) applied to the first factor alone,
+    by closing each point under these maps of its per-factor digits."""
+    dims = t.dims
+    group = _automorphisms_by_brute_force(t)
+    relabellings = [g for g in group if g[0] == (0, 1, 2)]
 
     def neighbours(p):
-        fs = digits(p)
+        fs = _digits(p, dims, k)
         for f in range(k - 1):
-            yield compose(fs[:f] + [fs[f + 1], fs[f]] + fs[f + 2:])
-        for perm in axis_perms:
-            yield compose([tuple(q[perm[a]] for a in range(3)) for q in fs])
+            yield _compose(fs[:f] + [fs[f + 1], fs[f]] + fs[f + 2:], dims)
+        for g in group:
+            yield _compose([_apply(g, q) for q in fs], dims)
+        for g in relabellings:
+            yield _compose([_apply(g, fs[0])] + fs[1:], dims)
 
-    orbits = set()
+    orbits, seen = set(), set()
     for p in sorted(power_support(t, k).points):
+        if p in seen:
+            continue
         orbit, todo = {p}, [p]
         while todo:
             for q in neighbours(todo.pop()):
                 if q not in orbit:
                     orbit.add(q)
                     todo.append(q)
+        seen |= orbit
         orbits.add(frozenset(orbit))
     return orbits
 
@@ -468,6 +517,115 @@ def test_power_orbit_labels_are_the_group_orbits(t, k):
 
 
 @pytest.mark.parametrize(
-    "t, k", [(w(), 4), (z3(), 2), (tn(4), 2), (cw_big(1), 3), (matmul(1, 2, 2), 3)])
+    "t, k", [(w(), 4), (z3(), 2), (tn(4), 2), (cw_big(1), 3), (matmul(1, 2, 2), 3), (z3(), 1),
+             (cw(2), 2), (unit(3), 2), (matmul(2, 2, 2), 2)])
 def test_power_orbit_labels_on_families(t, k):
     _assert_labels_are_the_orbits(t, k)
+
+
+_FAMILIES = {"w": w(), "z3": z3(), "tn2": tn(2), "tn3": tn(3), "tn4": tn(4), "cw2": cw(2),
+             "cw_big1": cw_big(1), "unit3": unit(3), "matmul222": matmul(2, 2, 2),
+             "matmul122": matmul(1, 2, 2)}
+
+
+@pytest.mark.parametrize("t", _FAMILIES.values(), ids=_FAMILIES.keys())
+def test_every_automorphism_the_search_returns_passes_the_check(t):
+    base = sorted(t.entries)
+    found = _symmetries(base)
+    group = _automorphisms_by_brute_force(t)
+    assert found
+    for perm, image in found:
+        assert _is_automorphism(base, perm, image)
+        # The same map read off the brute-force group's coordinate maps.
+        assert any(perm == g[0] and all(base[y] == _apply(g, p) for p, y in zip(base, image))
+                   for g in group)
+
+
+def test_the_check_refuses_a_map_with_two_images_swapped():
+    # Each coordinate of z3 and of <2,2,2> holds two or more points, so no
+    # automorphism moves exactly two points: swapping two images of one
+    # breaks a coordinate map.
+    for t in (z3(), matmul(2, 2, 2)):
+        base = sorted(t.entries)
+        for perm, image in _symmetries(base):
+            bad = list(image)
+            bad[0], bad[1] = bad[1], bad[0]
+            assert not _is_automorphism(base, perm, bad)
+    base = sorted(w().entries)
+    assert _is_automorphism(base, (1, 0, 2), [0, 2, 1])  # (0,0,1) fixed, the others swapped
+    assert not _is_automorphism(base, (1, 0, 2), [0, 1, 2])
+
+
+def test_the_check_refuses_maps_that_are_not_permutations():
+    # Each of these keeps every coordinate map well defined, so only the
+    # check that image permutes the points and perm the axes refuses it.
+    base = sorted(w().entries)
+    assert not _is_automorphism(base, (0, 1, 2), [0, 0, 0])
+    assert not _is_automorphism(base, (0, 1, 2), [0, 1])
+    assert not _is_automorphism(sorted(unit(2).entries), (0, 0, 1), [0, 1])
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(_small_tensors(), st.sampled_from([1, 2]), st.randoms(use_true_random=False))
+def test_orbits_from_part_of_the_group_are_finer_never_wrong(t, k, rnd):
+    # A search cut short returns some automorphisms, and a wrong one is
+    # refused by the check. The labels then still name the orbits of a
+    # group: each class lies in one orbit of the whole group, the maps
+    # returned keep every label, and the exact size is the plain search's.
+    base = sorted(t.entries)
+    where = {p: x for x, p in enumerate(base)}
+    group = _automorphisms_by_brute_force(t)
+    part = [g for g in group if rnd.random() < 0.3]
+    returned = [(perm, [where[_apply((perm, maps), p)] for p in base]) for perm, maps in part]
+    perm, image = rnd.choice(returned or [((0, 1, 2), list(range(len(base))))])
+    returned.append((perm, [image[1], image[0]] + image[2:]))
+    rnd.shuffle(returned)
+    with mock.patch.object(diagonal, "_symmetries", lambda _: returned):
+        labels = _power_orbits(t, k)
+        res = monomial_subrank_power(t, k)
+    orbit_of = {p: i for i, orbit in enumerate(_orbits_by_generators(t, k)) for p in orbit}
+    classes = {}
+    for p, label in labels.items():
+        classes.setdefault(label, set()).add(p)
+    assert all(len({orbit_of[p] for p in c}) == 1 for c in classes.values())
+    for g in part:
+        for p, label in labels.items():
+            assert labels[_compose([_apply(g, q) for q in _digits(p, t.dims, k)], t.dims)] == label
+    plain = max_free_diagonal(power_support(t, k))
+    assert res.exact and plain.exact and res.size == plain.size
+
+
+@pytest.mark.parametrize("steps", [1, 4, 16])
+def test_symmetry_search_cut_short_gives_finer_orbits(monkeypatch, steps):
+    # Too few steps per point for the whole group: the orbits are finer than
+    # the brute-force group's, and the exact maxima stay.
+    monkeypatch.setattr(diagonal, "_SYMMETRY_STEPS_PER_POINT", steps)
+    for t, k, size in ((z3(), 2, 4), (cw(2), 2, 6), (matmul(2, 2, 2), 1, 2), (tn(3), 2, 4)):
+        orbit_of = {p: i for i, orbit in enumerate(_orbits_by_generators(t, k)) for p in orbit}
+        classes = {}
+        for p, label in _power_orbits(t, k).items():
+            classes.setdefault(label, set()).add(p)
+        assert all(len({orbit_of[p] for p in c}) == 1 for c in classes.values())
+        res = monomial_subrank_power(t, k)
+        assert (res.size, res.exact) == (size, True)
+
+
+def test_symmetry_search_on_singleton_cells_runs_no_backtracking(monkeypatch):
+    # Colour refinement alone tells the 200 points apart, so no class has two
+    # points to match, and no axis permutation keeps the coordinate counts.
+    rng = random.Random(868)
+    pts = set()
+    while len(pts) < 200:
+        pts.add((rng.randrange(10), rng.randrange(12), rng.randrange(14)))
+    base = sorted(pts)
+    points, members, axis = _structure(base)
+    pc = _refine(points, members, [0] * len(base), axis, 10**9)[0]
+    assert len(set(pc)) == len(base)
+
+    def refuse(*args):
+        raise AssertionError("the search individualized a point")
+
+    monkeypatch.setattr(diagonal, "_individualize", refuse)
+    assert _symmetries(base) == []
+    t = Tensor((10, 12, 14), dict.fromkeys(base, 1))
+    assert monomial_subrank_power(t, 1, node_budget=1).root_orbits == len(base)
