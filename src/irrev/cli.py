@@ -275,6 +275,7 @@ def _cmd_diag(args) -> int:
             "bound_prunes": res.bound_prunes,
             "box_prunes": res.box_prunes,
             "root_orbits": res.root_orbits,
+            "stabiliser_orbits": res.stabiliser_orbits,
         }, args.precision)))
     else:
         print(f"size          {res.size}")

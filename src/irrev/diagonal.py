@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import permutations, product
-from typing import Hashable, Mapping
+from itertools import permutations
+from typing import Callable, Hashable
 
 from .defaults import DEFAULT_NODE_BUDGET
 from .errors import ResourceLimitError
@@ -35,13 +35,15 @@ class DiagonalResult:
     the bound cut, box_prunes the candidates refused by the box test that
     each node below the root makes on entry, summed over those nodes (a
     point refused in two sibling subtrees counts twice), root_orbits the
-    number of orbits among the root's candidates: one per point, or one per
-    orbit when the search knows a symmetry group of the support. The
-    incumbent starts as the lowest point, so on a support that uses one
-    coordinate on some axis the root's bound decides the search: size 1,
-    exact, one node, one bound prune. power is k when the search ran on the
-    k-th Kronecker power of a support (`monomial_subrank_power`), else 1;
-    per_copy_rate = log2(size) / power."""
+    number of orbits the root branches on: one per point, or one per orbit
+    when the search knows a symmetry group of the support, and
+    stabiliser_orbits, likewise, the number each child of the root branches
+    on, summed over those that branch; a node whose bound prunes it
+    branches on none. The incumbent starts as the lowest point, so on a
+    support that uses one coordinate on some axis the root's bound decides
+    the search: size 1, exact, one node, one bound prune, no orbits. power
+    is k when the search ran on the k-th Kronecker power of a support
+    (`monomial_subrank_power`), else 1; per_copy_rate = log2(size) / power."""
 
     size: int
     witness: tuple[Index, ...]
@@ -50,6 +52,7 @@ class DiagonalResult:
     bound_prunes: int
     box_prunes: int
     root_orbits: int
+    stabiliser_orbits: int
     power: int = 1
 
     @property
@@ -107,11 +110,32 @@ def _cannot_beat(cand: int, room: int, slices: list[list[int]]) -> bool:
     return False
 
 
+def _indices(mask: int) -> list[int]:
+    """The indices of the bits set in mask, in increasing order."""
+    return [i for i, b in enumerate(bin(mask)[:1:-1]) if b == "1"]
+
+
+def _orbits(orbit_of, pts: list[Index], chosen: int, cand: int):
+    """A node's candidates grouped by their orbits: an iterator over the
+    orbits' lists of indices in the order of their lowest ones, or () for a
+    point each, and the number of orbits."""
+    if orbit_of is None:
+        return (), cand.bit_count()
+    idx = _indices(cand)
+    labels = orbit_of(tuple(pts[i] for i in _indices(chosen)), [pts[i] for i in idx])
+    if labels is None:
+        return (), len(idx)
+    members: dict[Hashable, list[int]] = {}
+    for i, label in zip(idx, labels):
+        members.setdefault(label, []).append(i)
+    return iter(members.values()), len(members)
+
+
 def max_free_diagonal(
     support: Support,
     node_budget: int = DEFAULT_NODE_BUDGET,
     *,
-    orbit_of: Mapping[Index, Hashable] | None = None,
+    orbit_of: Callable[[tuple[Index, ...], list[Index]], list[Hashable] | None] | None = None,
 ) -> DiagonalResult:
     """Exact branch-and-bound search for a maximum free diagonal.
 
@@ -126,11 +150,10 @@ def max_free_diagonal(
     trapped point shares a coordinate with D, so p stays refused in the
     whole subtree. A branch is pruned when |D| plus the per-axis count of
     coordinates among the candidates cannot beat the incumbent. The root is
-    such a node: its candidates are the points of the orbits whose branch
-    has not been taken (below), all points at first, and the incumbent
-    starts as the lowest point, a free diagonal. So a support that uses one
-    coordinate on some axis, where no free diagonal has two points, is
-    decided at the root.
+    such a node, with every point a candidate, and the incumbent starts as
+    the lowest point, a free diagonal. So a support that uses one coordinate
+    on some axis, where no free diagonal has two points, is decided at the
+    root.
 
     A node with D nonempty whose candidates that bound does not prune
     box-tests them all on entry, drops the refused ones and, if it dropped
@@ -152,35 +175,40 @@ def max_free_diagonal(
     stack, not the call stack, so a diagonal of any size is searched without
     a recursion limit.
 
-    orbit_of, if given, labels each point by its orbit O under a group G of
-    maps of the support onto itself that send free diagonals to free
-    diagonals of the same size; it is trusted, not checked. The root then
-    branches once per orbit: O_j, taken in the order of their lowest points
-    r_j, gets the subtree of the D with r_j in D and no point of O_1, ...,
-    O_(j-1): taking a branch drops its orbit from the root's candidates, so
-    the root's lowest candidate is the next orbit's lowest point. Nothing is
-    lost: a free D meets a first orbit O_j, in some p, and a g in G with
-    g(p) = r_j maps D into that subtree at the same size.
-    Without it each point is its own orbit, which is the plain tree.
+    orbit_of, if given, is asked when a node with |D| <= 1 first branches:
+    orbit_of(D, candidates), D and the candidates as points, labels each
+    candidate by its orbit under the pointwise stabiliser of D in a group G
+    of maps of the support onto itself that send free diagonals to free
+    diagonals of the same size, the same G at every call, or returns None
+    for a point each; it is trusted, not checked. The node then branches
+    once per orbit: O_j, taken in the order of their lowest points r_j, gets
+    the subtree of D + r_j with no point of O_1, ..., O_(j-1), as taking a
+    branch drops its orbit from the node's candidates, so the next lowest
+    candidate is the next orbit's lowest point. Nothing is lost: the
+    stabiliser S of D fixes D, maps the node's candidates onto themselves
+    (those of the root are every point, and the refused ones are refused
+    alike) and maps onto itself each orbit that an ancestor's earlier
+    branches dropped, being part of that ancestor's stabiliser. So a free
+    diagonal in the node's subtree meets a first orbit O_j, in some p, and
+    an s in S with s(p) = r_j maps it into the subtree of r_j at the same
+    size. The result counts the root's orbits and, summed over the nodes
+    with |D| = 1 that branch, theirs. Without orbit_of, or where it returns
+    None, each candidate is its own orbit, which is the plain tree.
     """
     if node_budget < 1:
         raise ValueError("node_budget must be positive")
     pts = sorted(support.points)
-    n = root_orbits = len(pts)
-    orbit = None  # per point, the indices of its orbit's points
-    if orbit_of is not None:
-        members: dict[Hashable, list[int]] = {}
-        orbit = [members.setdefault(orbit_of[p], []) for p in pts]
-        for i, idx in enumerate(orbit):
-            idx.append(i)
-        root_orbits = len(members)
-        del orbit_of, members  # a big power's labels go before its masks come
+    n = len(pts)
     s0, s1, s2 = slices = [_slices(pts, a) for a in range(3)]
     best_size, best_mask = 1, 1  # the lowest point, a free diagonal
-    nodes = bound_prunes = box_prunes = 0
+    nodes = bound_prunes = box_prunes = root_orbits = stabiliser_orbits = 0
     exact = False
     # The node being visited, and its ancestors' with their candidates left.
-    cand, size, chosen, m0, m1, m2 = (1 << n) - 1, 0, 0, 0, 0, 0
+    # orbit is None at a node with |D| <= 1 until it first branches, then its
+    # orbits not yet branched on (see _orbits); below, () for a point each.
+    # A branch drops its whole orbit, so the lowest candidate left is always
+    # the lowest point of the next orbit.
+    cand, size, chosen, m0, m1, m2, orbit = (1 << n) - 1, 0, 0, 0, 0, 0, None
     stack = []
     push, pop = stack.append, stack.pop
     while nodes < node_budget:
@@ -207,23 +235,29 @@ def max_free_diagonal(
                         bound_prunes += 1
                         cand = 0
         while not cand and stack:  # back to the nearest node with a candidate left
-            cand, size, chosen, m0, m1, m2 = pop()
+            cand, size, chosen, m0, m1, m2, orbit = pop()
         if not cand:  # the tree is exhausted
             exact = True
             break
+        if orbit is None:  # the node's first branch: group its candidates
+            orbit, count = _orbits(orbit_of, pts, chosen, cand)
+            if size:
+                stabiliser_orbits += count
+            else:
+                root_orbits = count
         low = cand & -cand  # on to its child at its lowest candidate
         cand ^= low
         i = low.bit_length() - 1
-        if size or orbit is None:
-            push((cand, size, chosen, m0, m1, m2))
-        else:  # a root branch: the later ones avoid its orbit
-            push((cand & ~_bits(orbit[i], n), size, chosen, m0, m1, m2))
+        # The later siblings avoid the child's orbit.
+        push((cand & ~_bits(next(orbit), n) if orbit else cand, size, chosen, m0, m1, m2, orbit))
         m0, m1, m2 = m0 | s0[i], m1 | s1[i], m2 | s2[i]
         cand &= ~(m0 | m1 | m2)
         size += 1
         chosen |= low
-    witness = tuple(pts[i] for i, b in enumerate(bin(best_mask)[:1:-1]) if b == "1")
-    return DiagonalResult(best_size, witness, exact, nodes, bound_prunes, box_prunes, root_orbits)
+        orbit = None if size < 2 else ()
+    witness = tuple(pts[i] for i in _indices(best_mask))
+    return DiagonalResult(best_size, witness, exact, nodes, bound_prunes, box_prunes, root_orbits,
+                          stabiliser_orbits)
 
 
 def power_support(t: Tensor, k: int) -> Support:
@@ -438,105 +472,170 @@ def _symmetries(base: list[Index]) -> list[tuple[tuple[int, ...], list[int]]]:
     return found
 
 
-def _orbit_classes(base: list[Index], autos) -> tuple[list[int], list[dict[int, int]]]:
-    """The orbits of a group of automorphisms of the support `base`, made
-    only from the maps in autos that pass `_is_automorphism`, so a search
-    that missed some gives finer orbits, never wrong ones.
-
-    Returns cls, with cls[x] the class of base point x, and per axis
-    permutation of the group one map of the classes. The classes are the
-    orbits of a group N' of relabellings (perm the identity), found by a
-    union-find of f(x) with g(x) over every x, for f and g with the same
-    perm (g f^-1 is a relabelling): two checked maps, or a kept map times a
-    checked one and the kept map of the product's perm. Then f(x) is joined
-    with f(y) for x, y in one class and each checked f (f h f^-1 is in N',
-    for h in N' with h(x) = y), until nothing merges. So the kept maps, one
-    per perm of the group the checked perms generate, map classes to
-    classes, and the product of two equals a third up to N'."""
+def _group(base: list[Index], autos) -> tuple[list[list[int]], list[list[int]]]:
+    """The group H generated by the maps in autos that pass
+    `_is_automorphism`, so a search that missed some gives a subgroup,
+    never wrong maps. Returns reps, per axis permutation of H one map of H
+    (built breadth first from the identity), and generators of the kernel
+    K, the relabellings (perm the identity) in H: for each map t in reps
+    and each checked map s, the relabelling t s u^-1, with u the map in
+    reps of the perm of t s. These generate K (Schreier's lemma), and K is
+    normal in H, so each map of H maps K's orbits to K's orbits."""
     n = len(base)
+    checked = [(perm, image) for perm, image in autos if _is_automorphism(base, perm, image)]
+    reps = {(0, 1, 2): list(range(n))}
+    kernel = {}  # as a dict, to keep them once each in the order found
+    order = [(0, 1, 2)]
+    for p in order:
+        f = reps[p]
+        for q, g in checked:
+            pq, fg = tuple(p[b] for b in q), [f[y] for y in g]
+            u = reps.setdefault(pq, fg)
+            if u is fg:
+                order.append(pq)
+            else:
+                r = [0] * n
+                for x, y in zip(u, fg):
+                    r[x] = y
+                kernel[tuple(r)] = None
+    kernel.pop(tuple(range(n)), None)
+    return list(reps.values()), [list(r) for r in kernel]
+
+
+def _classes(maps, n: int) -> list[int]:
+    """Per x in range(n), the least point of its orbit under the group that
+    the permutations maps of range(n) generate, by a union-find."""
     parent = list(range(n))
-
-    def join(f, g) -> bool:
-        """Join f(x) with g(x) for every x; whether two classes merged."""
-        merged = False
-        for a, b in zip(f, g):
-            a, b = _find(parent, a), _find(parent, b)
-            if a != b:
-                parent[max(a, b)] = min(a, b)
-                merged = True
-        return merged
-
-    reps = {(0, 1, 2): list(range(n))}  # per axis permutation, one automorphism
-    gens = []  # the perms of the checked maps, which generate those of reps
-    for perm, image in autos:
-        if _is_automorphism(base, perm, image):
-            if perm in reps:
-                join(image, reps[perm])
-            else:
-                reps[perm] = list(image)
-                gens.append(perm)
-    merged = True
-    while merged:
-        merged = False
-        for (p, f), q in product(list(reps.items()), gens):
-            pq, fg = tuple(p[b] for b in q), [f[y] for y in reps[q]]
-            if pq in reps:
-                merged |= join(fg, reps[pq])
-            else:
-                reps[pq], merged = fg, True
-        for q in gens:
-            f = reps[q]
-            merged |= join(f, [f[_find(parent, x)] for x in range(n)])
-    cls = [_find(parent, x) for x in range(n)]
-    return cls, [{cls[x]: cls[y] for x, y in enumerate(f)} for f in reps.values()]
+    for r in maps:
+        for x, y in enumerate(r):
+            x, y = _find(parent, x), _find(parent, y)
+            if x != y:
+                parent[max(x, y)] = min(x, y)
+    return [_find(parent, x) for x in range(n)]
 
 
-def _power_orbits(t: Tensor, k: int) -> dict[Index, int]:
-    """Label each point of supp(t^(x)k) by its orbit under the group G
-    generated by the permutations of the k factors, the relabellings of the
-    coordinates of each factor on its own (perm the identity), and the
+class _PowerOrbits:
+    """orbit_of for `max_free_diagonal` on supp(t^(x)k): the orbits of a
+    group G of maps of the power, and of the stabiliser in G of one point.
+
+    G is generated by the permutations of the k factors, the relabellings of
+    the coordinates of each factor on its own (perm the identity), and the
     automorphisms of supp(t) applied to every factor at once; an
     automorphism is an axis permutation with a bijection of the used
     coordinates on each axis that maps supp(t) onto itself
     (`_is_automorphism`). G maps free diagonals to free diagonals of the
-    same size. A symmetry search cut short gives the orbits of a subgroup.
+    same size. Its maps come from `_group` on the automorphisms that
+    `_symmetries` finds, so a search cut short gives the orbits of a
+    subgroup, finer ones, never wrong ones.
 
-    A point is a word of base points, one per factor. `_orbit_classes`
-    gives the orbits of the base points under the relabellings and one
-    automorphism g per axis permutation; the relabellings are normal, being
-    the kernel of the map to axis permutations, so a word's orbit is named
-    by the least, over the g, of the sorted word of the classes of g(x_f)."""
-    base = sorted(t.entries)
-    cls, moves = _orbit_classes(base, _symmetries(base))
-    d0, d1, d2 = t.dims
-    number = {(): 0}  # sorted word of classes -> its number, in order of appearance
-    label = {(0, 0, 0): 0}
-    for _ in range(k):  # as in power_support, with each point's sorted word's number
-        words, number = list(number), {}
-        grown = [[number.setdefault(tuple(sorted(word + (c,))), len(number)) for c in cls]
-                 for word in words]
-        label = {(i * d0 + a, j * d1 + b, l * d2 + c): grown[w][x]
-                 for (i, j, l), w in label.items() for x, (a, b, c) in enumerate(base)}
-    least = [number[min(tuple(sorted(move[c] for c in word)) for move in moves)]
-             for word in number]
-    for p, w in label.items():
-        label[p] = least[w]
-    return label
+    A point is a word of base points, one per factor, and G is K^k (K, the
+    relabellings, on each factor) extended by the factor permutations and
+    the maps reps of `_group` on every factor. So a word's orbit is named by
+    the least, over the maps g in reps, of the sorted word of the K-orbits of
+    g(x_f). Likewise y and z lie in one orbit of the stabiliser of x iff the
+    pairs (x, y) and (x, z) lie in one orbit of G, which is named by the
+    least sorted word of the K-orbits on pairs of base points of
+    (g(x_f), g(y_f)).
+
+    Both are built only when asked for, the stabiliser's within
+    `_SYMMETRY_STEPS_PER_POINT` steps per point of the power over all calls:
+    a step is one pair of base points mapped by one map. A call whose steps
+    the budget cannot pay, the K-orbits on pairs included, gets None, a
+    point each."""
+
+    def __init__(self, t: Tensor, k: int):
+        self.base = sorted(t.entries)
+        self.reps, self.kernel = _group(self.base, _symmetries(self.base))
+        self.cls = _classes(self.kernel, len(self.base))
+        self.dims, self.k = t.dims, k
+        self.where = {p: x for x, p in enumerate(self.base)}
+        self.steps = _SYMMETRY_STEPS_PER_POINT * len(self.base) ** k
+        self.pairs = None  # the K-orbits on pairs of base points, once paid for
+
+    def __call__(self, diagonal: tuple[Index, ...], points: list[Index]):
+        if not diagonal:
+            return self.root(points)
+        if len(diagonal) == 1:
+            return self.stabiliser(diagonal[0], points)
+        return None
+
+    def root(self, points: list[Index]) -> list[int]:
+        """Per point, a name of its orbit under G."""
+        base, cls, (d0, d1, d2) = self.base, self.cls, self.dims
+        moves = [{cls[x]: cls[y] for x, y in enumerate(f)} for f in self.reps]
+        number = {(): 0}  # sorted word of classes -> its number, in order of appearance
+        label = {(0, 0, 0): 0}
+        for _ in range(self.k):  # as in power_support, with each point's sorted word's number
+            words, number = list(number), {}
+            grown = [[number.setdefault(tuple(sorted(word + (c,))), len(number)) for c in cls]
+                     for word in words]
+            label = {(i * d0 + a, j * d1 + b, l * d2 + c): grown[w][x]
+                     for (i, j, l), w in label.items() for x, (a, b, c) in enumerate(base)}
+        least = [number[min(tuple(sorted(move[c] for c in word)) for move in moves)]
+                 for word in number]
+        return [least[label[p]] for p in points]
+
+    def word(self, p: Index) -> list[int]:
+        """The base points of the factors of p, the last factor first."""
+        (d0, d1, d2), where = self.dims, self.where
+        c0, c1, c2 = p
+        word = []
+        for _ in range(self.k):
+            c0, a = divmod(c0, d0)
+            c1, b = divmod(c1, d1)
+            c2, c = divmod(c2, d2)
+            word.append(where[a, b, c])
+        return word
+
+    def stabiliser(self, x: Index, points: list[Index]):
+        """Per point, a name of its orbit under the stabiliser of x, or None."""
+        m = len(self.where)
+        if self.pairs is None:  # at the first call
+            self.steps -= len(self.kernel) * m * m
+            if not self.kernel:
+                self.pairs = range(m * m)
+            elif self.steps >= 0:
+                self.pairs = _classes(
+                    ([r[a] * m + r[b] for a in range(m) for b in range(m)] for r in self.kernel), m * m)
+            else:
+                self.pairs = ()
+        # Only a map g whose image of x has x's K-orbits, as a multiset, can
+        # be the part on every factor of a map that fixes x; those g form a
+        # group, so the least name over them alone is a name.
+        xs, cls = self.word(x), self.cls
+        own = sorted(cls[a] for a in xs)
+        reps = [g for g in self.reps if sorted(cls[g[a]] for a in xs) == own]
+        if not self.kernel and len(reps) == 1 and len(set(xs)) == len(xs):
+            # Then a map that fixes x only permutes the factors, and x's are
+            # distinct: the identity alone fixes x.
+            return None
+        cost = (len(points) + m) * len(reps) * self.k
+        if not self.pairs or cost > self.steps:
+            return None
+        self.steps -= cost
+        pairs = self.pairs
+        rows = [[[pairs[g[a] * m + g[b]] for b in range(m)] for a in xs] for g in reps]
+        return [min(tuple(sorted([row[b] for row, b in zip(gr, word)])) for gr in rows)
+                for word in map(self.word, points)]
 
 
 def monomial_subrank_power(t: Tensor, k: int, node_budget: int = DEFAULT_NODE_BUDGET) -> DiagonalResult:
     """Free-diagonal search on supp(t^(x)k); the rate log2(size)/k lower-bounds
     log2 of the asymptotic monomial subrank (Fekete supremum over k).
 
-    The root branches once per orbit of `_power_orbits`' group G, which
-    permutes the factors and relabels coordinates within an axis as well as
-    permuting the axes (z3's translations, for one): for a free D, take the
-    first orbit O_j that D meets, at p; a g in G with g(p) = r_j, the
-    orbit's lowest point, maps D to a free diagonal of the same size that
-    contains r_j and misses O_1, ..., O_(j-1), the subtree searched for O_j
-    (see `max_free_diagonal`). G comes from a bounded, untrusted search
-    whose every map is checked before use, so a search cut short gives
-    finer orbits and a larger tree, never a smaller maximum."""
+    The search branches once per orbit of `_PowerOrbits`' group G at the
+    root, and once per orbit of the stabiliser of r in G at the root's
+    child at r (see `max_free_diagonal`). G permutes the factors and
+    relabels coordinates within an axis as well as permuting the axes (z3's
+    translations, for one). For a free D, take the first root orbit O_j
+    that D meets, at p; a g in G with g(p) = r_j, the orbit's lowest point,
+    maps D to a free diagonal of the same size that contains r_j and misses
+    O_1, ..., O_(j-1); one level down, a map that fixes r_j does the same
+    with the stabiliser's orbits. G comes from a bounded, untrusted search
+    whose every map is checked before use, and the stabiliser's orbits from
+    a bounded computation that gives a point each when cut short, so either
+    cut short gives finer orbits and a larger tree, never a smaller
+    maximum."""
     support = power_support(t, k)
-    found = max_free_diagonal(support, node_budget=node_budget, orbit_of=_power_orbits(t, k))
+    found = max_free_diagonal(support, node_budget=node_budget, orbit_of=_PowerOrbits(t, k))
     return replace(found, power=k)

@@ -93,7 +93,8 @@ def direct_sum_blocks(points) -> list[list]:
     return list(blocks.values())
 
 
-def reference_max_free_diagonal(support, node_budget=10**8, *, admissible=True, orbit_of=None):
+def reference_max_free_diagonal(support, node_budget=10**8, *, admissible=True, orbit_of=None,
+                                stabiliser_of=None):
     """The set-based free-diagonal search, independent of the bitset search.
 
     Returns (size, witness, exact, nodes, bound_prunes, box_prunes).  A
@@ -114,7 +115,9 @@ def reference_max_free_diagonal(support, node_budget=10**8, *, admissible=True, 
 
     With orbit_of, a map from each point to its orbit's name, the root
     branches once per orbit, at its lowest point, and a root branch's
-    subtree holds no point of an orbit whose branch came before.
+    subtree holds no point of an orbit whose branch came before.  With
+    stabiliser_of, a map from each point r the root branches on to such a
+    map, the root's child at r does the same with stabiliser_of[r].
     """
     if node_budget < 1:
         raise ValueError("node_budget must be positive")
@@ -156,9 +159,14 @@ def reference_max_free_diagonal(support, node_budget=10**8, *, admissible=True, 
                 if kept and cannot_beat(kept):
                     bound_prunes += 1
                     return
-        taken = set()  # at the root of an orbit search, the orbits branched on
+        taken = set()  # at a node that branches once per orbit, the orbits branched on
+        labels = None
+        if not chosen:
+            labels = orbit_of
+        elif len(chosen) == 1 and stabiliser_of is not None:
+            labels = stabiliser_of[chosen[0]]
         for j, p in enumerate(candidates):
-            orbit = orbit_of[p] if orbit_of is not None and not chosen else None
+            orbit = labels[p] if labels is not None else None
             if orbit is not None and orbit in taken:
                 continue
             if not checked and not box_ok(p):
@@ -166,7 +174,7 @@ def reference_max_free_diagonal(support, node_budget=10**8, *, admissible=True, 
                 continue
             chosen.append(p)
             walk([q for q in candidates[j + 1:] if all(q[a] != p[a] for a in range(3))
-                  and (orbit is None or orbit_of[q] not in taken)])
+                  and (orbit is None or labels[q] not in taken)])
             chosen.pop()
             if orbit is not None:
                 taken.add(orbit)

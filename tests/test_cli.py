@@ -304,17 +304,18 @@ def test_diag_command(capsys, monkeypatch):
 
 
 def test_diag_json_counters(capsys, monkeypatch):
-    # The exact search on supp(z3^(x)2) takes 393 nodes, so 100 stop it early.
-    argv = ["diag", "-", "--power", "2", "--budget", "100"]
+    # The exact search on supp(z3^(x)2) takes 57 nodes, so 30 stop it early.
+    argv = ["diag", "-", "--power", "2", "--budget", "30"]
     code, out, _ = run_cli(capsys, argv + ["--format", "json"], stdin=to_json(z3()),
                            monkeypatch=monkeypatch)
     doc = json.loads(out)
     assert code == 0 and doc["exact"] is False
-    assert (doc["nodes"], doc["size"]) == (100, 4)
-    assert (doc["bound_prunes"], doc["box_prunes"]) == (18, 380)
+    assert (doc["nodes"], doc["size"]) == (30, 4)
+    assert (doc["bound_prunes"], doc["box_prunes"]) == (3, 106)
     # The 81 points form one orbit: z3's translations within each axis and
-    # the factor swaps map any point to any other.
-    assert doc["root_orbits"] == 1
+    # the factor swaps map any point to any other. The root's one child
+    # branches once per orbit of the stabiliser of its point: 4 of them.
+    assert (doc["root_orbits"], doc["stabiliser_orbits"]) == (1, 4)
     # the text format has no counters
     code, out, _ = run_cli(capsys, argv, stdin=to_json(z3()), monkeypatch=monkeypatch)
     assert [line.split()[0] for line in out.splitlines()] == [
@@ -335,15 +336,15 @@ def test_diag_stopped_at_the_root_prints_strict_json(capsys, monkeypatch):
 
 def test_diag_one_coordinate_on_an_axis_ends_at_the_root(capsys, monkeypatch):
     # No free diagonal has two points, and the root's bound, against the
-    # lowest point as incumbent, proves it in one node. Swapping coordinates
-    # 0 and 1 on the last two axes maps one point to the other: one orbit.
+    # lowest point as incumbent, proves it in one node, which branches on
+    # no orbit.
     flat = Tensor((1, 2, 2), {(0, 0, 0): 1, (0, 1, 1): 1})
     code, out, _ = run_cli(capsys, ["diag", "-", "--format", "json"], stdin=to_json(flat),
                            monkeypatch=monkeypatch)
     assert code == 0
     assert out.strip() == (
         '{"size": 1, "per_copy_rate": 0.0, "exact": true, "witness": [[0, 0, 0]], '
-        '"nodes": 1, "bound_prunes": 1, "box_prunes": 0, "root_orbits": 1}')
+        '"nodes": 1, "bound_prunes": 1, "box_prunes": 0, "root_orbits": 0, "stabiliser_orbits": 0}')
 
 
 def test_diag_large_symmetric_support_ends_with_one_orbit(capsys, monkeypatch):
@@ -355,6 +356,7 @@ def test_diag_large_symmetric_support_ends_with_one_orbit(capsys, monkeypatch):
     doc = json.loads(out)
     assert code == 0
     assert (doc["size"], doc["exact"], doc["nodes"], doc["root_orbits"]) == (1, False, 1, 1)
+    assert doc["stabiliser_orbits"] == 0
 
 
 def test_diag_matmul222(capsys, monkeypatch):

@@ -1,5 +1,6 @@
 import math
 import random
+from functools import cache
 from itertools import permutations, product
 from unittest import mock
 
@@ -30,7 +31,7 @@ from irrev import tensor as tensor_module
 from irrev.diagonal import (
     DEFAULT_NODE_BUDGET,
     _is_automorphism,
-    _power_orbits,
+    _PowerOrbits,
     _refine,
     _structure,
     _symmetries,
@@ -319,23 +320,28 @@ def test_plain_search_branches_on_every_point():
 
 @pytest.mark.parametrize(
     "t, k, want",
-    [(w(), 4, (6, True, 5216, 4)), (z3(), 2, (4, True, 393, 1)), (tn(4), 2, (6, True, 16115, 13))],
+    [(w(), 4, (6, True, 861, 4, 36)), (z3(), 2, (4, True, 57, 1, 4)),
+     (tn(4), 2, (6, True, 10267, 13, 344))],
     ids=["w^4", "z3^2", "tn4^2"],
 )
 def test_power_search_node_counts_pinned(t, k, want):
     # The root's 81 points fall into 4 orbits on W^4, and into 1 on z3^2,
     # whose group holds z3's translations within each axis; tn(4)^2's 100
-    # fall into 13. Without the orbits the search takes 49,242, 8,965 and
-    # 96,253 nodes; with them but on the plain tree, which box-tests each
-    # candidate only when it comes to it and so bounds on every candidate
-    # left, 9,189, 466 and 29,982.
+    # fall into 13. Each root branch's child branches once per orbit of the
+    # stabiliser of its point: 36, 4 and 344 orbits in all. Without any
+    # orbits the search takes 49,242, 8,965 and 96,253 nodes; with the
+    # root's alone 5,216, 393 and 16,115; with the root's alone on the plain
+    # tree, which box-tests each candidate only when it comes to it and so
+    # bounds on every candidate left, 9,189, 466 and 29,982.
     res = monomial_subrank_power(t, k)
-    assert (res.size, res.exact, res.nodes, res.root_orbits) == want
-    # The set-based walk, fed the orbits of the brute-force group, takes the
-    # same tree.
-    orbit_of = {p: i for i, orbit in enumerate(_orbits_by_generators(t, k)) for p in orbit}
+    assert (res.size, res.exact, res.nodes, res.root_orbits, res.stabiliser_orbits) == want
+    # The set-based walk, fed the orbits of the brute-force group and of its
+    # stabilisers, takes the same tree.
+    roots = _true_orbits(t, k)
+    stabiliser_of = {r: _true_orbits(t, k, fixed=r) for r in set(roots.values())}
     counts = (res.size, res.witness, res.exact, res.nodes, res.bound_prunes, res.box_prunes)
-    assert counts == reference_max_free_diagonal(power_support(t, k), orbit_of=orbit_of)
+    assert counts == reference_max_free_diagonal(power_support(t, k), orbit_of=roots,
+                                                 stabiliser_of=stabiliser_of)
 
 
 def test_power_search_stopped_at_the_root_reports_the_least_point():
@@ -368,22 +374,23 @@ _AXIS_MAPS = {
 
 
 @st.composite
-def _small_tensors(draw):
-    """0/1 tensors in a box of at most 3^3 with at most 5 points, some closed
-    under an axis swap, the 3-cycle of the axes, or both."""
+def _small_tensors(draw, max_points=5):
+    """0/1 tensors in a box of at most 3^3 with at most max_points points,
+    some closed under an axis swap, the 3-cycle of the axes, or both."""
     sym = draw(st.sampled_from([None, "swap", "cycle", "both"]))
     if sym is None:
         dims = tuple(draw(st.integers(1, 3)) for _ in range(3))
     else:
         dims = (draw(st.integers(2, 3)),) * 3
     cells = sorted(product(*(range(d) for d in dims)))
-    pts = set(draw(st.sets(st.sampled_from(cells), min_size=1, max_size=5 if sym is None else 2)))
+    pts = set(draw(st.sets(st.sampled_from(cells), min_size=1,
+                           max_size=max_points if sym is None else 2)))
     while sym is not None:
         grown = pts | {f(p) for f in _AXIS_MAPS[sym] for p in pts}
         if grown == pts:
             break
         pts = grown
-    assume(len(pts) <= 5)
+    assume(len(pts) <= max_points)
     try:
         return Tensor(dims, {p: 1 for p in pts})
     except ValueError:  # a simple tensor
@@ -444,7 +451,11 @@ def _automorphisms_by_brute_force(t):
     """Every automorphism of supp(t), by trying every axis permutation with
     every bijection of each axis's used coordinates onto those of its image
     axis."""
-    base = set(t.entries)
+    return _automorphisms_of(frozenset(t.entries))
+
+
+@cache
+def _automorphisms_of(base):
     used = [sorted({p[a] for p in base}) for a in range(3)]
     group = []
     for perm in permutations(range(3)):
@@ -500,20 +511,122 @@ def _orbits_by_generators(t, k):
     return orbits
 
 
+def _closure(gens, n):
+    """Every composition of the permutations gens of range(n), as tuples."""
+    group = {tuple(range(n))}
+    todo = list(group)
+    while todo:
+        e = todo.pop()
+        for g in gens:
+            ge = tuple(g[x] for x in e)
+            if ge not in group:
+                group.add(ge)
+                todo.append(ge)
+    return group
+
+
+_POWER_GROUPS = {}
+
+
+def _power_group_by_brute_force(t, k):
+    """The group of `_orbits_by_generators` as explicit permutations of the
+    sorted points of supp(t^(x)k): the factor swaps, the brute-force group
+    on every factor at once and its relabellings on the first factor alone,
+    closed under composition. Of the brute-force group and its relabellings
+    only enough elements to generate each act, so the closure stays quick."""
+    key = (t.dims, tuple(sorted(t.entries)), k)
+    if key not in _POWER_GROUPS:
+        base = sorted(t.entries)
+        where = {p: x for x, p in enumerate(base)}
+        pts = sorted(power_support(t, k).points)
+        at = {p: i for i, p in enumerate(pts)}
+
+        def acting(f):
+            return tuple(at[_compose(f(_digits(p, t.dims, k)), t.dims)] for p in pts)
+
+        def generating(maps):
+            chosen, group = [], {tuple(range(len(base)))}
+            for g in maps:
+                image = tuple(where[_apply(g, p)] for p in base)
+                if image not in group:
+                    chosen.append(g)
+                    group = _closure([[where[_apply(h, p)] for p in base] for h in chosen], len(base))
+            return chosen
+
+        everything = _automorphisms_by_brute_force(t)
+        gens = [acting(lambda fs, f=f: fs[:f] + [fs[f + 1], fs[f]] + fs[f + 2:]) for f in range(k - 1)]
+        gens += [acting(lambda fs, g=g: [_apply(g, q) for q in fs]) for g in generating(everything)]
+        gens += [acting(lambda fs, g=g: [_apply(g, fs[0])] + fs[1:])
+                 for g in generating([g for g in everything if g[0] == (0, 1, 2)])]
+        _POWER_GROUPS[key] = pts, _closure(gens, len(pts))
+    return _POWER_GROUPS[key]
+
+
+def _true_orbits(t, k, fixed=None):
+    """Per point of supp(t^(x)k), the least point of its orbit under the
+    brute-force group, or under the stabiliser of the point fixed in it."""
+    pts, group = _power_group_by_brute_force(t, k)
+    if fixed is not None:
+        x = pts.index(fixed)
+        group = [e for e in group if e[x] == x]
+    return {p: pts[min(e[i] for e in group)] for i, p in enumerate(pts)}
+
+
+def _partition(labels):
+    """The classes of a map from points to labels."""
+    classes = {}
+    for p, label in labels.items():
+        classes.setdefault(label, set()).add(p)
+    return {frozenset(c) for c in classes.values()}
+
+
+def _assert_finer(classes, orbits):
+    """Each class lies in one of the orbits."""
+    assert all(any(c <= orbit for orbit in orbits) for c in classes)
+
+
+def _root_labels(t, k):
+    """The labels of the points of supp(t^(x)k) that the power search's root
+    branches on."""
+    pts = sorted(power_support(t, k).points)
+    return dict(zip(pts, _PowerOrbits(t, k)((), pts)))
+
+
+def _stabiliser_partitions(t, k):
+    """Per point r that the power search's root branches on, the orbits of
+    the stabiliser of r into which the search's child at r splits the
+    power's points (a point each where it gets no labels)."""
+    orbit_of = _PowerOrbits(t, k)
+    pts = sorted(power_support(t, k).points)
+    roots = {}
+    for p, label in zip(pts, orbit_of((), pts)):
+        roots.setdefault(label, p)
+    found = {}
+    for r in roots.values():
+        labels = orbit_of((r,), pts) or pts
+        found[r] = _partition(dict(zip(pts, labels)))
+    return found
+
+
+def _assert_stabiliser_orbits_are_finer(t, k):
+    for r, classes in _stabiliser_partitions(t, k).items():
+        _assert_finer(classes, _partition(_true_orbits(t, k, fixed=r)))
+
+
 def _assert_labels_are_the_orbits(t, k) -> int:
-    groups = {}
-    for p, label in _power_orbits(t, k).items():
-        groups.setdefault(label, set()).add(p)
-    assert {frozenset(g) for g in groups.values()} == _orbits_by_generators(t, k)
-    return len(groups)
+    classes = _partition(_root_labels(t, k))
+    assert classes == _orbits_by_generators(t, k)
+    return len(classes)
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
 @given(_small_tensors(), st.sampled_from([1, 2, 3]))
 def test_power_orbit_labels_are_the_group_orbits(t, k):
-    # root_orbits is fixed before the first node, so one node reads it.
+    # The root branches at the end of the first node, so one node reads
+    # root_orbits, unless the root's bound decides the search.
     res = monomial_subrank_power(t, k, node_budget=1)
-    assert res.root_orbits == _assert_labels_are_the_orbits(t, k)
+    groups = _assert_labels_are_the_orbits(t, k)
+    assert res.root_orbits == (0 if res.bound_prunes else groups)
 
 
 @pytest.mark.parametrize(
@@ -581,13 +694,12 @@ def test_orbits_from_part_of_the_group_are_finer_never_wrong(t, k, rnd):
     returned.append((perm, [image[1], image[0]] + image[2:]))
     rnd.shuffle(returned)
     with mock.patch.object(diagonal, "_symmetries", lambda _: returned):
-        labels = _power_orbits(t, k)
+        labels = _root_labels(t, k)
         res = monomial_subrank_power(t, k)
-    orbit_of = {p: i for i, orbit in enumerate(_orbits_by_generators(t, k)) for p in orbit}
-    classes = {}
-    for p, label in labels.items():
-        classes.setdefault(label, set()).add(p)
-    assert all(len({orbit_of[p] for p in c}) == 1 for c in classes.values())
+        # Below the root too: each class of a root point's stabiliser lies
+        # in one orbit of that point's stabiliser in the whole group.
+        _assert_stabiliser_orbits_are_finer(t, k)
+    _assert_finer(_partition(labels), _orbits_by_generators(t, k))
     for g in part:
         for p, label in labels.items():
             assert labels[_compose([_apply(g, q) for q in _digits(p, t.dims, k)], t.dims)] == label
@@ -599,13 +711,13 @@ def test_orbits_from_part_of_the_group_are_finer_never_wrong(t, k, rnd):
 def test_symmetry_search_cut_short_gives_finer_orbits(monkeypatch, steps):
     # Too few steps per point for the whole group: the orbits are finer than
     # the brute-force group's, and the exact maxima stay.
+    # The same steps bound the stabilisers' orbits, which a short budget
+    # leaves a point each.
     monkeypatch.setattr(diagonal, "_SYMMETRY_STEPS_PER_POINT", steps)
-    for t, k, size in ((z3(), 2, 4), (cw(2), 2, 6), (matmul(2, 2, 2), 1, 2), (tn(3), 2, 4)):
-        orbit_of = {p: i for i, orbit in enumerate(_orbits_by_generators(t, k)) for p in orbit}
-        classes = {}
-        for p, label in _power_orbits(t, k).items():
-            classes.setdefault(label, set()).add(p)
-        assert all(len({orbit_of[p] for p in c}) == 1 for c in classes.values())
+    for t, k, size in ((z3(), 2, 4), (cw(2), 2, 6), (matmul(2, 2, 2), 1, 2), (tn(3), 2, 4),
+                       (w(), 4, 6)):
+        _assert_finer(_partition(_root_labels(t, k)), _orbits_by_generators(t, k))
+        _assert_stabiliser_orbits_are_finer(t, k)
         res = monomial_subrank_power(t, k)
         assert (res.size, res.exact) == (size, True)
 
@@ -629,3 +741,76 @@ def test_symmetry_search_on_singleton_cells_runs_no_backtracking(monkeypatch):
     assert _symmetries(base) == []
     t = Tensor((10, 12, 14), dict.fromkeys(base, 1))
     assert monomial_subrank_power(t, 1, node_budget=1).root_orbits == len(base)
+
+
+def _finds_the_whole_group(t) -> bool:
+    """Whether the maps `_symmetries` returns generate the brute-force group
+    of supp(t), as permutations of its points."""
+    base = sorted(t.entries)
+    where = {p: x for x, p in enumerate(base)}
+    group = {tuple(where[_apply(g, p)] for p in base) for g in _automorphisms_by_brute_force(t)}
+    return _closure([image for _, image in _symmetries(base)], len(base)) == group
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("t", _FAMILIES.values(), ids=_FAMILIES.keys())
+def test_stabiliser_orbits_on_families(t, k):
+    # Each orbit below the root lies in one orbit of the stabiliser in the
+    # brute-force group, and where `_symmetries` finds the whole group of
+    # supp(t) the orbits are the true ones, and the search takes the tree
+    # of the set-based walk fed the true orbits at the root and below it.
+    # On unit(3) it finds a 3-cycle of the points, which joins them into
+    # one orbit, but not the swap that fixes one point.
+    whole = _finds_the_whole_group(t)
+    assert whole == (t is not _FAMILIES["unit3"])
+    roots = _true_orbits(t, k)
+    stabiliser_of = {}
+    for r, classes in _stabiliser_partitions(t, k).items():
+        stabiliser_of[r] = _true_orbits(t, k, fixed=r)
+        true = _partition(stabiliser_of[r])
+        _assert_finer(classes, true)
+        if whole:
+            assert classes == true
+    res = monomial_subrank_power(t, k)
+    want = reference_max_free_diagonal(power_support(t, k), orbit_of=roots, stabiliser_of=stabiliser_of)
+    if whole:
+        assert (res.size, res.witness, res.exact, res.nodes, res.bound_prunes, res.box_prunes) == want
+    else:
+        assert (res.size, res.exact) == want[:1] + want[2:3]
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(_small_tensors(max_points=7), st.sampled_from([1, 2]))
+def test_stabiliser_orbits_keep_the_exact_size(t, k):
+    # Branching once per orbit of the stabiliser below the root loses no
+    # diagonal: the exact size is the plain search's.
+    res = monomial_subrank_power(t, k)
+    plain = max_free_diagonal(power_support(t, k))
+    assert res.exact and plain.exact and res.size == plain.size
+    assert is_free_diagonal(power_support(t, k), res.witness)
+
+
+def _seeded_support(seed, count, dims):
+    rng = random.Random(seed)
+    pts = set()
+    while len(pts) < count:
+        pts.add(tuple(rng.randrange(d) for d in dims))
+    return Tensor(dims, dict.fromkeys(pts, 1))
+
+
+@pytest.mark.parametrize("t", [unit(1100), _seeded_support(868, 868, (10, 22, 20))],
+                         ids=["unit1100", "seeded868"])
+def test_stabiliser_orbits_are_built_only_below_a_visited_root(monkeypatch, t):
+    # The root's children ask for their stabiliser's orbits when they first
+    # branch, so a run stopped at the root does no stabiliser work and
+    # reports none; one more node enters the first child, which asks once.
+    calls = []
+    stabiliser = _PowerOrbits.stabiliser
+    monkeypatch.setattr(_PowerOrbits, "stabiliser",
+                        lambda self, *args: calls.append(args) or stabiliser(self, *args))
+    res = monomial_subrank_power(t, 1, node_budget=1)
+    assert (res.nodes, res.stabiliser_orbits, len(calls)) == (1, 0, 0)
+    assert res.root_orbits >= 1
+    res = monomial_subrank_power(t, 1, node_budget=2)
+    assert (res.nodes, len(calls)) == (2, 1)
+    assert res.stabiliser_orbits >= 1
