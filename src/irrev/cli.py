@@ -6,7 +6,8 @@ maximum), diag (free-diagonal search), table (barrier tables), flatrank
 
 Exit codes: 0 success, 2 usage or parse error, 3 degenerate input, 4
 mismatch (grid oracle against optimizer, or an ArithmeticError from a broken
-exact-elimination invariant), 5 resource or iteration budget exceeded.
+exact-elimination invariant or a diagonal witness that is not free), 5
+resource or iteration budget exceeded.
 """
 
 from __future__ import annotations
@@ -368,8 +369,9 @@ def main(argv=None) -> int:
                   f"iterations {best.iterations}", file=sys.stderr)
         return EXIT_RESOURCE
     except ArithmeticError as exc:
-        # A broken exact-elimination invariant: a mismatch, like the grid
-        # oracle disagreeing with the optimizer, not a usage error.
+        # A broken exact-elimination invariant or a witness that is not a
+        # free diagonal: a mismatch, like the grid oracle disagreeing with
+        # the optimizer, not a usage error.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ORACLE_MISMATCH
     except (ValueError, OSError) as exc:

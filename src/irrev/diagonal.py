@@ -17,6 +17,7 @@ largest free diagonal has size 2, while a combinatorial degeneration reaches
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
 from itertools import permutations
 from typing import Callable, Hashable
@@ -94,20 +95,28 @@ def _slices(pts: list[Index], axis: int) -> list[int]:
     return [masks[p[axis]] for p in pts]
 
 
-def _cannot_beat(cand: int, room: int, slices: list[list[int]]) -> bool:
-    """Whether the points of cand use at most room coordinates on some axis,
-    so that adding any of them to D leaves it no bigger than the incumbent.
-    At most room points decide it before any coordinate is counted."""
+def _cannot_beat(cand: int, room: int, s0: list[int], s1: list[int], s2: list[int]) -> bool:
+    """Whether the points of cand use at most room coordinates on some axis
+    (s0, s1, s2 are the slices), so no node below beats the incumbent: at
+    most room points, or an axis that room strips empty, axes in turn."""
     if cand.bit_count() <= room:
         return True
-    for sa in slices:
-        left, k = cand, 0
-        while left and k <= room:
-            left &= ~sa[(left & -left).bit_length() - 1]
-            k += 1
-        if not left and k <= room:
+    l0 = l1 = l2 = cand
+    for _ in range(room):
+        if not (l0 := l0 & ~s0[l0.bit_length() - 1]):
+            return True
+        if not (l1 := l1 & ~s1[l1.bit_length() - 1]):
+            return True
+        if not (l2 := l2 & ~s2[l2.bit_length() - 1]):
             return True
     return False
+
+
+def _lined(pts: list[Index]) -> int:
+    """The bit mask of the points that share two coordinates with another."""
+    pairs = [Counter((p[a], p[b]) for p in pts) for a, b in ((0, 1), (0, 2), (1, 2))]
+    return _bits([i for i, (x, y, z) in enumerate(pts)
+                  if pairs[0][x, y] > 1 or pairs[1][x, z] > 1 or pairs[2][y, z] > 1], len(pts))
 
 
 def _indices(mask: int) -> list[int]:
@@ -144,36 +153,35 @@ def max_free_diagonal(
     coordinate D uses, and the candidates: the points after D's last one in
     no Ma, taken lowest bit first (lexicographic order). Invariant:
     M0 & M1 & M2 == D, the projected box meets the support only in D. So a
-    point trapped by adjoining p has a coordinate outside D's projections,
-    which is p's: it lies in one of p's slices, and p is refused iff
-    N0 & N1 & N2 != D | p with Na = Ma | slice_a(p). A refusal is final, as a
-    trapped point shares a coordinate with D, so p stays refused in the
-    whole subtree. A branch is pruned when |D| plus the per-axis count of
-    coordinates among the candidates cannot beat the incumbent. The root is
-    such a node, with every point a candidate, and the incumbent starts as
-    the lowest point, a free diagonal. So a support that uses one coordinate
-    on some axis, where no free diagonal has two points, is decided at the
-    root.
+    point r that adjoining p traps (r outside D + p, each coordinate in
+    D + p's projections) uses a coordinate of p and one of D, and p stays
+    refused in the whole subtree. A branch is pruned when |D| plus the
+    per-axis count of coordinates among the candidates cannot beat the
+    incumbent. The root is such a node, with every point a candidate, and
+    the incumbent starts as the lowest point, a free diagonal. So a support
+    that uses one coordinate on some axis, where no free diagonal has two
+    points, is decided at the root.
 
-    A node with D nonempty whose candidates that bound does not prune
-    box-tests them all on entry, drops the refused ones and, if it dropped
-    any, bounds again on the admissible ones alone. Its children inherit the
-    admissible set, so each child is just the node's lowest candidate left;
-    the root's single points always pass. The second bound only prunes
-    subtrees that cannot beat the incumbent, so against the plain tree,
-    which tests each candidate when it comes to it, the search visits no
-    more nodes, never ends smaller at the same budget, and ends with the
+    A node with D nonempty whose candidates that bound does not prune drops
+    the refused ones on entry and, if it dropped any, bounds again on the
+    admissible ones alone; its children inherit the admissible set. So at
+    D = E + q every candidate p passed at E, as did q (at the root all do),
+    and an r that p traps uses a coordinate of q too. Either r takes one
+    coordinate from p, on axis a, and lies in the few points
+    (slice_b(q) & Mc) | (Mb & slice_c(q)), refusing its whole axis-a slice,
+    or two, and p is `_lined` and box-tested alone. The second bound only
+    prunes subtrees that cannot beat the incumbent, so against the plain
+    tree, which tests each candidate when it comes to it, the search visits
+    no more nodes, never ends smaller at the same budget, and ends with the
     same witness when both are exact.
 
     node_budget counts nodes and does not shape the tree: the search walks
     the same tree at every budget, and a run at budget B visits the first B
-    nodes of the exact run, so a larger budget never ends smaller. The cost
-    is the tests of the nodes a short budget cuts short: W^(x)11 (177,147
-    points) at budget 300 spends most of its time in them. The result counts
-    the nodes visited, the nodes the bound cut (before or after the box
-    test), and the candidates the box test refused. The path is kept on a
-    stack, not the call stack, so a diagonal of any size is searched without
-    a recursion limit.
+    nodes of the exact run, so a larger budget never ends smaller. The
+    result counts the nodes visited, the nodes the bound cut (before or
+    after the box test), and the candidates the box test refused. The path
+    is kept on a stack, not the call stack, so a diagonal of any size is
+    searched without a recursion limit.
 
     orbit_of, if given, is asked when a node with |D| <= 1 first branches:
     orbit_of(D, candidates), D and the candidates as points, labels each
@@ -199,7 +207,8 @@ def max_free_diagonal(
         raise ValueError("node_budget must be positive")
     pts = sorted(support.points)
     n = len(pts)
-    s0, s1, s2 = slices = [_slices(pts, a) for a in range(3)]
+    lined = _lined(pts)
+    s0, s1, s2 = [_slices(pts, a) for a in range(3)]
     best_size, best_mask = 1, 1  # the lowest point, a free diagonal
     nodes = bound_prunes = box_prunes = root_orbits = stabiliser_orbits = 0
     exact = False
@@ -217,21 +226,28 @@ def max_free_diagonal(
             best_size, best_mask = size, chosen
         if cand:
             room = best_size - size
-            if _cannot_beat(cand, room, slices):
+            if _cannot_beat(cand, room, s0, s1, s2):
                 bound_prunes += 1
                 cand = 0
-            elif size:  # box-test every candidate, drop the refused
-                left = kept = cand
+            elif size:  # drop the candidates that q, D's newest point, refuses
+                a0, a1, a2 = s0[q] ^ qbit, s1[q] ^ qbit, s2[q] ^ qbit  # q's slices without q
+                refused = 0  # the axis-a slices of the r that take one coordinate from p
+                for sa, trapped in (s0, a1 & m2 | m1 & a2), (s1, a0 & m2 | m0 & a2), (s2, a0 & m1 | m0 & a1):
+                    while trapped:
+                        r = sa[trapped.bit_length() - 1]
+                        refused, trapped = refused | r, trapped & ~r
+                kept = cand & ~refused
+                left = kept & lined  # an r that takes two: tested candidate by candidate
                 while left:
-                    low = left & -left
-                    left ^= low
-                    i = low.bit_length() - 1
-                    if (m0 | s0[i]) & (m1 | s1[i]) & (m2 | s2[i]) != chosen | low:
-                        kept ^= low
+                    i = left.bit_length() - 1
+                    bit = 1 << i
+                    left ^= bit
+                    if (m0 | s0[i]) & (m1 | s1[i]) & (m2 | s2[i]) != chosen | bit:
+                        kept ^= bit
                 if kept != cand:
                     box_prunes += (cand ^ kept).bit_count()
                     cand = kept
-                    if kept and _cannot_beat(kept, room, slices):
+                    if kept and _cannot_beat(kept, room, s0, s1, s2):
                         bound_prunes += 1
                         cand = 0
         while not cand and stack:  # back to the nearest node with a candidate left
@@ -245,15 +261,15 @@ def max_free_diagonal(
                 stabiliser_orbits += count
             else:
                 root_orbits = count
-        low = cand & -cand  # on to its child at its lowest candidate
-        cand ^= low
-        i = low.bit_length() - 1
+        qbit = cand & -cand  # on to its child at its lowest candidate
+        cand ^= qbit
+        q = qbit.bit_length() - 1
         # The later siblings avoid the child's orbit.
         push((cand & ~_bits(next(orbit), n) if orbit else cand, size, chosen, m0, m1, m2, orbit))
-        m0, m1, m2 = m0 | s0[i], m1 | s1[i], m2 | s2[i]
+        m0, m1, m2 = m0 | s0[q], m1 | s1[q], m2 | s2[q]
         cand &= ~(m0 | m1 | m2)
         size += 1
-        chosen |= low
+        chosen |= qbit
         orbit = None if size < 2 else ()
     witness = tuple(pts[i] for i in _indices(best_mask))
     return DiagonalResult(best_size, witness, exact, nodes, bound_prunes, box_prunes, root_orbits,
@@ -635,7 +651,11 @@ def monomial_subrank_power(t: Tensor, k: int, node_budget: int = DEFAULT_NODE_BU
     whose every map is checked before use, and the stabiliser's orbits from
     a bounded computation that gives a point each when cut short, so either
     cut short gives finer orbits and a larger tree, never a smaller
-    maximum."""
+    maximum. A witness that fails `is_free_diagonal`, or is not of the
+    reported size, raises ArithmeticError."""
     support = power_support(t, k)
     found = max_free_diagonal(support, node_budget=node_budget, orbit_of=_PowerOrbits(t, k))
+    free = set(found.witness) <= support.points and is_free_diagonal(support, found.witness)
+    if not free or len(found.witness) != found.size:
+        raise ArithmeticError(f"the search's witness of size {found.size} is not a free diagonal")
     return replace(found, power=k)

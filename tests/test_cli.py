@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import io
 import json
 import math
@@ -357,6 +358,30 @@ def test_diag_large_symmetric_support_ends_with_one_orbit(capsys, monkeypatch):
     assert code == 0
     assert (doc["size"], doc["exact"], doc["nodes"], doc["root_orbits"]) == (1, False, 1, 1)
     assert doc["stabiliser_orbits"] == 0
+
+
+@pytest.mark.parametrize("lie", ["lowest points", "one point more"])
+def test_diag_witness_that_is_not_free_exits_4(capsys, monkeypatch, lie):
+    # The search is not trusted: a witness that fails the free-diagonal
+    # check, or is not of the size printed, is a mismatch, not a bound.
+    from irrev import diagonal
+
+    search = diagonal.max_free_diagonal
+
+    def lying(support, *args, **kwargs):
+        res = search(support, *args, **kwargs)
+        if lie == "lowest points":
+            witness = tuple(sorted(support.points)[:res.size])
+            assert not irrev.is_free_diagonal(support, witness)
+            return dataclasses.replace(res, witness=witness)
+        return dataclasses.replace(res, size=res.size + 1)
+
+    monkeypatch.setattr(diagonal, "max_free_diagonal", lying)
+    code, out, err = run_cli(capsys, ["diag", "-", "--power", "2", "--format", "json"],
+                             stdin=to_json(w()), monkeypatch=monkeypatch)
+    size = {"lowest points": 2, "one point more": 3}[lie]
+    assert code == 4 and out == ""
+    assert err == f"error: the search's witness of size {size} is not a free diagonal\n"
 
 
 def test_diag_matmul222(capsys, monkeypatch):

@@ -298,10 +298,63 @@ def test_budgeted_search_is_the_exact_search_cut_short_random(sup):
 
 
 def test_w8_short_budget_keeps_its_tree():
-    # Each node box-tests its candidates on entry however few nodes are
+    # Each node drops its refused candidates on entry however few nodes are
     # left, so 300 nodes walk the exact tree's first 300 and reach 37.
     res = monomial_subrank_power(w(), 8, node_budget=300)
     assert (res.size, res.nodes, res.exact) == (37, 300, False)
+    assert (res.bound_prunes, res.box_prunes, res.root_orbits, res.stabiliser_orbits) == (182, 3690, 10, 16)
+
+
+# 8-20 points in a 3^3 or 4^3 box: from 10 points in 3^3 on, some two share
+# two coordinates, which the node test checks candidate by candidate.
+_dense_supports = st.sampled_from([3, 4]).flatmap(
+    lambda d: st.sets(st.tuples(*[st.integers(0, d - 1)] * 3), min_size=8, max_size=20).map(
+        lambda pts: Support((d, d, d), frozenset(pts))))
+
+
+def _lined_by_brute_force(pts) -> set[int]:
+    return {i for i, p in enumerate(pts) if any(sum(x == y for x, y in zip(p, r)) == 2 for r in pts)}
+
+
+@settings(max_examples=30, deadline=None)
+@given(_dense_supports)
+def test_lined_marks_the_points_sharing_two_coordinates_brute_force(sup):
+    for s in (sup, _square(sup)):
+        pts = sorted(s.points)
+        lined = diagonal._lined(pts)
+        assert {i for i in range(len(pts)) if lined >> i & 1} == _lined_by_brute_force(pts)
+
+
+@pytest.mark.parametrize("t", [w(), tn(3), tn(4), z3(), cw(2), cw_big(1)],
+                         ids=["w", "tn3", "tn4", "z3", "cw2", "cw_big1"])
+def test_named_families_have_no_lined_points(t):
+    # On these a node's test is a few mask operations, whatever its candidates.
+    for k in (1, 2):
+        pts = sorted(power_support(t, k).points)
+        assert diagonal._lined(pts) == 0 and not _lined_by_brute_force(pts)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_dense_supports, st.sampled_from([1, 7, 50, 300, DEFAULT_NODE_BUDGET]))
+def test_search_tree_matches_reference_on_lined_supports(sup, budget):
+    # Same record as the set-based walk, where some candidates share two
+    # coordinates with another point. Exact searches on these squares reach
+    # 60k nodes, and each box check of the reference rescans the support, so
+    # squares are budgeted.
+    _assert_same_tree(sup, budget)
+    if budget < DEFAULT_NODE_BUDGET:
+        _assert_same_tree(_square(sup), budget)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_dense_supports, st.data())
+def test_cannot_beat_counts_coordinates_brute_force(sup, data):
+    pts = sorted(sup.points)
+    chosen = data.draw(st.sets(st.integers(0, len(pts) - 1), min_size=1))
+    room = data.draw(st.integers(0, 6))
+    fewest = min(len({pts[i][a] for i in chosen}) for a in range(3))
+    slices = [diagonal._slices(pts, a) for a in range(3)]
+    assert diagonal._cannot_beat(sum(1 << i for i in chosen), room, *slices) == (fewest <= room)
 
 
 @settings(max_examples=60, deadline=None)
