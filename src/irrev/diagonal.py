@@ -296,7 +296,9 @@ def power_support(t: Tensor, k: int) -> Support:
 # The symmetry search spends at most this many steps per support point; a
 # step is one point recoloured in one round of colour refinement. Each named
 # family's search ends within 51 per point (cw(2)), and the bound keeps a
-# large symmetric support to 128 rounds over the doubled support.
+# large symmetric support to 128 rounds over the doubled support. The power's
+# orbit labels below the root spend as many per point of the power; there a
+# step is one factor of a word, or one tuple of base points, under one map.
 _SYMMETRY_STEPS_PER_POINT = 256
 
 
@@ -518,9 +520,11 @@ def _group(base: list[Index], autos) -> tuple[list[list[int]], list[list[int]]]:
     return list(reps.values()), [list(r) for r in kernel]
 
 
-def _classes(maps, n: int) -> list[int]:
+def _classes(maps: list[list[int]], n: int) -> list[int] | range:
     """Per x in range(n), the least point of its orbit under the group that
     the permutations maps of range(n) generate, by a union-find."""
+    if not maps:
+        return range(n)
     parent = list(range(n))
     for r in maps:
         for x, y in enumerate(r):
@@ -528,6 +532,15 @@ def _classes(maps, n: int) -> list[int]:
             if x != y:
                 parent[max(x, y)] = min(x, y)
     return [_find(parent, x) for x in range(n)]
+
+
+def _lift(g: list[int], images: list[int]) -> list[int]:
+    """g, a permutation of range(m), lifted one entry further: given the
+    codes of g's images of some tuples (entries as base-m digits, the first
+    most significant), the codes of the images of each tuple extended by
+    y = 0, ..., m - 1. So _lift(g, [0]) is g and _lift(g, g) g on pairs."""
+    m = len(g)
+    return [p * m + y for p in images for y in g]
 
 
 class _PowerOrbits:
@@ -546,93 +559,72 @@ class _PowerOrbits:
 
     A point is a word of base points, one per factor, and G is K^k (K, the
     relabellings, on each factor) extended by the factor permutations and
-    the maps reps of `_group` on every factor. So a word's orbit is named by
-    the least, over the maps g in reps, of the sorted word of the K-orbits of
-    g(x_f). Likewise y and z lie in one orbit of the stabiliser of x iff the
-    pairs (x, y) and (x, z) lie in one orbit of G, which is named by the
-    least sorted word of the K-orbits on pairs of base points of
-    (g(x_f), g(y_f)).
+    the maps reps of `_group` on every factor. So with D the diagonal (none
+    or one point), y's orbit under the stabiliser of D is named by the
+    least, over the maps g in reps that keep D's K-orbits, of the sorted
+    word of the K-orbits of the tuples (g(d_f)..., g(y_f)), d in D: of base
+    points at the root, of pairs below it. The words are built factor by
+    factor, and each distinct one is mapped by the map g induces on
+    K-orbits, well defined as K is normal.
 
-    Both are built only when asked for, the stabiliser's within
-    `_SYMMETRY_STEPS_PER_POINT` steps per point of the power over all calls:
-    a step is one pair of base points mapped by one map. A call whose steps
-    the budget cannot pay, the K-orbits on pairs included, gets None, a
-    point each."""
+    Below the root the calls spend at most `_SYMMETRY_STEPS_PER_POINT` steps
+    per point of the power, charged before the work: k per point and per
+    base point under each map, as if every point's word were mapped, and,
+    once, one per pair of base points under each relabelling. A call that
+    the budget cannot pay gets None, a point each."""
 
     def __init__(self, t: Tensor, k: int):
         self.base = sorted(t.entries)
         self.reps, self.kernel = _group(self.base, _symmetries(self.base))
-        self.cls = _classes(self.kernel, len(self.base))
         self.dims, self.k = t.dims, k
-        self.where = {p: x for x, p in enumerate(self.base)}
         self.steps = _SYMMETRY_STEPS_PER_POINT * len(self.base) ** k
-        self.pairs = None  # the K-orbits on pairs of base points, once paid for
+        self.classes: dict[int, list[int] | range] = {}
+
+    def _orbits_on(self, j: int):
+        """The K-orbits on j-tuples of base points, j = 1 or 2, by code."""
+        if j not in self.classes:
+            self.classes[j] = _classes([_lift(r, r if j == 2 else [0]) for r in self.kernel],
+                                       len(self.base) ** j)
+        return self.classes[j]
 
     def __call__(self, diagonal: tuple[Index, ...], points: list[Index]):
-        if not diagonal:
-            return self.root(points)
-        if len(diagonal) == 1:
-            return self.stabiliser(diagonal[0], points)
-        return None
-
-    def root(self, points: list[Index]) -> list[int]:
-        """Per point, a name of its orbit under G."""
-        base, cls, (d0, d1, d2) = self.base, self.cls, self.dims
-        moves = [{cls[x]: cls[y] for x, y in enumerate(f)} for f in self.reps]
-        number = {(): 0}  # sorted word of classes -> its number, in order of appearance
+        """Per point, a name of its orbit under the stabiliser of the
+        diagonal in G, or None."""
+        if len(diagonal) > 1:
+            return None
+        base, k, reps, cls, (d0, d1, d2) = self.base, self.k, self.reps, self._orbits_on(1), self.dims
+        m = len(base)
+        heads = [0] * k  # per factor f, the code of D's tuple: () at the root, x_f below it
+        if diagonal:
+            heads = [base.index(tuple(c // d ** (k - 1 - f) % d for c, d in zip(diagonal[0], self.dims)))
+                     for f in range(k)]
+            # Only a map g whose image of x has x's K-orbits, as a multiset,
+            # can be the part on every factor of a map that fixes x; those g
+            # form a group, so the least name over them alone is a name.
+            own = sorted(cls[a] for a in heads)
+            reps = [g for g in reps if sorted(cls[g[a]] for a in heads) == own]
+            if not self.kernel and len(reps) == 1 and len(set(heads)) == k:
+                # Then a map that fixes x only permutes the factors, and x's
+                # are distinct: the identity alone fixes x.
+                return None
+            cost = (m**k + m) * len(reps) * k + (2 not in self.classes) * len(self.kernel) * m * m
+            if cost > self.steps:
+                return None
+            self.steps -= cost
+            cls = self._orbits_on(2)
+        rows = [cls[p] for p in _lift(range(m), heads)]  # factor f's from f * m on
+        number = {(): 0}  # sorted word of K-orbits -> its number, in order of appearance
         label = {(0, 0, 0): 0}
-        for _ in range(self.k):  # as in power_support, with each point's sorted word's number
+        for f in range(0, k * m, m):  # as in power_support, with each point's sorted word's number
             words, number = list(number), {}
-            grown = [[number.setdefault(tuple(sorted(word + (c,))), len(number)) for c in cls]
+            grown = [[number.setdefault(tuple(sorted(word + (c,))), len(number)) for c in rows[f:f + m]]
                      for word in words]
-            label = {(i * d0 + a, j * d1 + b, l * d2 + c): grown[w][x]
-                     for (i, j, l), w in label.items() for x, (a, b, c) in enumerate(base)}
-        least = [number[min(tuple(sorted(move[c] for c in word)) for move in moves)]
-                 for word in number]
+            label = {(i * d0 + a, j * d1 + b, l * d2 + c): grown[w][y]
+                     for (i, j, l), w in label.items() for y, (a, b, c) in enumerate(base)}
+        moves = [dict(zip(rows, (cls[p] for p in _lift(g, [g[a] for a in heads] if diagonal else heads))))
+                 for g in reps]
+        least = [min(tuple(sorted(move[c] for c in word)) for move in moves) for word in number]
         return [least[label[p]] for p in points]
-
-    def word(self, p: Index) -> list[int]:
-        """The base points of the factors of p, the last factor first."""
-        (d0, d1, d2), where = self.dims, self.where
-        c0, c1, c2 = p
-        word = []
-        for _ in range(self.k):
-            c0, a = divmod(c0, d0)
-            c1, b = divmod(c1, d1)
-            c2, c = divmod(c2, d2)
-            word.append(where[a, b, c])
-        return word
-
-    def stabiliser(self, x: Index, points: list[Index]):
-        """Per point, a name of its orbit under the stabiliser of x, or None."""
-        m = len(self.where)
-        if self.pairs is None:  # at the first call
-            self.steps -= len(self.kernel) * m * m
-            if not self.kernel:
-                self.pairs = range(m * m)
-            elif self.steps >= 0:
-                self.pairs = _classes(
-                    ([r[a] * m + r[b] for a in range(m) for b in range(m)] for r in self.kernel), m * m)
-            else:
-                self.pairs = ()
-        # Only a map g whose image of x has x's K-orbits, as a multiset, can
-        # be the part on every factor of a map that fixes x; those g form a
-        # group, so the least name over them alone is a name.
-        xs, cls = self.word(x), self.cls
-        own = sorted(cls[a] for a in xs)
-        reps = [g for g in self.reps if sorted(cls[g[a]] for a in xs) == own]
-        if not self.kernel and len(reps) == 1 and len(set(xs)) == len(xs):
-            # Then a map that fixes x only permutes the factors, and x's are
-            # distinct: the identity alone fixes x.
-            return None
-        cost = (len(points) + m) * len(reps) * self.k
-        if not self.pairs or cost > self.steps:
-            return None
-        self.steps -= cost
-        pairs = self.pairs
-        rows = [[[pairs[g[a] * m + g[b]] for b in range(m)] for a in xs] for g in reps]
-        return [min(tuple(sorted([row[b] for row, b in zip(gr, word)])) for gr in rows)
-                for word in map(self.word, points)]
 
 
 def monomial_subrank_power(t: Tensor, k: int, node_budget: int = DEFAULT_NODE_BUDGET) -> DiagonalResult:
@@ -647,12 +639,14 @@ def monomial_subrank_power(t: Tensor, k: int, node_budget: int = DEFAULT_NODE_BU
     that D meets, at p; a g in G with g(p) = r_j, the orbit's lowest point,
     maps D to a free diagonal of the same size that contains r_j and misses
     O_1, ..., O_(j-1); one level down, a map that fixes r_j does the same
-    with the stabiliser's orbits. G comes from a bounded, untrusted search
-    whose every map is checked before use, and the stabiliser's orbits from
-    a bounded computation that gives a point each when cut short, so either
-    cut short gives finer orbits and a larger tree, never a smaller
-    maximum. A witness that fails `is_free_diagonal`, or is not of the
-    reported size, raises ArithmeticError."""
+    with the stabiliser's orbits. One labeller names the orbits at both
+    levels, from words of orbits that it builds factor by factor. G comes
+    from a bounded, untrusted search whose every map is checked before use,
+    and the stabiliser's orbits from a bounded computation that gives a
+    point each when cut short, so either cut short gives finer orbits and a
+    larger tree, never a smaller maximum. A witness that fails
+    `is_free_diagonal`, or is not of the reported size, raises
+    ArithmeticError."""
     support = power_support(t, k)
     found = max_free_diagonal(support, node_budget=node_budget, orbit_of=_PowerOrbits(t, k))
     free = set(found.witness) <= support.points and is_free_diagonal(support, found.witness)

@@ -798,11 +798,16 @@ def test_symmetry_search_on_singleton_cells_runs_no_backtracking(monkeypatch):
 
 def _finds_the_whole_group(t) -> bool:
     """Whether the maps `_symmetries` returns generate the brute-force group
-    of supp(t), as permutations of its points."""
+    of supp(t), as permutations of its points and its axes together: on
+    supp({(0,0,0), (0,1,2), (0,2,1)}) swapping the last two points is both a
+    relabelling and a map that swaps two axes, and a group that holds one
+    of them alone gives finer orbits below the root of a power."""
     base = sorted(t.entries)
+    n = len(base)
     where = {p: x for x, p in enumerate(base)}
-    group = {tuple(where[_apply(g, p)] for p in base) for g in _automorphisms_by_brute_force(t)}
-    return _closure([image for _, image in _symmetries(base)], len(base)) == group
+    group = {tuple(where[_apply(g, p)] for p in base) + tuple(n + b for b in g[0])
+             for g in _automorphisms_by_brute_force(t)}
+    return _closure([image + [n + b for b in perm] for perm, image in _symmetries(base)], n + 3) == group
 
 
 @pytest.mark.parametrize("k", [1, 2])
@@ -833,6 +838,44 @@ def test_stabiliser_orbits_on_families(t, k):
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(_small_tensors(), st.sampled_from([1, 2]))
+def test_stabiliser_orbits_are_the_true_ones_brute_force(t, k):
+    # Below each point r the root branches on, the labels are the orbits of
+    # r's stabiliser in the brute-force group wherever `_symmetries` finds
+    # the whole group of supp(t), and finer ones otherwise.
+    whole = _finds_the_whole_group(t)
+    for r, classes in _stabiliser_partitions(t, k).items():
+        true = _partition(_true_orbits(t, k, fixed=r))
+        if whole:
+            assert classes == true
+        else:
+            _assert_finer(classes, true)
+
+
+def test_stabiliser_of_a_point_only_the_identity_fixes_builds_no_words():
+    # supp(t) has no automorphism but the identity, so a map of its square
+    # that fixes x only permutes the factors. With x's factors distinct, the
+    # identity alone fixes x, and the labeller returns None, a point each,
+    # without lifting a map; with two equal factors the factor swap fixes x,
+    # and its labels are the orbits of x's stabiliser, which joins each y
+    # with y's factors swapped.
+    base = [(0, 1, 1), (2, 0, 0), (2, 2, 0), (2, 2, 1)]
+    t = Tensor((3, 3, 3), dict.fromkeys(base, 1))
+    assert len(_automorphisms_by_brute_force(t)) == 1
+    orbit_of = _PowerOrbits(t, 2)
+    pts = sorted(power_support(t, 2).points)
+    with mock.patch.object(diagonal, "_lift", side_effect=AssertionError("a map was lifted")):
+        assert orbit_of((_compose([base[0], base[1]], t.dims),), pts) is None
+    x = _compose([base[0], base[0]], t.dims)
+    labels = orbit_of((x,), pts)
+    assert labels is not None
+    named = dict(zip(pts, labels))
+    assert all(named[_compose([a, b], t.dims)] == named[_compose([b, a], t.dims)]
+               for a, b in product(base, repeat=2))
+    assert _partition(named) == _partition(_true_orbits(t, 2, fixed=x))
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
 @given(_small_tensors(max_points=7), st.sampled_from([1, 2]))
 def test_stabiliser_orbits_keep_the_exact_size(t, k):
     # Branching once per orbit of the stabiliser below the root loses no
@@ -854,13 +897,19 @@ def _seeded_support(seed, count, dims):
 @pytest.mark.parametrize("t", [unit(1100), _seeded_support(868, 868, (10, 22, 20))],
                          ids=["unit1100", "seeded868"])
 def test_stabiliser_orbits_are_built_only_below_a_visited_root(monkeypatch, t):
-    # The root's children ask for their stabiliser's orbits when they first
-    # branch, so a run stopped at the root does no stabiliser work and
-    # reports none; one more node enters the first child, which asks once.
+    # The root's children ask for their stabiliser's orbits, a labeller call
+    # with a one-point diagonal, when they first branch, so a run stopped at
+    # the root does no stabiliser work and reports none; one more node
+    # enters the first child, which asks once.
     calls = []
-    stabiliser = _PowerOrbits.stabiliser
-    monkeypatch.setattr(_PowerOrbits, "stabiliser",
-                        lambda self, *args: calls.append(args) or stabiliser(self, *args))
+    label = _PowerOrbits.__call__
+
+    def counted(self, diagonal, points):
+        if len(diagonal) == 1:
+            calls.append(diagonal)
+        return label(self, diagonal, points)
+
+    monkeypatch.setattr(_PowerOrbits, "__call__", counted)
     res = monomial_subrank_power(t, 1, node_budget=1)
     assert (res.nodes, res.stabiliser_orbits, len(calls)) == (1, 0, 0)
     assert res.root_orbits >= 1
