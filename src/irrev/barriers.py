@@ -252,10 +252,9 @@ def min_rho_over_theta(
 
 
 def barrier_intermediate(irr_lb: float) -> float:
-    """Barrier for any approach through a fixed intermediate tensor: 2 * irr."""
-    if irr_lb < 1.0:
-        raise ValueError("irreversibility is never below 1")
-    return 2.0 * irr_lb
+    """Barrier for any approach through a fixed intermediate tensor: 2 * irr,
+    the Schonhage barrier with no unit factors removed."""
+    return barrier_schonhage(irr_lb, 0, 1)
 
 
 def _outer_barrier(irr: float, alpha: float, beta: float) -> float:
@@ -268,8 +267,8 @@ def _outer_barrier(irr: float, alpha: float, beta: float) -> float:
 def barrier_schonhage(irr_lb: float, alpha: int, beta: int) -> float:
     """Barrier when the final step subtracts alpha unit-tensor factors and
     divides by beta: ((alpha + 2 beta) irr - alpha) / beta."""
-    if irr_lb < 1.0:
-        raise ValueError("irreversibility is never below 1")
+    if not 1.0 <= irr_lb < math.inf:
+        raise ValueError("irreversibility is finite and never below 1")
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
     if beta <= 0:

@@ -295,7 +295,7 @@ def power_support(t: Tensor, k: int) -> Support:
 
 # The symmetry search spends at most this many steps per support point; a
 # step is one point recoloured in one round of colour refinement. Each named
-# family's search ends within 51 per point (cw(2)), and the bound keeps a
+# family's search ends within 69 per point (cw(2)), and the bound keeps a
 # large symmetric support to 128 rounds over the doubled support. The power's
 # orbit labels below the root spend as many per point of the power; there a
 # step is one factor of a word, or one tuple of base points, under one map.
@@ -433,15 +433,61 @@ def _match(base: list[Index], perm: tuple[int, ...], joint, pc: list[int], cc: l
         pc = _individualize(pc, x, ys.pop())
 
 
+def _join(base: list[Index], joint, pc: list[int], cc: list[int], budget: int, found, below: bool) -> int:
+    """Append to found relabellings (perm the identity) of the support `base`
+    that join into orbits the classes of pc, a colouring of both sides of the
+    identity's `joint` structure, alike on each side. Within a class, the
+    lowest point x not yet joined is matched against the others, the highest
+    first: on a class whose points a pairing in order can map, one match can
+    join it whole. With below, once x's orbit holds two or more points, x is
+    individualized on both sides and the classes of the refined colouring
+    are joined in turn, without below: their maps fix x, so they join the
+    orbits of x's stabiliser. Returns the budget left."""
+    n = len(base)
+    cells: dict[int, list[int]] = {}
+    for x in range(n):
+        cells.setdefault(pc[x], []).append(x)
+    parent = list(range(n))  # the orbits joined so far, as a union-find
+    for cell in cells.values():
+        while len(cell) > 1 and budget > 0:
+            x, apart = cell[0], []
+            for y in reversed(cell[1:]):
+                root = _find(parent, y)
+                if root == _find(parent, x) or any(root == _find(parent, z) for z in apart):
+                    continue
+                image, budget = _match(base, (0, 1, 2), joint, _individualize(pc, x, n + y), cc, budget)
+                if image is None:
+                    if budget <= 0:
+                        break
+                    apart.append(y)
+                else:
+                    found.append(((0, 1, 2), image))
+                    for z, gz in enumerate(image):
+                        parent[_find(parent, z)] = _find(parent, gz)
+            rest = [y for y in cell if _find(parent, y) != _find(parent, x)]
+            if below and len(rest) < len(cell) - 1:
+                pc_x, cc_x, budget = _refine(joint[0], joint[1], _individualize(pc, x, n + x), cc, budget)
+                budget = _join(base, joint, pc_x, cc_x, budget, found, False)
+            cell = rest
+    return budget
+
+
 def _symmetries(base: list[Index]) -> list[tuple[tuple[int, ...], list[int]]]:
     """Automorphisms (perm, image) of the support `base` (see
     `_is_automorphism`), found by an untrusted search that stops after
     `_SYMMETRY_STEPS_PER_POINT` steps per point: one for each axis
     permutation outside the group of those found so far that has one, and
-    relabellings (perm the identity) that join the classes of the stable
-    colour refinement into orbits. Within a class, the lowest point x not
-    yet joined is matched against the others, the highest first: on a class
-    whose points a pairing in order can map, one match can join it whole."""
+    relabellings (`_join`) that join the classes of the stable colour
+    refinement into orbits and then, for each orbit's lowest point x, the
+    classes left once x is individualized into the orbits of x's
+    stabiliser: the first two levels of a stabiliser chain (McKay-Piperno,
+    arXiv 1301.1493), all that `_PowerOrbits` labels. So a search not cut
+    short finds relabellings with the same orbits on pairs as all the
+    relabellings: the stabiliser of g(x) is x's conjugated by g. A base
+    whose square exceeds DEFAULT_POWER_POINT_LIMIT gets the first level
+    alone: it has no power past k = 1, and there the labeller's budget of
+    `_SYMMETRY_STEPS_PER_POINT` steps per point cannot pay for pair orbits,
+    one step per pair of points under each relabelling."""
     n = len(base)
     budget = _SYMMETRY_STEPS_PER_POINT * n
     found = []
@@ -461,32 +507,9 @@ def _symmetries(base: list[Index]) -> list[tuple[tuple[int, ...], list[int]]]:
                 while (more := {tuple(p[b] for b in q) for p in perms for q in perms}) != perms:
                     perms = more
     pc, cc, budget = _refine(pts, members, [0] * n, axis, budget)
-    cells: dict[int, list[int]] = {}
-    for x in range(n):
-        cells.setdefault(pc[x], []).append(x)
-    big = [cell for cell in cells.values() if len(cell) > 1]
-    if big:
-        # Two copies of the support refine alike, so the joint one starts
-        # from the stable colouring of one; its order is the identity.
-        joint, pc, cc = _joint(single, (0, 1, 2)), pc + pc, cc + cc
-    parent = list(range(n))  # the orbits joined so far, as a union-find
-    for cell in big:
-        while len(cell) > 1 and budget > 0:
-            x, apart = cell[0], []
-            for y in reversed(cell[1:]):
-                root = _find(parent, y)
-                if root == _find(parent, x) or any(root == _find(parent, z) for z in apart):
-                    continue
-                image, budget = _match(base, (0, 1, 2), joint, _individualize(pc, x, n + y), cc, budget)
-                if image is None:
-                    if budget <= 0:
-                        break
-                    apart.append(y)
-                else:
-                    found.append(((0, 1, 2), image))
-                    for z, gz in enumerate(image):
-                        parent[_find(parent, z)] = _find(parent, gz)
-            cell = [y for y in cell if _find(parent, y) != _find(parent, x)]
+    # Two copies of the support refine alike, so the joint one starts from
+    # the stable colouring of one; its order is the identity.
+    _join(base, _joint(single, (0, 1, 2)), pc * 2, cc * 2, budget, found, n * n <= DEFAULT_POWER_POINT_LIMIT)
     return found
 
 
@@ -590,8 +613,6 @@ class _PowerOrbits:
     def __call__(self, diagonal: tuple[Index, ...], points: list[Index]):
         """Per point, a name of its orbit under the stabiliser of the
         diagonal in G, or None."""
-        if len(diagonal) > 1:
-            return None
         base, k, reps, cls, (d0, d1, d2) = self.base, self.k, self.reps, self._orbits_on(1), self.dims
         m = len(base)
         heads = [0] * k  # per factor f, the code of D's tuple: () at the root, x_f below it

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -154,6 +154,20 @@ def _objective_and_scores(P: np.ndarray, enc: _AxisEncoding, th: tuple) -> tuple
     return P, f, scores, margs, float(scores.max() - f)
 
 
+def _bisect(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:
+    """Halve [lo, hi] down to adjacent floats, keeping the half above the
+    midpoint where f is positive there and the half below it otherwise.
+    Returns the last (lo, hi)."""
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        if f(mid) > 0:
+            lo = mid
+        else:
+            hi = mid
+        mid = 0.5 * (lo + hi)
+    return lo, hi
+
+
 def _line_search(bases: list[np.ndarray], dirs: list[np.ndarray], th: tuple, gamma_max: float) -> float:
     """Exact maximization of the objective along marginal direction dirs.
 
@@ -180,15 +194,7 @@ def _line_search(bases: list[np.ndarray], dirs: list[np.ndarray], th: tuple, gam
 
     if slope(gamma_max) >= 0:
         return gamma_max
-    lo, hi = 0.0, gamma_max
-    mid = 0.5 * gamma_max
-    while lo < mid < hi:
-        if slope(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-        mid = 0.5 * (lo + hi)
-    return lo
+    return _bisect(slope, 0.0, gamma_max)[0]
 
 
 class _ActiveSystem:
@@ -719,12 +725,5 @@ def tn_entropy_bound(m: int) -> float:
     if m < 2:
         raise ValueError("needs m >= 2")
     c = (m - 1) / 3.0
-    lo, hi = 0.0, 1.0
-    mid = 0.5
-    while lo < mid < hi:
-        if math.fsum((a - c) * mid**a for a in range(m)) < 0:
-            lo = mid
-        else:
-            hi = mid
-        mid = 0.5 * (lo + hi)
+    hi = _bisect(lambda x: math.fsum((c - a) * x**a for a in range(m)), 0.0, 1.0)[1]
     return math.log2(math.fsum(hi**a for a in range(m))) - c * math.log2(hi)

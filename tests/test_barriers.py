@@ -99,6 +99,10 @@ def test_barrier_intermediate():
     assert barrier_intermediate(1.08897) == pytest.approx(2.17794, abs=1e-9)
     with pytest.raises(ValueError):
         barrier_intermediate(0.99)
+    # 2 irr + 0 (irr - 1) is nan at irr = inf, so the check refuses it and nan.
+    for irr in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            barrier_intermediate(irr)
 
 
 def test_barrier_schonhage():

@@ -374,8 +374,9 @@ def test_plain_search_branches_on_every_point():
 @pytest.mark.parametrize(
     "t, k, want",
     [(w(), 4, (6, True, 861, 4, 36)), (z3(), 2, (4, True, 57, 1, 4)),
-     (tn(4), 2, (6, True, 10267, 13, 344))],
-    ids=["w^4", "z3^2", "tn4^2"],
+     (tn(4), 2, (6, True, 10267, 13, 344)), (unit(3), 3, (27, True, 330, 1, 3)),
+     (cw(3), 2, (9, True, 5426, 2, 17))],
+    ids=["w^4", "z3^2", "tn4^2", "unit3^3", "cw3^2"],
 )
 def test_power_search_node_counts_pinned(t, k, want):
     # The root's 81 points fall into 4 orbits on W^4, and into 1 on z3^2,
@@ -385,7 +386,10 @@ def test_power_search_node_counts_pinned(t, k, want):
     # orbits the search takes 49,242, 8,965 and 96,253 nodes; with the
     # root's alone 5,216, 393 and 16,115; with the root's alone on the plain
     # tree, which box-tests each candidate only when it comes to it and so
-    # bounds on every candidate left, 9,189, 466 and 29,982.
+    # bounds on every candidate left, 9,189, 466 and 29,982. On unit(3)^3
+    # and cw(3)^2 the stabiliser's orbits need the relabellings that fix a
+    # point of supp(t), which one join of the root's orbits misses: with it
+    # alone they take 336 and 9,551 nodes, on 9 and 42 stabiliser orbits.
     res = monomial_subrank_power(t, k)
     assert (res.size, res.exact, res.nodes, res.root_orbits, res.stabiliser_orbits) == want
     # The set-based walk, fed the orbits of the brute-force group and of its
@@ -689,9 +693,12 @@ def test_power_orbit_labels_on_families(t, k):
     _assert_labels_are_the_orbits(t, k)
 
 
+# The ten named families, and a support where swapping the last two points
+# is both a relabelling and a map that swaps the last two axes.
 _FAMILIES = {"w": w(), "z3": z3(), "tn2": tn(2), "tn3": tn(3), "tn4": tn(4), "cw2": cw(2),
              "cw_big1": cw_big(1), "unit3": unit(3), "matmul222": matmul(2, 2, 2),
-             "matmul122": matmul(1, 2, 2)}
+             "matmul122": matmul(1, 2, 2),
+             "swap_relabelling": Tensor((1, 3, 3), dict.fromkeys([(0, 0, 0), (0, 1, 2), (0, 2, 1)], 1))}
 
 
 @pytest.mark.parametrize("t", _FAMILIES.values(), ids=_FAMILIES.keys())
@@ -775,6 +782,29 @@ def test_symmetry_search_cut_short_gives_finer_orbits(monkeypatch, steps):
         assert (res.size, res.exact) == (size, True)
 
 
+@pytest.mark.parametrize("base, matches, steps",
+                         [(sorted(unit(1100).entries), 3, 7_700),
+                          (sorted(product(range(96), range(10), range(10))), 4, 144_000)],
+                         ids=["unit1100", "dense96x10x10"])
+def test_symmetry_search_on_a_base_with_no_square_joins_one_level(monkeypatch, base, matches, steps):
+    # No power of these supports past k = 1 fits the point limit, and at
+    # k = 1 the labeller cannot pay for pair orbits, so the join of the
+    # stabiliser's classes would be wasted: the search makes the matches
+    # and the refinement steps of the root's join alone.
+    calls, spent = [], []
+    match, refine = diagonal._match, diagonal._refine
+
+    def counted_refine(pts, members, pc, cc, budget):
+        out = refine(pts, members, pc, cc, budget)
+        spent.append(budget - out[2])
+        return out
+
+    monkeypatch.setattr(diagonal, "_match", lambda *args: calls.append(args) or match(*args))
+    monkeypatch.setattr(diagonal, "_refine", counted_refine)
+    _symmetries(base)
+    assert (len(calls), sum(spent)) == (matches, steps)
+
+
 def test_symmetry_search_on_singleton_cells_runs_no_backtracking(monkeypatch):
     # Colour refinement alone tells the 200 points apart, so no class has two
     # points to match, and no axis permutation keeps the coordinate counts.
@@ -813,28 +843,22 @@ def _finds_the_whole_group(t) -> bool:
 @pytest.mark.parametrize("k", [1, 2])
 @pytest.mark.parametrize("t", _FAMILIES.values(), ids=_FAMILIES.keys())
 def test_stabiliser_orbits_on_families(t, k):
-    # Each orbit below the root lies in one orbit of the stabiliser in the
-    # brute-force group, and where `_symmetries` finds the whole group of
-    # supp(t) the orbits are the true ones, and the search takes the tree
-    # of the set-based walk fed the true orbits at the root and below it.
-    # On unit(3) it finds a 3-cycle of the points, which joins them into
-    # one orbit, but not the swap that fixes one point.
-    whole = _finds_the_whole_group(t)
-    assert whole == (t is not _FAMILIES["unit3"])
+    # `_symmetries` finds the whole group of supp(t), so the orbits below
+    # the root are those of the stabiliser in the brute-force group, and the
+    # search takes the tree of the set-based walk fed the true orbits at the
+    # root and below it. On unit(3) and swap_relabelling this needs the
+    # join one level down: the root's join finds the 3-cycles of the points,
+    # which join them into one orbit, but only the stabiliser's join finds
+    # the relabelling that fixes one point and swaps the other two.
+    assert _finds_the_whole_group(t)
     roots = _true_orbits(t, k)
     stabiliser_of = {}
     for r, classes in _stabiliser_partitions(t, k).items():
         stabiliser_of[r] = _true_orbits(t, k, fixed=r)
-        true = _partition(stabiliser_of[r])
-        _assert_finer(classes, true)
-        if whole:
-            assert classes == true
+        assert classes == _partition(stabiliser_of[r])
     res = monomial_subrank_power(t, k)
     want = reference_max_free_diagonal(power_support(t, k), orbit_of=roots, stabiliser_of=stabiliser_of)
-    if whole:
-        assert (res.size, res.witness, res.exact, res.nodes, res.bound_prunes, res.box_prunes) == want
-    else:
-        assert (res.size, res.exact) == want[:1] + want[2:3]
+    assert (res.size, res.witness, res.exact, res.nodes, res.bound_prunes, res.box_prunes) == want
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
