@@ -439,10 +439,11 @@ def _join(base: list[Index], joint, pc: list[int], cc: list[int], budget: int, f
     identity's `joint` structure, alike on each side. Within a class, the
     lowest point x not yet joined is matched against the others, the highest
     first: on a class whose points a pairing in order can map, one match can
-    join it whole. With below, once x's orbit holds two or more points, x is
-    individualized on both sides and the classes of the refined colouring
-    are joined in turn, without below: their maps fix x, so they join the
-    orbits of x's stabiliser. Returns the budget left."""
+    join it whole. With below, once every class is joined, one point x of
+    each orbit of two or more (its root in the union-find) is individualized
+    on both sides and the classes of the refined colouring are joined in
+    turn, without below: their maps fix x, so they join the orbits of x's
+    stabiliser. Returns the budget left."""
     n = len(base)
     cells: dict[int, list[int]] = {}
     for x in range(n):
@@ -464,11 +465,10 @@ def _join(base: list[Index], joint, pc: list[int], cc: list[int], budget: int, f
                     found.append(((0, 1, 2), image))
                     for z, gz in enumerate(image):
                         parent[_find(parent, z)] = _find(parent, gz)
-            rest = [y for y in cell if _find(parent, y) != _find(parent, x)]
-            if below and len(rest) < len(cell) - 1:
-                pc_x, cc_x, budget = _refine(joint[0], joint[1], _individualize(pc, x, n + x), cc, budget)
-                budget = _join(base, joint, pc_x, cc_x, budget, found, False)
-            cell = rest
+            cell = [y for y in cell if _find(parent, y) != _find(parent, x)]
+    for x in sorted({_find(parent, y) for y in range(n) if _find(parent, y) != y} if below else ()):
+        pc_x, cc_x, budget = _refine(joint[0], joint[1], _individualize(pc, x, n + x), cc, budget)
+        budget = _join(base, joint, pc_x, cc_x, budget, found, False)
     return budget
 
 
@@ -478,16 +478,12 @@ def _symmetries(base: list[Index]) -> list[tuple[tuple[int, ...], list[int]]]:
     `_SYMMETRY_STEPS_PER_POINT` steps per point: one for each axis
     permutation outside the group of those found so far that has one, and
     relabellings (`_join`) that join the classes of the stable colour
-    refinement into orbits and then, for each orbit's lowest point x, the
+    refinement into orbits and then, for one point x of each orbit, the
     classes left once x is individualized into the orbits of x's
     stabiliser: the first two levels of a stabiliser chain (McKay-Piperno,
     arXiv 1301.1493), all that `_PowerOrbits` labels. So a search not cut
     short finds relabellings with the same orbits on pairs as all the
-    relabellings: the stabiliser of g(x) is x's conjugated by g. A base
-    whose square exceeds DEFAULT_POWER_POINT_LIMIT gets the first level
-    alone: it has no power past k = 1, and there the labeller's budget of
-    `_SYMMETRY_STEPS_PER_POINT` steps per point cannot pay for pair orbits,
-    one step per pair of points under each relabelling."""
+    relabellings: the stabiliser of g(x) is x's conjugated by g."""
     n = len(base)
     budget = _SYMMETRY_STEPS_PER_POINT * n
     found = []
@@ -509,7 +505,7 @@ def _symmetries(base: list[Index]) -> list[tuple[tuple[int, ...], list[int]]]:
     pc, cc, budget = _refine(pts, members, [0] * n, axis, budget)
     # Two copies of the support refine alike, so the joint one starts from
     # the stable colouring of one; its order is the identity.
-    _join(base, _joint(single, (0, 1, 2)), pc * 2, cc * 2, budget, found, n * n <= DEFAULT_POWER_POINT_LIMIT)
+    _join(base, _joint(single, (0, 1, 2)), pc * 2, cc * 2, budget, found, True)
     return found
 
 

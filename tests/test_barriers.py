@@ -118,6 +118,11 @@ def test_barrier_schonhage():
         barrier_schonhage(1.1, 1, 0)
     with pytest.raises(ValueError):
         barrier_schonhage(0.9, 1, 1)
+    # Irreversibility is finite: inf and nan are refused at any alpha.
+    for irr in (math.inf, math.nan):
+        for alpha in (0, 1, 3):
+            with pytest.raises(ValueError):
+                barrier_schonhage(irr, alpha, 2)
 
 
 @settings(max_examples=150, deadline=None)

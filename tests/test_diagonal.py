@@ -14,6 +14,7 @@ from irrev import (
     Tensor,
     cw,
     cw_big,
+    dsum,
     is_free_diagonal,
     kron,
     matmul,
@@ -782,27 +783,21 @@ def test_symmetry_search_cut_short_gives_finer_orbits(monkeypatch, steps):
         assert (res.size, res.exact) == (size, True)
 
 
-@pytest.mark.parametrize("base, matches, steps",
-                         [(sorted(unit(1100).entries), 3, 7_700),
-                          (sorted(product(range(96), range(10), range(10))), 4, 144_000)],
-                         ids=["unit1100", "dense96x10x10"])
-def test_symmetry_search_on_a_base_with_no_square_joins_one_level(monkeypatch, base, matches, steps):
-    # No power of these supports past k = 1 fits the point limit, and at
-    # k = 1 the labeller cannot pay for pair orbits, so the join of the
-    # stabiliser's classes would be wasted: the search makes the matches
-    # and the refinement steps of the root's join alone.
-    calls, spent = [], []
-    match, refine = diagonal._match, diagonal._refine
-
-    def counted_refine(pts, members, pc, cc, budget):
-        out = refine(pts, members, pc, cc, budget)
-        spent.append(budget - out[2])
-        return out
-
-    monkeypatch.setattr(diagonal, "_match", lambda *args: calls.append(args) or match(*args))
-    monkeypatch.setattr(diagonal, "_refine", counted_refine)
-    _symmetries(base)
-    assert (len(calls), sum(spent)) == (matches, steps)
+def test_symmetry_search_joins_every_class_before_any_stabiliser(monkeypatch):
+    # The stabilisers' joins spend only the steps that the join of every
+    # class leaves, so at any budget the root orbits are at least as coarse
+    # as those of the first level alone. Were each stabiliser joined as soon
+    # as its orbit was, cw(3) + unit(5) at 17 to 24 steps per point would
+    # keep the unit block's class unjoined: 6 root orbits for 2.
+    t = dsum(cw(3), unit(5))
+    join = diagonal._join
+    for steps in range(1, 40):
+        monkeypatch.setattr(diagonal, "_SYMMETRY_STEPS_PER_POINT", steps)
+        monkeypatch.setattr(diagonal, "_join", join)
+        both = _partition(_root_labels(t, 1))
+        monkeypatch.setattr(diagonal, "_join", lambda *args: join(*args[:-1], False))
+        _assert_finer(_partition(_root_labels(t, 1)), both)
+    assert len(both) == 2
 
 
 def test_symmetry_search_on_singleton_cells_runs_no_backtracking(monkeypatch):
