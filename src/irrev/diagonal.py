@@ -433,17 +433,14 @@ def _match(base: list[Index], perm: tuple[int, ...], joint, pc: list[int], cc: l
         pc = _individualize(pc, x, ys.pop())
 
 
-def _join(base: list[Index], joint, pc: list[int], cc: list[int], budget: int, found, below: bool) -> int:
+def _join(base: list[Index], joint, pc: list[int], cc: list[int], budget: int, found):
     """Append to found relabellings (perm the identity) of the support `base`
     that join into orbits the classes of pc, a colouring of both sides of the
     identity's `joint` structure, alike on each side. Within a class, the
     lowest point x not yet joined is matched against the others, the highest
     first: on a class whose points a pairing in order can map, one match can
-    join it whole. With below, once every class is joined, one point x of
-    each orbit of two or more (its root in the union-find) is individualized
-    on both sides and the classes of the refined colouring are joined in
-    turn, without below: their maps fix x, so they join the orbits of x's
-    stabiliser. Returns the budget left."""
+    join it whole. Returns the budget left and the moved roots: per orbit of
+    two or more points, its root in the union-find, sorted."""
     n = len(base)
     cells: dict[int, list[int]] = {}
     for x in range(n):
@@ -466,10 +463,7 @@ def _join(base: list[Index], joint, pc: list[int], cc: list[int], budget: int, f
                     for z, gz in enumerate(image):
                         parent[_find(parent, z)] = _find(parent, gz)
             cell = [y for y in cell if _find(parent, y) != _find(parent, x)]
-    for x in sorted({_find(parent, y) for y in range(n) if _find(parent, y) != y} if below else ()):
-        pc_x, cc_x, budget = _refine(joint[0], joint[1], _individualize(pc, x, n + x), cc, budget)
-        budget = _join(base, joint, pc_x, cc_x, budget, found, False)
-    return budget
+    return budget, sorted({_find(parent, y) for y in range(n) if _find(parent, y) != y})
 
 
 def _symmetries(base: list[Index]) -> list[tuple[tuple[int, ...], list[int]]]:
@@ -477,11 +471,13 @@ def _symmetries(base: list[Index]) -> list[tuple[tuple[int, ...], list[int]]]:
     `_is_automorphism`), found by an untrusted search that stops after
     `_SYMMETRY_STEPS_PER_POINT` steps per point: one for each axis
     permutation outside the group of those found so far that has one, and
-    relabellings (`_join`) that join the classes of the stable colour
-    refinement into orbits and then, for one point x of each orbit, the
-    classes left once x is individualized into the orbits of x's
-    stabiliser: the first two levels of a stabiliser chain (McKay-Piperno,
-    arXiv 1301.1493), all that `_PowerOrbits` labels. So a search not cut
+    relabellings found in two levels, the first two of a stabiliser chain
+    (McKay-Piperno, arXiv 1301.1493), all that `_PowerOrbits` labels.
+    First `_join` joins the classes of the stable colour refinement into
+    orbits. Then, for one point x of each orbit of two or more, x is
+    individualized on both sides and `_join` joins the classes of the
+    refined colouring: their maps fix x, so they join the orbits of x's
+    stabiliser, with the steps the first level left. So a search not cut
     short finds relabellings with the same orbits on pairs as all the
     relabellings: the stabiliser of g(x) is x's conjugated by g."""
     n = len(base)
@@ -505,7 +501,11 @@ def _symmetries(base: list[Index]) -> list[tuple[tuple[int, ...], list[int]]]:
     pc, cc, budget = _refine(pts, members, [0] * n, axis, budget)
     # Two copies of the support refine alike, so the joint one starts from
     # the stable colouring of one; its order is the identity.
-    _join(base, _joint(single, (0, 1, 2)), pc * 2, cc * 2, budget, found, True)
+    joint, pc, cc = _joint(single, (0, 1, 2)), pc * 2, cc * 2
+    budget, moved = _join(base, joint, pc, cc, budget, found)
+    for x in moved:
+        pc_x, cc_x, budget = _refine(joint[0], joint[1], _individualize(pc, x, n + x), cc, budget)
+        budget = _join(base, joint, pc_x, cc_x, budget, found)[0]
     return found
 
 
@@ -557,7 +557,7 @@ def _lift(g: list[int], images: list[int]) -> list[int]:
     """g, a permutation of range(m), lifted one entry further: given the
     codes of g's images of some tuples (entries as base-m digits, the first
     most significant), the codes of the images of each tuple extended by
-    y = 0, ..., m - 1. So _lift(g, [0]) is g and _lift(g, g) g on pairs."""
+    y = 0, ..., m - 1. So _lift(g, g) is g on pairs."""
     m = len(g)
     return [p * m + y for p in images for y in g]
 
@@ -586,30 +586,27 @@ class _PowerOrbits:
     factor, and each distinct one is mapped by the map g induces on
     K-orbits, well defined as K is normal.
 
-    Below the root the calls spend at most `_SYMMETRY_STEPS_PER_POINT` steps
-    per point of the power, charged before the work: k per point and per
-    base point under each map, as if every point's word were mapped, and,
-    once, one per pair of base points under each relabelling. A call that
-    the budget cannot pay gets None, a point each."""
+    It keeps two tables of K-orbits, by code: points, on base points, built
+    at once, and pairs, on pairs of base points, built by the first call
+    below the root. Below the root the calls spend at most
+    `_SYMMETRY_STEPS_PER_POINT` steps per point of the power, charged before
+    the work: k per point and per base point under each map, as if every
+    point's word were mapped, and, for the call that builds pairs, one per
+    pair of base points under each relabelling. A call that the budget
+    cannot pay gets None, a point each."""
 
     def __init__(self, t: Tensor, k: int):
         self.base = sorted(t.entries)
         self.reps, self.kernel = _group(self.base, _symmetries(self.base))
         self.dims, self.k = t.dims, k
         self.steps = _SYMMETRY_STEPS_PER_POINT * len(self.base) ** k
-        self.classes: dict[int, list[int] | range] = {}
-
-    def _orbits_on(self, j: int):
-        """The K-orbits on j-tuples of base points, j = 1 or 2, by code."""
-        if j not in self.classes:
-            self.classes[j] = _classes([_lift(r, r if j == 2 else [0]) for r in self.kernel],
-                                       len(self.base) ** j)
-        return self.classes[j]
+        self.points = _classes(self.kernel, len(self.base))
+        self.pairs = None
 
     def __call__(self, diagonal: tuple[Index, ...], points: list[Index]):
         """Per point, a name of its orbit under the stabiliser of the
         diagonal in G, or None."""
-        base, k, reps, cls, (d0, d1, d2) = self.base, self.k, self.reps, self._orbits_on(1), self.dims
+        base, k, reps, cls, (d0, d1, d2) = self.base, self.k, self.reps, self.points, self.dims
         m = len(base)
         heads = [0] * k  # per factor f, the code of D's tuple: () at the root, x_f below it
         if diagonal:
@@ -624,11 +621,13 @@ class _PowerOrbits:
                 # Then a map that fixes x only permutes the factors, and x's
                 # are distinct: the identity alone fixes x.
                 return None
-            cost = (m**k + m) * len(reps) * k + (2 not in self.classes) * len(self.kernel) * m * m
+            cost = (m**k + m) * len(reps) * k + (self.pairs is None) * len(self.kernel) * m * m
             if cost > self.steps:
                 return None
             self.steps -= cost
-            cls = self._orbits_on(2)
+            if self.pairs is None:
+                self.pairs = _classes([_lift(r, r) for r in self.kernel], m * m)
+            cls = self.pairs
         rows = [cls[p] for p in _lift(range(m), heads)]  # factor f's from f * m on
         number = {(): 0}  # sorted word of K-orbits -> its number, in order of appearance
         label = {(0, 0, 0): 0}

@@ -795,9 +795,25 @@ def test_symmetry_search_joins_every_class_before_any_stabiliser(monkeypatch):
         monkeypatch.setattr(diagonal, "_SYMMETRY_STEPS_PER_POINT", steps)
         monkeypatch.setattr(diagonal, "_join", join)
         both = _partition(_root_labels(t, 1))
-        monkeypatch.setattr(diagonal, "_join", lambda *args: join(*args[:-1], False))
+        # The first level alone: a join that reports no moved points.
+        monkeypatch.setattr(diagonal, "_join", lambda *args: (join(*args)[0], []))
         _assert_finer(_partition(_root_labels(t, 1)), both)
     assert len(both) == 2
+
+
+def test_pair_table_built_at_most_once_per_search(monkeypatch):
+    # The K-orbits on pairs of base points are built by the first call below
+    # the root and kept: never when no root child branches (a run stopped at
+    # the root), once when one does, and still once in the exact search,
+    # however many do.
+    t = cw(3)
+    m = len(t.entries)
+    classes, calls = diagonal._classes, []
+    monkeypatch.setattr(diagonal, "_classes", lambda maps, n: calls.append(n) or classes(maps, n))
+    for budget, nodes in ((1, 1), (2, 2), (DEFAULT_NODE_BUDGET, 5426)):
+        calls.clear()
+        assert monomial_subrank_power(t, 2, node_budget=budget).nodes == nodes
+        assert calls.count(m * m) == (budget > 1)
 
 
 def test_symmetry_search_on_singleton_cells_runs_no_backtracking(monkeypatch):
