@@ -183,12 +183,12 @@ def max_free_diagonal(
     is kept on a stack, not the call stack, so a diagonal of any size is
     searched without a recursion limit.
 
-    orbit_of, if given, is asked when a node with |D| <= 1 first branches:
-    orbit_of(D, candidates), D and the candidates as points, labels each
-    candidate by its orbit under the pointwise stabiliser of D in a group G
-    of maps of the support onto itself that send free diagonals to free
-    diagonals of the same size, the same G at every call, or returns None
-    for a point each; it is trusted, not checked. The node then branches
+    orbit_of, if given, is asked when a node with |D| <= 1 is entered and
+    branches: orbit_of(D, candidates), D and the candidates as points,
+    labels each candidate by its orbit under the pointwise stabiliser of D
+    in a group G of maps of the support onto itself that send free
+    diagonals to free diagonals of the same size, the same G at every call,
+    or returns None for a point each; it is trusted, not checked. The node then branches
     once per orbit: O_j, taken in the order of their lowest points r_j, gets
     the subtree of D + r_j with no point of O_1, ..., O_(j-1), as taking a
     branch drops its orbit from the node's candidates, so the next lowest
@@ -213,11 +213,11 @@ def max_free_diagonal(
     nodes = bound_prunes = box_prunes = root_orbits = stabiliser_orbits = 0
     exact = False
     # The node being visited, and its ancestors' with their candidates left.
-    # orbit is None at a node with |D| <= 1 until it first branches, then its
-    # orbits not yet branched on (see _orbits); below, () for a point each.
-    # A branch drops its whole orbit, so the lowest candidate left is always
-    # the lowest point of the next orbit.
-    cand, size, chosen, m0, m1, m2, orbit = (1 << n) - 1, 0, 0, 0, 0, 0, None
+    # orbit is, at a node with |D| <= 1, its orbits not yet branched on (see
+    # _orbits), grouped on entry; below, () for a point each. A branch drops
+    # its whole orbit, so the lowest candidate left is always the lowest
+    # point of the next orbit.
+    cand, size, chosen, m0, m1, m2, orbit = (1 << n) - 1, 0, 0, 0, 0, 0, ()
     stack = []
     push, pop = stack.append, stack.pop
     while nodes < node_budget:
@@ -250,17 +250,17 @@ def max_free_diagonal(
                     if kept and _cannot_beat(kept, room, s0, s1, s2):
                         bound_prunes += 1
                         cand = 0
+            if cand and size < 2:  # group the candidates left
+                orbit, count = _orbits(orbit_of, pts, chosen, cand)
+                if size:
+                    stabiliser_orbits += count
+                else:
+                    root_orbits = count
         while not cand and stack:  # back to the nearest node with a candidate left
             cand, size, chosen, m0, m1, m2, orbit = pop()
         if not cand:  # the tree is exhausted
             exact = True
             break
-        if orbit is None:  # the node's first branch: group its candidates
-            orbit, count = _orbits(orbit_of, pts, chosen, cand)
-            if size:
-                stabiliser_orbits += count
-            else:
-                root_orbits = count
         qbit = cand & -cand  # on to its child at its lowest candidate
         cand ^= qbit
         q = qbit.bit_length() - 1
@@ -270,7 +270,7 @@ def max_free_diagonal(
         cand &= ~(m0 | m1 | m2)
         size += 1
         chosen |= qbit
-        orbit = None if size < 2 else ()
+        orbit = ()
     witness = tuple(pts[i] for i in _indices(best_mask))
     return DiagonalResult(best_size, witness, exact, nodes, bound_prunes, box_prunes, root_orbits,
                           stabiliser_orbits)
@@ -285,20 +285,25 @@ def power_support(t: Tensor, k: int) -> Support:
     # reaches its bit length: the capped power decides without a huge one.
     if len(base) ** min(k, DEFAULT_POWER_POINT_LIMIT.bit_length()) > DEFAULT_POWER_POINT_LIMIT:
         raise ResourceLimitError(f"|supp|^k with k = {k} exceeds the {DEFAULT_POWER_POINT_LIMIT} point limit")
-    d0, d1, d2 = t.dims
-    points = [(0, 0, 0)]
-    for _ in range(k):  # one more factor, as the last (least significant) digit
-        points = [(i * d0 + a, j * d1 + b, l * d2 + c) for i, j, l in points for a, b, c in base]
     # Distinct and in range, built from t's checked points.
-    return Support._unchecked((d0**k, d1**k, d2**k), frozenset(points))
+    return Support._unchecked(tuple(d**k for d in t.dims), frozenset(_power_points(base, t.dims, k)))
+
+
+def _power_points(base: list[Index], dims: tuple[int, int, int], k: int) -> list[Index]:
+    """The points of the k-th power of the sorted support `base`, built
+    factor by factor: factor f of the one at place i is base[digit f of i
+    in base |base|], the first most significant."""
+    d0, d1, d2 = dims
+    points = [(0, 0, 0)]
+    for _ in range(k):
+        points = [(i * d0 + a, j * d1 + b, l * d2 + c) for i, j, l in points for a, b, c in base]
+    return points
 
 
 # The symmetry search spends at most this many steps per support point; a
 # step is one point recoloured in one round of colour refinement. Each named
 # family's search ends within 69 per point (cw(2)), and the bound keeps a
-# large symmetric support to 128 rounds over the doubled support. The power's
-# orbit labels below the root spend as many per point of the power; there a
-# step is one factor of a word, or one tuple of base points, under one map.
+# large symmetric support to 128 rounds over the doubled support.
 _SYMMETRY_STEPS_PER_POINT = 256
 
 
@@ -588,30 +593,25 @@ class _PowerOrbits:
 
     It keeps two tables of K-orbits, by code: points, on base points, built
     at once, and pairs, on pairs of base points, built by the first call
-    below the root. Below the root the calls spend at most
-    `_SYMMETRY_STEPS_PER_POINT` steps per point of the power, charged before
-    the work: k per point and per base point under each map, as if every
-    point's word were mapped, and, for the call that builds pairs, one per
-    pair of base points under each relabelling. A call that the budget
-    cannot pay gets None, a point each."""
+    below the root; and place, each point's place in `_power_points`."""
 
     def __init__(self, t: Tensor, k: int):
         self.base = sorted(t.entries)
         self.reps, self.kernel = _group(self.base, _symmetries(self.base))
-        self.dims, self.k = t.dims, k
-        self.steps = _SYMMETRY_STEPS_PER_POINT * len(self.base) ** k
+        self.k = k
         self.points = _classes(self.kernel, len(self.base))
         self.pairs = None
+        self.place = {p: i for i, p in enumerate(_power_points(self.base, t.dims, k))}
 
     def __call__(self, diagonal: tuple[Index, ...], points: list[Index]):
         """Per point, a name of its orbit under the stabiliser of the
         diagonal in G, or None."""
-        base, k, reps, cls, (d0, d1, d2) = self.base, self.k, self.reps, self.points, self.dims
+        base, k, reps, cls = self.base, self.k, self.reps, self.points
         m = len(base)
         heads = [0] * k  # per factor f, the code of D's tuple: () at the root, x_f below it
         if diagonal:
-            heads = [base.index(tuple(c // d ** (k - 1 - f) % d for c, d in zip(diagonal[0], self.dims)))
-                     for f in range(k)]
+            x = self.place[diagonal[0]]
+            heads = [x // m ** (k - 1 - f) % m for f in range(k)]
             # Only a map g whose image of x has x's K-orbits, as a multiset,
             # can be the part on every factor of a map that fixes x; those g
             # form a group, so the least name over them alone is a name.
@@ -621,26 +621,21 @@ class _PowerOrbits:
                 # Then a map that fixes x only permutes the factors, and x's
                 # are distinct: the identity alone fixes x.
                 return None
-            cost = (m**k + m) * len(reps) * k + (self.pairs is None) * len(self.kernel) * m * m
-            if cost > self.steps:
-                return None
-            self.steps -= cost
             if self.pairs is None:
                 self.pairs = _classes([_lift(r, r) for r in self.kernel], m * m)
             cls = self.pairs
         rows = [cls[p] for p in _lift(range(m), heads)]  # factor f's from f * m on
         number = {(): 0}  # sorted word of K-orbits -> its number, in order of appearance
-        label = {(0, 0, 0): 0}
-        for f in range(0, k * m, m):  # as in power_support, with each point's sorted word's number
+        label = [0]  # per place, its sorted word's number
+        for f in range(0, k * m, m):  # as in _power_points
             words, number = list(number), {}
             grown = [[number.setdefault(tuple(sorted(word + (c,))), len(number)) for c in rows[f:f + m]]
                      for word in words]
-            label = {(i * d0 + a, j * d1 + b, l * d2 + c): grown[w][y]
-                     for (i, j, l), w in label.items() for y, (a, b, c) in enumerate(base)}
+            label = [w for v in label for w in grown[v]]
         moves = [dict(zip(rows, (cls[p] for p in _lift(g, [g[a] for a in heads] if diagonal else heads))))
                  for g in reps]
         least = [min(tuple(sorted(move[c] for c in word)) for move in moves) for word in number]
-        return [least[label[p]] for p in points]
+        return [least[label[self.place[p]]] for p in points]
 
 
 def monomial_subrank_power(t: Tensor, k: int, node_budget: int = DEFAULT_NODE_BUDGET) -> DiagonalResult:
@@ -655,12 +650,12 @@ def monomial_subrank_power(t: Tensor, k: int, node_budget: int = DEFAULT_NODE_BU
     that D meets, at p; a g in G with g(p) = r_j, the orbit's lowest point,
     maps D to a free diagonal of the same size that contains r_j and misses
     O_1, ..., O_(j-1); one level down, a map that fixes r_j does the same
-    with the stabiliser's orbits. One labeller names the orbits at both
-    levels, from words of orbits that it builds factor by factor. G comes
-    from a bounded, untrusted search whose every map is checked before use,
-    and the stabiliser's orbits from a bounded computation that gives a
-    point each when cut short, so either cut short gives finer orbits and a
-    larger tree, never a smaller maximum. A witness that fails
+    with the stabiliser's orbits. One labeller, asked when a node with
+    |D| <= 1 is entered and branches, names the orbits at both levels, from
+    words of orbits that it builds factor by factor. G comes from a bounded,
+    untrusted search whose every map is checked before use, so a search cut
+    short gives finer orbits and a larger tree, never a smaller maximum. A
+    witness that fails
     `is_free_diagonal`, or is not of the reported size, raises
     ArithmeticError."""
     support = power_support(t, k)

@@ -32,6 +32,7 @@ from irrev import tensor as tensor_module
 from irrev.diagonal import (
     DEFAULT_NODE_BUDGET,
     _is_automorphism,
+    _group,
     _PowerOrbits,
     _refine,
     _structure,
@@ -771,9 +772,9 @@ def test_orbits_from_part_of_the_group_are_finer_never_wrong(t, k, rnd):
 @pytest.mark.parametrize("steps", [1, 4, 16])
 def test_symmetry_search_cut_short_gives_finer_orbits(monkeypatch, steps):
     # Too few steps per point for the whole group: the orbits are finer than
-    # the brute-force group's, and the exact maxima stay.
-    # The same steps bound the stabilisers' orbits, which a short budget
-    # leaves a point each.
+    # the brute-force group's, and the exact maxima stay. Below the root the
+    # labels are the orbits of each stabiliser in the group found, so they
+    # are finer too.
     monkeypatch.setattr(diagonal, "_SYMMETRY_STEPS_PER_POINT", steps)
     for t, k, size in ((z3(), 2, 4), (cw(2), 2, 6), (matmul(2, 2, 2), 1, 2), (tn(3), 2, 4),
                        (w(), 4, 6)):
@@ -951,3 +952,58 @@ def test_stabiliser_orbits_are_built_only_below_a_visited_root(monkeypatch, t):
     res = monomial_subrank_power(t, 1, node_budget=2)
     assert (res.nodes, len(calls)) == (2, 1)
     assert res.stabiliser_orbits >= 1
+
+
+@pytest.mark.parametrize("t, k, nodes, orbits", [(w(), 4, 2923, 134), (z3(), 2, 4625, 951), (cw(3), 2, 211280, 1128)],
+                         ids=["w4", "z3^2", "cw3^2"])
+def test_stabiliser_labels_spend_no_symmetry_steps(monkeypatch, t, k, nodes, orbits):
+    # The step bound caps the search for the group alone. At one step per
+    # point that search finds little, and the trees grow (861, 57 and 5,426
+    # nodes at the default bound), but every root child that branches still
+    # gets the orbits of its point's stabiliser in the group found, and a
+    # point each (None) only where that stabiliser is trivial: the group
+    # found has no relabelling but the identity, and the identity is the
+    # only pair of a factor permutation and a map on every factor that
+    # fixes the point.
+    monkeypatch.setattr(diagonal, "_SYMMETRY_STEPS_PER_POINT", 1)
+    base = sorted(t.entries)
+    where = {p: x for x, p in enumerate(base)}
+    reps, kernel = _group(base, _symmetries(base))
+    label, below = _PowerOrbits.__call__, []
+
+    def recorded(self, d, points):
+        labels = label(self, d, points)
+        if d:
+            below.append((d[0], labels))
+        return labels
+
+    monkeypatch.setattr(_PowerOrbits, "__call__", recorded)
+    res = monomial_subrank_power(t, k)
+    assert (res.exact, res.nodes, res.stabiliser_orbits) == (True, nodes, orbits)
+    for x, labels in below:
+        if labels is None:
+            word = [where[q] for q in _digits(x, t.dims, k)]
+            fixers = [(s, g) for s in permutations(range(k)) for g in reps
+                      if all(g[word[s[f]]] == word[f] for f in range(k))]
+            assert not kernel and fixers == [(tuple(range(k)), list(range(len(base))))]
+
+
+@pytest.mark.parametrize("t, k, calls, nones", [(cw(3), 2, 1 + 2, 0), (w(), 4, 1 + 4, 0), (z3(), 2, 1 + 1, 0),
+                                                (unit(3), 3, 1 + 1, 0), (tn(4), 2, 1 + 11, 5)],
+                         ids=["cw3^2", "w4", "z3^2", "unit3^3", "tn4^2"])
+def test_labeller_asked_once_per_node_up_to_depth_one_that_branches(monkeypatch, t, k, calls, nones):
+    # The labeller is asked when a node with |D| <= 1 is entered and keeps a
+    # candidate past its bound and box test: once at the root and once per
+    # root child that branches, however many orbits that node branches on.
+    # On tn(4)^2, 2 of the 13 root children are pruned on entry, and 5 of
+    # the 11 that branch have a point that the identity alone fixes.
+    label, answers = _PowerOrbits.__call__, []
+
+    def recorded(self, d, points):
+        answers.append(label(self, d, points))
+        return answers[-1]
+
+    monkeypatch.setattr(_PowerOrbits, "__call__", recorded)
+    res = monomial_subrank_power(t, k)
+    assert res.exact
+    assert (len(answers), sum(a is None for a in answers)) == (calls, nones)
