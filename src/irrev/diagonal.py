@@ -278,6 +278,13 @@ def max_free_diagonal(
 
 def power_support(t: Tensor, k: int) -> Support:
     """Support of the k-th Kronecker power of t, with row-major composite indices."""
+    return _power_points(t, k)[1]
+
+
+def _power_points(t: Tensor, k: int) -> tuple[list[Index], Support]:
+    """The points of supp(t^(x)k), built factor by factor from the sorted
+    support base: factor f of the one at place i is base[digit f of i in
+    base |base|], the first most significant; and the Support they make."""
     if k < 1:
         raise ValueError("power must be >= 1")
     base = sorted(t.entries)
@@ -285,19 +292,12 @@ def power_support(t: Tensor, k: int) -> Support:
     # reaches its bit length: the capped power decides without a huge one.
     if len(base) ** min(k, DEFAULT_POWER_POINT_LIMIT.bit_length()) > DEFAULT_POWER_POINT_LIMIT:
         raise ResourceLimitError(f"|supp|^k with k = {k} exceeds the {DEFAULT_POWER_POINT_LIMIT} point limit")
-    # Distinct and in range, built from t's checked points.
-    return Support._unchecked(tuple(d**k for d in t.dims), frozenset(_power_points(base, t.dims, k)))
-
-
-def _power_points(base: list[Index], dims: tuple[int, int, int], k: int) -> list[Index]:
-    """The points of the k-th power of the sorted support `base`, built
-    factor by factor: factor f of the one at place i is base[digit f of i
-    in base |base|], the first most significant."""
-    d0, d1, d2 = dims
+    d0, d1, d2 = t.dims
     points = [(0, 0, 0)]
     for _ in range(k):
         points = [(i * d0 + a, j * d1 + b, l * d2 + c) for i, j, l in points for a, b, c in base]
-    return points
+    # Distinct and in range, built from t's checked points.
+    return points, Support._unchecked((d0**k, d1**k, d2**k), frozenset(points))
 
 
 # The symmetry search spends at most this many steps per support point; a
@@ -593,15 +593,17 @@ class _PowerOrbits:
 
     It keeps two tables of K-orbits, by code: points, on base points, built
     at once, and pairs, on pairs of base points, built by the first call
-    below the root; and place, each point's place in `_power_points`."""
+    below the root; and place, each point of power, the list that
+    `_power_points` builds, to its place there, keyed on the tuples that the
+    searched Support holds."""
 
-    def __init__(self, t: Tensor, k: int):
+    def __init__(self, t: Tensor, k: int, power: list[Index]):
         self.base = sorted(t.entries)
         self.reps, self.kernel = _group(self.base, _symmetries(self.base))
         self.k = k
         self.points = _classes(self.kernel, len(self.base))
         self.pairs = None
-        self.place = {p: i for i, p in enumerate(_power_points(self.base, t.dims, k))}
+        self.place = {p: i for i, p in enumerate(power)}
 
     def __call__(self, diagonal: tuple[Index, ...], points: list[Index]):
         """Per point, a name of its orbit under the stabiliser of the
@@ -655,11 +657,11 @@ def monomial_subrank_power(t: Tensor, k: int, node_budget: int = DEFAULT_NODE_BU
     words of orbits that it builds factor by factor. G comes from a bounded,
     untrusted search whose every map is checked before use, so a search cut
     short gives finer orbits and a larger tree, never a smaller maximum. A
-    witness that fails
-    `is_free_diagonal`, or is not of the reported size, raises
-    ArithmeticError."""
-    support = power_support(t, k)
-    found = max_free_diagonal(support, node_budget=node_budget, orbit_of=_PowerOrbits(t, k))
+    witness that fails `is_free_diagonal`, or is not of the reported size,
+    raises ArithmeticError. The power is built once, before any symmetry
+    search: its list keys the labeller's places, and its Support is searched."""
+    power, support = _power_points(t, k)
+    found = max_free_diagonal(support, node_budget=node_budget, orbit_of=_PowerOrbits(t, k, power))
     free = set(found.witness) <= support.points and is_free_diagonal(support, found.witness)
     if not free or len(found.witness) != found.size:
         raise ArithmeticError(f"the search's witness of size {found.size} is not a free diagonal")

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import irrev
-from irrev import Tensor, barriers, cli, from_json, to_json, unit, w
+from irrev import Tensor, barriers, cli, diagonal, from_json, to_json, unit, w
 from irrev.entropy import ORACLE_GRID_LIMIT
 from irrev.tensor import matmul, z3
 
@@ -574,7 +574,16 @@ def test_iteration_budget_reports_best_partial_result(capsys, monkeypatch):
     assert float(line.split()[4]) == best.residual > 0
 
 
+def _no_symmetry_search(monkeypatch):
+    """Make any symmetry search fail: a power over the point limit is
+    refused before the search for its base's group."""
+    def fail(base):
+        raise AssertionError("a symmetry search ran before the point limit")
+    monkeypatch.setattr(diagonal, "_symmetries", fail)
+
+
 def test_power_limit_exit_5(capsys, monkeypatch):
+    _no_symmetry_search(monkeypatch)
     code, _, err = run_cli(
         capsys, ["diag", "-", "--power", "9"], stdin=to_json(z3()), monkeypatch=monkeypatch
     )
@@ -846,6 +855,7 @@ def test_json_precision_rounds_every_float(capsys, monkeypatch, argv):
 
 @pytest.mark.parametrize("power", ["9100", "1000000"])
 def test_power_far_over_limit_exit_5_with_short_message(capsys, monkeypatch, power):
+    _no_symmetry_search(monkeypatch)
     code, out, err = run_cli(
         capsys, ["diag", "-", "--power", power], stdin=to_json(w()), monkeypatch=monkeypatch
     )

@@ -34,6 +34,7 @@ from irrev.diagonal import (
     _is_automorphism,
     _group,
     _PowerOrbits,
+    _power_points,
     _refine,
     _structure,
     _symmetries,
@@ -143,6 +144,28 @@ def test_power_support_is_the_kron_power_support(monkeypatch, t, k):
     sup = power_support(t, k)
     assert calls == []
     assert sup == Support(power.dims, frozenset(power.entries))
+
+
+@pytest.mark.parametrize("t, k", [(w(), 3), (tn(3), 1)], ids=["w^3", "tn3"])
+def test_power_search_builds_the_power_once(monkeypatch, t, k):
+    # One search builds the power's points once: the labeller's place map is
+    # keyed on the very tuples of the Support the search runs on, not on a
+    # second build of equal ones.
+    build, builds = diagonal._power_points, []
+    monkeypatch.setattr(diagonal, "_power_points", lambda *args: builds.append(args) or build(*args))
+    search, searched = diagonal.max_free_diagonal, []
+
+    def recorded(support, **kwargs):
+        searched.append((support, kwargs["orbit_of"]))
+        return search(support, **kwargs)
+
+    monkeypatch.setattr(diagonal, "max_free_diagonal", recorded)
+    assert monomial_subrank_power(t, k).exact
+    assert len(builds) == 1 and len(searched) == 1
+    support, orbit_of = searched[0]
+    held = {p: p for p in support.points}
+    assert len(orbit_of.place) == len(held)
+    assert all(held[p] is p for p in orbit_of.place)
 
 
 def test_diagonal_powers_of_unit():
@@ -648,14 +671,14 @@ def _root_labels(t, k):
     """The labels of the points of supp(t^(x)k) that the power search's root
     branches on."""
     pts = sorted(power_support(t, k).points)
-    return dict(zip(pts, _PowerOrbits(t, k)((), pts)))
+    return dict(zip(pts, _PowerOrbits(t, k, _power_points(t, k)[0])((), pts)))
 
 
 def _stabiliser_partitions(t, k):
     """Per point r that the power search's root branches on, the orbits of
     the stabiliser of r into which the search's child at r splits the
     power's points (a point each where it gets no labels)."""
-    orbit_of = _PowerOrbits(t, k)
+    orbit_of = _PowerOrbits(t, k, _power_points(t, k)[0])
     pts = sorted(power_support(t, k).points)
     roots = {}
     for p, label in zip(pts, orbit_of((), pts)):
@@ -898,7 +921,7 @@ def test_stabiliser_of_a_point_only_the_identity_fixes_builds_no_words():
     base = [(0, 1, 1), (2, 0, 0), (2, 2, 0), (2, 2, 1)]
     t = Tensor((3, 3, 3), dict.fromkeys(base, 1))
     assert len(_automorphisms_by_brute_force(t)) == 1
-    orbit_of = _PowerOrbits(t, 2)
+    orbit_of = _PowerOrbits(t, 2, _power_points(t, 2)[0])
     pts = sorted(power_support(t, 2).points)
     with mock.patch.object(diagonal, "_lift", side_effect=AssertionError("a map was lifted")):
         assert orbit_of((_compose([base[0], base[1]], t.dims),), pts) is None
