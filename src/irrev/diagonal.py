@@ -70,12 +70,10 @@ def is_free_diagonal(support: Support, points) -> bool:
         coords = [p[axis] for p in pts]
         if len(set(coords)) != len(coords):
             return False
-    proj = [set(p[axis] for p in pts) for axis in range(3)]
+    xs, ys, zs = ({p[axis] for p in pts} for axis in range(3))
     chosen = set(pts)
-    for s in support.points:
-        if s not in chosen and all(s[a] in proj[a] for a in range(3)):
-            return False
-    return True
+    return not any(s[0] in xs and s[1] in ys and s[2] in zs and s not in chosen
+                   for s in support.points)
 
 
 def _bits(idx: list[int], n: int) -> int:
@@ -662,7 +660,10 @@ def monomial_subrank_power(t: Tensor, k: int, node_budget: int = DEFAULT_NODE_BU
     search: its list keys the labeller's places, and its Support is searched."""
     power, support = _power_points(t, k)
     found = max_free_diagonal(support, node_budget=node_budget, orbit_of=_PowerOrbits(t, k, power))
-    free = set(found.witness) <= support.points and is_free_diagonal(support, found.witness)
+    try:
+        free = is_free_diagonal(support, found.witness)
+    except ValueError:  # a point outside the support
+        free = False
     if not free or len(found.witness) != found.size:
         raise ArithmeticError(f"the search's witness of size {found.size} is not a free diagonal")
     return replace(found, power=k)

@@ -22,7 +22,8 @@ import numpy as np
 
 from .tensor import Tensor
 
-P = 2147483629  # prime below 2**31: a product of two residues fits in int64
+P = 67108859  # the largest prime below 2**26: (P - 1)**2 < 2**52
+_REDUCE_EVERY = 2**10  # pivots between reductions; (P - 1) + _REDUCE_EVERY * (P - 1)**2 < 2**63
 
 
 @dataclass(frozen=True)
@@ -125,18 +126,34 @@ def rank_exact(matrix: ExactMatrix) -> int:
     return rank
 
 
-def _full_row_rank_mod_p(a: np.ndarray) -> bool:
-    """Whether residues mod P have full row rank; each pivot rewrites in place
-    only the rows with a nonzero in its column."""
-    while len(a):
-        pc = np.argmax(a[0] != 0)
-        if not a[0, pc]:
-            return False
-        pivot_row = a[0] * pow(int(a[0, pc]), -1, P) % P
-        a = a[1:]
-        hit = np.flatnonzero(a[:, pc])
-        a[hit] = (a[hit] - a[hit, pc, None] * pivot_row) % P
-    return True
+def _full_row_rank_mod_p(a: np.ndarray) -> list[int] | None:
+    """The pivot column of each row, in row order, when residues mod P have
+    full row rank; else None.  Rewrites `a` in place.
+
+    Reduction is delayed: a pivot reduces mod P only its own row and its
+    column below it, and subtracts its multiples from the rows it hits with
+    no `% P`.  Each such update moves an entry by at most (P - 1)**2, and the
+    rows left are reduced every `_REDUCE_EVERY` pivots, so an entry stays
+    within (P - 1) + _REDUCE_EVERY * (P - 1)**2 < 2**63 of zero: int64 never
+    wraps.  The pivot is a row's largest residue, as any nonzero one will do."""
+    pivots = []
+    for i in range(len(a)):
+        row = a[i] % P
+        pc = int(row.argmax())
+        v = int(row[pc])
+        if not v:
+            return None
+        pivots.append(pc)
+        inv = pow(v, -1, P)
+        rest = a[i + 1:]
+        hit = rest[:, pc].nonzero()[0]
+        if len(hit) == len(rest):
+            rest -= (rest[:, pc] % P * inv % P)[:, None] * row
+        elif len(hit):
+            rest[hit] -= (rest[hit, pc] % P * inv % P)[:, None] * row
+        if (i + 1) % _REDUCE_EVERY == 0:
+            rest %= P
+    return pivots
 
 
 def flattening_ranks(t: Tensor) -> tuple[int, int, int]:
@@ -174,7 +191,7 @@ def flattening_ranks(t: Tensor) -> tuple[int, int, int]:
             cols, col_of = np.unique(pts[b] * t.dims[c] + pts[c], return_inverse=True)
             m = np.zeros((len(rows), len(cols)), dtype=np.int64)
             m[row_of, col_of] = residues
-            if _full_row_rank_mod_p(m if len(rows) <= len(cols) else m.T):
+            if _full_row_rank_mod_p(m if len(rows) <= len(cols) else m.T) is not None:
                 ranks.append(min(m.shape))
                 continue
         ranks.append(rank_exact(flatten(t, axis)))

@@ -369,6 +369,26 @@ def rank_mod_p(matrix, p: int = MERSENNE_P) -> int:
     return rank
 
 
+def dense_rank_mod_p(rows, p: int) -> int:
+    """Rank mod p of a matrix given as lists of ints: Gauss-Jordan elimination,
+    column by column, every entry reduced after every step."""
+    rows = [[x % p for x in row] for row in rows]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][c], p - 2, p)
+        prow = rows[rank] = [x * inv % p for x in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and rows[r][c]:
+                f = rows[r][c]
+                rows[r] = [(x - f * y) % p for x, y in zip(rows[r], prow)]
+        rank += 1
+    return rank
+
+
 def random_unit_tensor(rng: random.Random, max_dim=4, max_size=6) -> Tensor:
     """Random 0/1 tensor, resampled until it is not simple."""
     while True:

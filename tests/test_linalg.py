@@ -1,7 +1,9 @@
+import math
 import random
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -22,7 +24,7 @@ from irrev import (
 )
 from irrev import linalg
 from irrev.linalg import ExactMatrix, flatten
-from conftest import rank_mod_p, random_rational_tensor
+from conftest import dense_rank_mod_p, rank_mod_p, random_rational_tensor
 
 
 def test_flatten_shapes_and_layout():
@@ -237,3 +239,71 @@ def test_free_families_need_no_exact_fallback(exact_calls, monkeypatch):
     assert flattening_ranks(kron(cw(2), matmul(2, 2, 2))) == (12, 12, 12)
     assert exact_calls == []
     assert mod_p_calls == []
+
+
+def test_reduction_interval_keeps_entries_in_int64():
+    p = linalg.P
+    assert p < 2**26 and all(p % d for d in range(2, math.isqrt(p) + 1))
+    assert (p - 1) + linalg._REDUCE_EVERY * (p - 1) ** 2 < 2**63
+
+
+@st.composite
+def _residue_matrices(draw):
+    """Residue matrices mod P as lists of ints: dense, sparse, of low rank
+    (a product of two random factors), or of one value, P - 1 (which gives
+    each update its largest step), 1 or P - 2."""
+    p = linalg.P
+    n, m = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    kind = draw(st.sampled_from(("dense", "sparse", "low rank", "constant")))
+    entry = st.integers(0, p - 1)
+    if kind == "constant":
+        v = draw(st.sampled_from((p - 1, 1, p - 2)))
+        return [[v] * m for _ in range(n)]
+    if kind == "low rank":
+        r = draw(st.integers(1, min(n, m)))
+        left = draw(st.lists(st.lists(entry, min_size=r, max_size=r), min_size=n, max_size=n))
+        right = draw(st.lists(st.lists(entry, min_size=m, max_size=m), min_size=r, max_size=r))
+        return [[sum(x * y for x, y in zip(row, col)) % p for col in zip(*right)] for row in left]
+    if kind == "sparse":
+        entry = st.one_of(st.just(0), st.just(0), st.just(0), st.integers(1, p - 1))
+    return draw(st.lists(st.lists(entry, min_size=m, max_size=m), min_size=n, max_size=n))
+
+
+def _top_matrix(n: int) -> list[list[int]]:
+    """Every entry P - 1 but a diagonal of P - 2: -(J + I) mod P, of full rank."""
+    return [[linalg.P - 1 - (i == j) for j in range(n)] for i in range(n)]
+
+
+# The default interval, and 2, at which the rows left are reduced every
+# second pivot, so the periodic reduction runs on small matrices too.
+@pytest.mark.parametrize("interval", [linalg._REDUCE_EVERY, 2])
+@settings(max_examples=150, deadline=None)
+@given(_residue_matrices())
+@example(_top_matrix(12))
+@example([[linalg.P - 1] * 12 for _ in range(12)])
+def test_full_row_rank_mod_p_matches_pure_python_rank(interval, rows):
+    rank = dense_rank_mod_p(rows, linalg.P)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "_REDUCE_EVERY", interval)
+        # Both orientations, the transpose as a strided view, as
+        # `flattening_ranks` passes a matrix with more rows than columns.
+        a = np.array(rows, dtype=np.int64)
+        for view in (a.copy(), a.copy().T):
+            pivots = linalg._full_row_rank_mod_p(view)
+            assert (pivots is not None) == (rank == view.shape[0])
+
+
+@settings(max_examples=100, deadline=None)
+@given(_residue_matrices())
+@example(_top_matrix(12))
+def test_full_row_rank_pivots_give_a_nonsingular_minor(rows):
+    rank = dense_rank_mod_p(rows, linalg.P)
+    assume(rank == min(len(rows), len(rows[0])))
+    a = np.array(rows, dtype=np.int64)
+    if len(rows) > len(rows[0]):
+        a, rows = a.T, [list(col) for col in zip(*rows)]
+    pivots = linalg._full_row_rank_mod_p(a)
+    assert len(pivots) == len(rows) == len(set(pivots))
+    assert all(type(c) is int for c in pivots)
+    minor = [[row[c] for c in pivots] for row in rows]
+    assert dense_rank_mod_p(minor, linalg.P) == len(rows)
