@@ -20,7 +20,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, replace
 from itertools import permutations
-from typing import Callable, Hashable
+from typing import Callable, Hashable, Iterable
 
 from .defaults import DEFAULT_NODE_BUDGET
 from .errors import ResourceLimitError
@@ -282,7 +282,8 @@ def power_support(t: Tensor, k: int) -> Support:
 def _power_points(t: Tensor, k: int) -> tuple[list[Index], Support]:
     """The points of supp(t^(x)k), built factor by factor from the sorted
     support base: factor f of the one at place i is base[digit f of i in
-    base |base|], the first most significant; and the Support they make."""
+    base |base|], the first most significant; and the Support they make.
+    The points share one int per coordinate value."""
     if k < 1:
         raise ValueError("power must be >= 1")
     base = sorted(t.entries)
@@ -291,9 +292,11 @@ def _power_points(t: Tensor, k: int) -> tuple[list[Index], Support]:
     if len(base) ** min(k, DEFAULT_POWER_POINT_LIMIT.bit_length()) > DEFAULT_POWER_POINT_LIMIT:
         raise ResourceLimitError(f"|supp|^k with k = {k} exceeds the {DEFAULT_POWER_POINT_LIMIT} point limit")
     d0, d1, d2 = t.dims
+    one = {}.setdefault  # each coordinate value to the first int made for it
     points = [(0, 0, 0)]
     for _ in range(k):
-        points = [(i * d0 + a, j * d1 + b, l * d2 + c) for i, j, l in points for a, b, c in base]
+        points = [(one(x, x), one(y, y), one(z, z)) for i, j, l in points for a, b, c in base
+                  for x, y, z in ((i * d0 + a, j * d1 + b, l * d2 + c),)]
     # Distinct and in range, built from t's checked points.
     return points, Support._unchecked((d0**k, d1**k, d2**k), frozenset(points))
 
@@ -542,18 +545,18 @@ def _group(base: list[Index], autos) -> tuple[list[list[int]], list[list[int]]]:
     return list(reps.values()), [list(r) for r in kernel]
 
 
-def _classes(maps: list[list[int]], n: int) -> list[int] | range:
+def _classes(maps: Iterable[list[int]], n: int) -> list[int] | range:
     """Per x in range(n), the least point of its orbit under the group that
-    the permutations maps of range(n) generate, by a union-find."""
-    if not maps:
-        return range(n)
-    parent = list(range(n))
+    the permutations maps of range(n) generate, by a union-find; range(n)
+    if there are none. maps may be made one at a time."""
+    parent = None
     for r in maps:
+        parent = parent or list(range(n))
         for x, y in enumerate(r):
             x, y = _find(parent, x), _find(parent, y)
             if x != y:
                 parent[max(x, y)] = min(x, y)
-    return [_find(parent, x) for x in range(n)]
+    return range(n) if parent is None else [_find(parent, x) for x in range(n)]
 
 
 def _lift(g: list[int], images: list[int]) -> list[int]:
@@ -622,7 +625,7 @@ class _PowerOrbits:
                 # are distinct: the identity alone fixes x.
                 return None
             if self.pairs is None:
-                self.pairs = _classes([_lift(r, r) for r in self.kernel], m * m)
+                self.pairs = _classes(map(_lift, self.kernel, self.kernel), m * m)  # one m * m map at a time
             cls = self.pairs
         rows = [cls[p] for p in _lift(range(m), heads)]  # factor f's from f * m on
         number = {(): 0}  # sorted word of K-orbits -> its number, in order of appearance
@@ -659,7 +662,9 @@ def monomial_subrank_power(t: Tensor, k: int, node_budget: int = DEFAULT_NODE_BU
     raises ArithmeticError. The power is built once, before any symmetry
     search: its list keys the labeller's places, and its Support is searched."""
     power, support = _power_points(t, k)
-    found = max_free_diagonal(support, node_budget=node_budget, orbit_of=_PowerOrbits(t, k, power))
+    orbit_of = _PowerOrbits(t, k, power)
+    del power  # the place map holds its tuples
+    found = max_free_diagonal(support, node_budget=node_budget, orbit_of=orbit_of)
     try:
         free = is_free_diagonal(support, found.witness)
     except ValueError:  # a point outside the support

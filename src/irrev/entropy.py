@@ -420,7 +420,7 @@ def rho_upper(
 # Independent grid oracle
 
 
-# Largest resolution, and count of lines or CW_q point-steps in its grid, the grid oracle takes.
+# Largest resolution, and count of lines in the dense grid, the grid oracle takes.
 ORACLE_GRID_LIMIT = 1 << 22
 # Columns per block of the grid oracle, which bounds the memory it holds.
 # On a 2-vCPU x86_64 machine, with every line built, the benchmark's oracle
@@ -479,12 +479,11 @@ def _axis_groups(points: Sequence[Index]) -> list[list[tuple[int, ...]]]:
     return groups
 
 
-def _columns_objective(rows: Sequence[np.ndarray], groups, th: tuple, xlogx) -> np.ndarray:
-    """Weighted marginal entropy of each column of `rows` (one row per point).
-
-    `xlogx` maps a marginal row to its terms p log2 p.  Each axis's terms
-    are summed before the axis is weighted by theta, the order in which the
-    unit(2) maximum comes out as exactly 1.0.
+def _columns_objective(rows: Sequence[np.ndarray], groups, th: tuple, table: np.ndarray) -> np.ndarray:
+    """Weighted marginal entropy of each column of `rows`, one row of
+    integer counts per point, where table[c] = (c/R) log2 (c/R).  Each
+    axis's terms are summed before the axis is weighted by theta, the order
+    in which the unit(2) maximum comes out as exactly 1.0.
     """
     f = np.zeros(len(rows[0]))
     for i in range(3):
@@ -495,7 +494,7 @@ def _columns_objective(rows: Sequence[np.ndarray], groups, th: tuple, xlogx) -> 
             marg = rows[g[0]]
             for r in g[1:]:
                 marg = marg + rows[r]
-            h += xlogx(marg)
+            h += table.take(marg)
         h *= th[i]
         f -= h
     return f
@@ -520,7 +519,8 @@ def _grid_lines(points: Sequence[Index], th: tuple, R: int):
     the largest of best and f at the points found.
     """
     m = len(points)
-    table = _xlog2x_rows(np.arange(R + 1) / R)
+    p = np.arange(R + 1) / R
+    table = p * np.log2(p, out=np.zeros_like(p), where=p > 0)
     drop = table[:-1] - table[1:]
     groups = _axis_groups(points)
     sides = [(th[i], [r for r in a if r < m - 2], [r for r in b if r < m - 2])
@@ -548,7 +548,7 @@ def _grid_lines(points: Sequence[Index], th: tuple, R: int):
             lo[todo[up]] = x[up] + 1
             hi[todo[~up]] = x[~up]
             todo = todo[lo[todo] < hi[todo]]
-        f = _columns_objective([*lead, lo, S - lo], groups, th, table.take)
+        f = _columns_objective([*lead, lo, S - lo], groups, th, table)
         return float(f.max(initial=best))
 
     return lines, search
@@ -634,46 +634,39 @@ def rho_grid_oracle(
     value found is dropped with all its lines (see `_grid_max`).
     For the Coppersmith-Winograd families (recognized structurally) and
     uniform theta, concavity plus support symmetry reduce the search to the
-    symmetric family, handled at any size: all resolution + 1 steps of it
-    are scored in one vectorized pass.  None of this shares code with the
-    optimizer.  Grids over ORACLE_GRID_LIMIT raise ResourceLimitError
-    before anything is allocated.
+    symmetric family, read from its closed forms: cw_q's is the uniform
+    point, and CW_q's is concave in x, so its largest step on the grid lies
+    next to the closed-form argmax.  None of this shares code with the
+    optimizer.  A resolution over ORACLE_GRID_LIMIT, or a dense grid with
+    more lines, raises ResourceLimitError before anything is allocated.
     """
     if theta is None:
         theta = Theta.uniform()
     if resolution < 1:
         raise ValueError("resolution must be positive")
-    th = theta.as_tuple()
-    points = sorted(t.support().points)
-
+    if resolution > ORACLE_GRID_LIMIT:
+        raise ResourceLimitError(f"grid oracle: resolution {resolution} over the limit {ORACLE_GRID_LIMIT}")
     if theta.is_uniform():
         q = cw_param(t, big=True)
         if q is not None and q >= 1:
-            if len(points) * (resolution + 1) > ORACLE_GRID_LIMIT:
-                raise ResourceLimitError(f"grid oracle: resolution {resolution} too large for CW_{q}")
-            # Each of the 3q middle points carries x, each corner 1/3 - q x.
-            x = np.arange(resolution + 1) / resolution / (3 * q)
-            rows = np.array([x if p.count(0) == 1 else 1.0 / 3.0 - q * x for p in points])
-            return float(_columns_objective(rows, _axis_groups(points), th, _xlog2x_rows).max())
+            # Each of the 3q middle points carries x = j / (3qR), each corner 1/3 - q x.
+            s = cw_big_entropy_argmax(q) * 3 * q * resolution
+            steps = range(max(math.floor(s) - 1, 0), min(math.ceil(s) + 1, resolution) + 1)
+            return max(cw_big_marginal_entropy(q, j / (3 * q * resolution)) for j in steps)
         q = cw_param(t)
         if q is not None:
             # Support symmetry group is transitive: the uniform distribution
             # is the symmetrized family, a single point.
-            rows = np.full((len(points), 1), 1.0 / len(points))
-            return float(_columns_objective(rows, _axis_groups(points), th, _xlog2x_rows)[0])
+            return cw_small_entropy_bound(q)
 
+    points = sorted(t.support().points)
     if len(points) > 6:
         raise ValueError(
             "support too large for the dense grid oracle and no symmetry reduction applies"
         )
-    if max(resolution, math.comb(resolution + len(points) - 2, len(points) - 2)) > ORACLE_GRID_LIMIT:
+    if math.comb(resolution + len(points) - 2, len(points) - 2) > ORACLE_GRID_LIMIT:
         raise ResourceLimitError(f"grid oracle: resolution {resolution} too large for this tensor")
-    return _grid_max(points, th, resolution)
-
-
-def _xlog2x_rows(p: np.ndarray) -> np.ndarray:
-    """Elementwise p log2 p, with 0 where p <= 0."""
-    return p * np.log2(p, out=np.zeros_like(p), where=p > 0)
+    return _grid_max(points, theta.as_tuple(), resolution)
 
 
 # ---------------------------------------------------------------------------

@@ -146,6 +146,16 @@ def test_power_support_is_the_kron_power_support(monkeypatch, t, k):
     assert sup == Support(power.dims, frozenset(power.entries))
 
 
+@pytest.mark.parametrize("k", [6, 9])
+def test_power_points_share_one_int_per_coordinate_value(k):
+    # Coordinates of W^6 lie below 64, inside CPython's cache of small ints;
+    # W^9's reach 511, so there only the build's sharing makes one object each.
+    points = _power_points(w(), k)[0]
+    values = {v for p in points for v in p}
+    assert max(values) == 2**k - 1
+    assert len({id(v) for p in points for v in p}) == len(values)
+
+
 @pytest.mark.parametrize("t, k", [(w(), 3), (tn(3), 1)], ids=["w^3", "tn3"])
 def test_power_search_builds_the_power_once(monkeypatch, t, k):
     # One search builds the power's points once: the labeller's place map is

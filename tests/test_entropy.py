@@ -601,10 +601,10 @@ def test_grid_oracle_cw_big_symmetric():
 
 
 def test_grid_oracle_cw_symmetric_any_size():
-    for q in (3, 5, 7):
-        assert rho_grid_oracle(cw(q), resolution=10) == pytest.approx(
-            cw_small_entropy_bound(q), abs=1e-12
-        )
+    # The symmetric family of cw_q is its uniform point, at every resolution.
+    for q in range(1, 13):
+        for resolution in (1, 10, ORACLE_GRID_LIMIT):
+            assert rho_grid_oracle(cw(q), resolution=resolution) == cw_small_entropy_bound(q)
 
 
 def test_grid_oracle_weighted_theta():
@@ -820,7 +820,7 @@ def test_grid_oracle_refuses_grids_over_the_limit_before_allocating():
         (w(), 10**12),
         (unit(2), ORACLE_GRID_LIMIT + 1),  # a single line
         (six, 200),  # C(204, 4) lines
-        (cw_big(6), ORACLE_GRID_LIMIT // 21),  # 21 points x (R + 1) steps
+        (cw_big(6), ORACLE_GRID_LIMIT + 1),  # a resolution, on the CW family
     ]
     for t, resolution in cases:
         tracemalloc.start()
@@ -833,11 +833,27 @@ def test_grid_oracle_refuses_grids_over_the_limit_before_allocating():
         assert peak < 1 << 20
 
 
-@pytest.mark.parametrize("q", range(1, 5))
+@pytest.mark.parametrize("q", range(1, 9))
 def test_grid_oracle_cw_big_matches_closed_form_steps(q):
-    R = 4000
-    want = max(cw_big_marginal_entropy(q, step / R / (3 * q)) for step in range(R + 1))
-    assert rho_grid_oracle(cw_big(q), resolution=R) == pytest.approx(want, rel=0, abs=1e-12)
+    # The oracle scores the steps next to the closed-form argmax; the family
+    # is concave, so they hold the largest of all R + 1 steps.
+    for R in (1, 2, 3, 7, 97, 1000, 4000, 12345):
+        want = max(cw_big_marginal_entropy(q, step / (3 * q * R)) for step in range(R + 1))
+        assert rho_grid_oracle(cw_big(q), resolution=R) == want
+
+
+def test_grid_oracle_cw_big_at_the_resolution_limit_allocates_no_grid():
+    q, R = 6, ORACLE_GRID_LIMIT
+    tracemalloc.start()
+    try:
+        got = rho_grid_oracle(cw_big(q), resolution=R)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    s = cw_big_entropy_argmax(q) * 3 * q * R
+    near = [cw_big_marginal_entropy(q, step / (3 * q * R)) for step in (math.floor(s), math.ceil(s))]
+    assert max(near) <= got <= cw_big_marginal_entropy(q, cw_big_entropy_argmax(q)) + 1e-15
 
 
 def test_grid_oracle_matches_optimizer_small():
