@@ -469,35 +469,13 @@ def _grid_leads(p: int, R: int, block: int = _GRID_BLOCK, keep=None):
             yield np.vstack([np.repeat(heads[:, a:b], counts, axis=1), last])
 
 
-def _axis_groups(points: Sequence[Index]) -> list[list[tuple[int, ...]]]:
-    """Per axis, the row indices of the points sharing each coordinate value,
-    in increasing order of the value."""
-    groups = []
-    for axis in range(3):
-        values = sorted({p[axis] for p in points})
-        groups.append([tuple(r for r, p in enumerate(points) if p[axis] == v) for v in values])
-    return groups
-
-
-def _columns_objective(rows: Sequence[np.ndarray], groups, th: tuple, table: np.ndarray) -> np.ndarray:
-    """Weighted marginal entropy of each column of `rows`, one row of
-    integer counts per point, where table[c] = (c/R) log2 (c/R).  Each
-    axis's terms are summed before the axis is weighted by theta, the order
-    in which the unit(2) maximum comes out as exactly 1.0.
-    """
-    f = np.zeros(len(rows[0]))
-    for i in range(3):
-        if th[i] == 0.0:
-            continue
-        h = np.zeros(len(f))
-        for g in groups[i]:
-            marg = rows[g[0]]
-            for r in g[1:]:
-                marg = marg + rows[r]
-            h += table.take(marg)
-        h *= th[i]
-        f -= h
-    return f
+def _incidence(points: Sequence[Index], th: tuple) -> list[tuple[float, np.ndarray]]:
+    """Per axis of nonzero weight, (theta_i, A_i): A_i is the 0/1 int matrix
+    whose row v marks the points with coordinate value v on the axis, values
+    in increasing order, so A_i @ counts holds the axis's marginal counts."""
+    return [(th[i], np.array([[p[i] == v for p in points] for v in sorted({p[i] for p in points})],
+                             dtype=np.intp))
+            for i in range(3) if th[i] != 0.0]
 
 
 def _grid_lines(points: Sequence[Index], th: tuple, R: int):
@@ -506,34 +484,35 @@ def _grid_lines(points: Sequence[Index], th: tuple, R: int):
     A column of `lead` holds the counts of all points but the last two, and
     spans the line x + (S - x) of the last two, S = R - sum(lead).  On it
     f(x + 1) - f(x) = rise(x) = sum_s w_s (drop[a_s + x] - drop[b_s - x]),
-    one side s per weighted axis whose groups part the last two points: a_s
-    counts the rest of the group of the first, b_s that of the second plus
-    S - 1, and drop[c] = t(c) - t(c + 1), t(c) = (c/R) log2 (c/R), is
-    strictly decreasing.  So side s rises iff x < r_s = (b_s - a_s + 1) // 2,
-    and the first x that does not rise (S if none) lies in [lo, hi] =
-    [min r_s, max r_s] clipped to [0, S]; lo = hi = 0 with no side, where f
-    is constant.  By discrete concavity f is largest on the line at that x.
+    one side s per weighted axis on which the last two points differ: a_s
+    counts the other points with the first's value, b_s those with the
+    second's plus S - 1, and drop[c] = t(c) - t(c + 1), t(c) = (c/R)
+    log2 (c/R), is strictly decreasing.  So side s rises iff x < r_s =
+    (b_s - a_s + 1) // 2, and the first x that does not rise (S if none)
+    lies in [lo, hi] = [min r_s, max r_s] clipped to [0, S]; lo = hi = 0
+    with no side, where f is constant.  By discrete concavity f is largest
+    on the line at that x.
 
     lines(lead) returns the bracket, as (S, rests, lo, hi).  search(lead,
     best) bisects every line on the sign of rise inside [lo, hi] and returns
-    the largest of best and f at the points found.
+    the largest of best and f at the points found, each axis's terms summed
+    before the axis is weighted, the order in which the unit(2) maximum comes
+    out as exactly 1.0.
     """
-    m = len(points)
     p = np.arange(R + 1) / R
     table = p * np.log2(p, out=np.zeros_like(p), where=p > 0)
     drop = table[:-1] - table[1:]
-    groups = _axis_groups(points)
-    sides = [(th[i], [r for r in a if r < m - 2], [r for r in b if r < m - 2])
-             for i in range(3) for a in groups[i] for b in groups[i]
-             if th[i] != 0.0 and m - 2 in a and m - 1 in b and a != b]
+    axes = _incidence(points, th)
+    # Per weighted axis, the rows a, b of the last two points' values, over the other points.
+    ends = [(w, A[:, -2:].argmax(axis=0), A[:, :-2]) for w, A in axes]
+    sides = [(w, rest[a], rest[b]) for w, (a, b), rest in ends if a != b]
 
     def rise(rests, x):
         return sum((w * (drop[a + x] - drop[b - x]) for w, a, b in rests), 0 * x)
 
     def lines(lead):
         S = R - lead.sum(axis=0)
-        rests = [(w, sum((lead[r] for r in a), 0 * S), sum((lead[r] for r in b), S - 1))
-                 for w, a, b in sides]
+        rests = [(w, a @ lead, b @ lead + (S - 1)) for w, a, b in sides]
         roots = [(b - a + 1) >> 1 for _, a, b in rests] or [0 * S]
         lo = np.minimum(np.maximum(reduce(np.minimum, roots), 0), S)
         hi = np.minimum(np.maximum(reduce(np.maximum, roots), 0), S)
@@ -548,7 +527,9 @@ def _grid_lines(points: Sequence[Index], th: tuple, R: int):
             lo[todo[up]] = x[up] + 1
             hi[todo[~up]] = x[~up]
             todo = todo[lo[todo] < hi[todo]]
-        f = _columns_objective([*lead, lo, S - lo], groups, th, table)
+        cols, f = np.vstack([lead, lo, S - lo]), np.zeros(len(S))
+        for w, A in axes:
+            f -= w * table.take(A @ cols).sum(axis=0)
         return float(f.max(initial=best))
 
     return lines, search
@@ -581,12 +562,11 @@ def _grid_max(points: Sequence[Index], th: tuple, resolution: int) -> float:
     if m == 1:
         return 0.0  # the one grid point is a point mass
     _, search = _grid_lines(points, th, R)
-    # One row per weighted axis and coordinate value: the marginals of x are
-    # M @ x, and w holds minus the weight of each row's axis.
-    groups = _axis_groups(points)
-    rows = [(-th[i], [r in g for r in range(m)]) for i in range(3) if th[i] != 0.0 for g in groups[i]]
-    w = np.array([r[0] for r in rows])[:, None]
-    M = np.array([r[1] for r in rows], dtype=float)
+    # The incidence rows of every weighted axis: the marginals of x are M @ x,
+    # and w holds minus the weight of each row's axis.
+    axes = _incidence(points, th)
+    M = np.vstack([A for _, A in axes]).astype(float)
+    w = np.concatenate([np.full(len(A), -t) for t, A in axes])[:, None]
     best = -math.inf
 
     def keep(heads):
@@ -625,20 +605,23 @@ def rho_grid_oracle(
     """Brute-force lower estimate of the entropy maximum, for cross-checking.
 
     Dense mode returns the maximum over all distributions with denominator
-    `resolution` on supports of at most 6 points.  The splits between the
-    last two points form lines on which the entropy is concave: the roots
-    of its per-axis slopes bracket each line's maximum, and every line built
-    is bisected inside its bracket (see `_grid_lines`).  Before any line is
-    built, the counts of the first points are fixed one at a time, and a
-    face of the grid whose first-order concavity bound is below the best
-    value found is dropped with all its lines (see `_grid_max`).
+    `resolution` on any support whose grid holds at most ORACLE_GRID_LIMIT
+    lines: R is at most 97 on 6 points, 52 on 7, 34 on 8 and 25 on 9.  The
+    splits between the last two points form lines on which the entropy is
+    concave: the roots of its per-axis slopes bracket each line's maximum,
+    and every line built is bisected inside its bracket (see `_grid_lines`).
+    Before any line is built, the counts of the first points are fixed one
+    at a time, and a face of the grid whose first-order concavity bound is
+    below the best value found is dropped with all its lines (see
+    `_grid_max`).
     For the Coppersmith-Winograd families (recognized structurally) and
     uniform theta, concavity plus support symmetry reduce the search to the
     symmetric family, read from its closed forms: cw_q's is the uniform
     point, and CW_q's is concave in x, so its largest step on the grid lies
     next to the closed-form argmax.  None of this shares code with the
     optimizer.  A resolution over ORACLE_GRID_LIMIT, or a dense grid with
-    more lines, raises ResourceLimitError before anything is allocated.
+    more lines on a support of any size, raises ResourceLimitError before
+    anything is allocated.
     """
     if theta is None:
         theta = Theta.uniform()
@@ -659,14 +642,14 @@ def rho_grid_oracle(
             # is the symmetrized family, a single point.
             return cw_small_entropy_bound(q)
 
-    points = sorted(t.support().points)
-    if len(points) > 6:
-        raise ValueError(
-            "support too large for the dense grid oracle and no symmetry reduction applies"
-        )
-    if math.comb(resolution + len(points) - 2, len(points) - 2) > ORACLE_GRID_LIMIT:
+    p = len(t.entries) - 2
+    # The grid holds C(R + p, p) >= 2^min(R, p) lines, so a grid past the
+    # cap's bit length is refused without that count, which takes seconds on
+    # 10^5 points at R = 2^22.
+    if (min(resolution, p) >= ORACLE_GRID_LIMIT.bit_length()
+            or math.comb(resolution + p, p) > ORACLE_GRID_LIMIT):
         raise ResourceLimitError(f"grid oracle: resolution {resolution} too large for this tensor")
-    return _grid_max(points, theta.as_tuple(), resolution)
+    return _grid_max(sorted(t.support().points), theta.as_tuple(), resolution)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import dataclasses
 import io
 import json
@@ -7,14 +8,16 @@ import struct
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import irrev
 from irrev import Tensor, barriers, cli, diagonal, from_json, to_json, unit, w
+from irrev.cli import ORACLE_AGREEMENT
 from irrev.entropy import ORACLE_GRID_LIMIT
 from irrev.tensor import matmul, z3
 
@@ -873,6 +876,53 @@ def test_oracle_resolution_over_limit_exit_5(capsys, monkeypatch, resolution):
     assert code == 5 and out == ""
     assert err.startswith("error: ") and len(err.splitlines()) == 1
     assert resolution in err
+
+
+@st.composite
+def _valid_tensors(draw):
+    """A tensor in a box of at most 4^3, on 1 to 12 points, with small
+    nonzero integer coefficients; draws that are simple tensors are dropped."""
+    dims = draw(st.tuples(*[st.integers(1, 4)] * 3))
+    cells = list(product(*map(range, dims)))
+    points = draw(st.lists(st.sampled_from(cells), min_size=1, max_size=min(12, len(cells)), unique=True))
+    coeffs = draw(st.lists(st.integers(-3, 3).filter(bool), min_size=len(points), max_size=len(points)))
+    try:
+        return Tensor(dims, dict(zip(points, coeffs)))
+    except ValueError:
+        assume(False)
+
+
+# At 17 digits the JSON holds the exact values that the exit code compares.
+_ORACLE_FORM = ["rho", "--oracle", "--resolution", "20", "--format", "json", "--precision", "17"]
+_CONTRACT_FORMS = [["irr"], ["irr", "--search-theta"], ["rho"], ["rho", "--theta", "0.5,0.3,0.2"],
+                   _ORACLE_FORM, ["diag", "--budget", "2000"], ["diag", "--power", "2", "--budget", "2000"],
+                   ["flatrank"]]
+
+
+@settings(max_examples=120, deadline=None)
+@given(_valid_tensors())
+def test_exit_code_contract_on_valid_tensors(tmp_path_factory, t):
+    # A valid file with valid flags never exits 2 and raises nothing; exit 3
+    # (degenerate), 4 (mismatch) and 5 (resource limit) each need their cause.
+    path = tmp_path_factory.getbasetemp() / "exit_code_contract.json"
+    path.write_text(to_json(t) + "\n")
+    m = len(t.entries)
+    for form in _CONTRACT_FORMS:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = _exit_code([form[0], str(path), *form[1:]])
+        assert code in (0, 3, 4, 5), form
+        if form is _ORACLE_FORM:
+            if code == 5:
+                assert math.comb(20 + m - 2, m - 2) > ORACLE_GRID_LIMIT
+            else:
+                doc = json.loads(out.getvalue())
+                assert (code == 4) == (abs(doc["oracle"] - doc["value"]) > ORACLE_AGREEMENT), doc
+        elif code == 3:
+            assert form == ["irr", "--search-theta"], form
+            assert any(len({p[axis] for p in t.entries}) == 1 for axis in range(3))
+        else:
+            assert code == 0, form
 
 
 def test_num_digit_limit_exit_2(capsys, monkeypatch):

@@ -616,10 +616,19 @@ def test_grid_oracle_weighted_theta():
 
 
 def test_grid_oracle_rejects_large_support():
-    with pytest.raises(ValueError):
+    # Any support size is taken; z3's 9 points at R = 100 span C(107, 7) lines.
+    with pytest.raises(ResourceLimitError, match="grid oracle"):
         rho_grid_oracle(z3(), resolution=100)
     with pytest.raises(ValueError):
         rho_grid_oracle(w(), resolution=0)
+
+
+def test_grid_oracle_on_supports_of_seven_points_and_more():
+    # z3 (9 points) at R = 18, matmul(2,2,2) and unit(8) (8 points) at R = 32:
+    # each grid holds a maximum of the entropy.
+    assert rho_grid_oracle(z3(), resolution=18) == pytest.approx(rho_upper(z3()).value, rel=0, abs=1e-15)
+    assert rho_grid_oracle(matmul(2, 2, 2), resolution=32) == 2.0
+    assert rho_grid_oracle(unit(8), resolution=32) == 3.0
 
 
 @pytest.mark.parametrize("p", range(6))
@@ -669,14 +678,18 @@ def test_grid_max_face_bound_keeps_most_lines_unbuilt(monkeypatch):
 _CELLS = [(a, b, c) for a in range(3) for b in range(3) for c in range(3)]
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(
-    st.lists(st.sampled_from(_CELLS), min_size=1, max_size=6, unique=True),
-    st.integers(1, 12),
+    st.one_of(
+        st.tuples(st.lists(st.sampled_from(_CELLS), min_size=1, max_size=6, unique=True),
+                  st.integers(1, 12)),
+        st.tuples(st.lists(st.sampled_from(_CELLS), min_size=7, max_size=8, unique=True),
+                  st.integers(1, 8)),
+    ),
     st.tuples(*[st.one_of(st.just(0.0), st.floats(0.05, 1.0))] * 3).filter(lambda v: sum(v) > 0),
 )
-def test_grid_max_matches_naive_enumeration(points, resolution, weights):
-    points = sorted(points)
+def test_grid_max_matches_naive_enumeration(support, weights):
+    points, resolution = sorted(support[0]), support[1]
     th = tuple(v / sum(weights) for v in weights)
     want = naive_grid_max(points, th, resolution)
     assert _grid_max(points, th, resolution) == pytest.approx(want, rel=0, abs=1e-12)
@@ -831,6 +844,15 @@ def test_grid_oracle_refuses_grids_over_the_limit_before_allocating():
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+
+def test_grid_oracle_refuses_a_wide_grid_without_counting_its_lines(monkeypatch):
+    # C(R + p, p) >= 2^min(R, p), so a grid with R and p both past 22 is over
+    # the cap; its count, which takes seconds at 10^5 points and R = 2^22, is
+    # not computed.
+    monkeypatch.setattr(math, "comb", None)
+    with pytest.raises(ResourceLimitError, match="grid oracle"):
+        rho_grid_oracle(unit(25), resolution=23)
 
 
 @pytest.mark.parametrize("q", range(1, 9))
