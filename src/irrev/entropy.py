@@ -470,16 +470,17 @@ def _grid_leads(p: int, R: int, block: int = _GRID_BLOCK, keep=None):
 
 
 def _incidence(points: Sequence[Index], th: tuple) -> list[tuple[float, np.ndarray]]:
-    """Per axis of nonzero weight, (theta_i, A_i): A_i is the 0/1 int matrix
+    """Per axis of nonzero weight, (theta_i, A_i): A_i is the 0/1 matrix
     whose row v marks the points with coordinate value v on the axis, values
-    in increasing order, so A_i @ counts holds the axis's marginal counts."""
+    in increasing order, so A_i @ x holds the axis's marginals of x."""
     return [(th[i], np.array([[p[i] == v for p in points] for v in sorted({p[i] for p in points})],
-                             dtype=np.intp))
+                             dtype=float))
             for i in range(3) if th[i] != 0.0]
 
 
-def _grid_lines(points: Sequence[Index], th: tuple, R: int):
-    """The line search of `_grid_max` at resolution R, as (lines, search).
+def _grid_lines(axes: list[tuple[float, np.ndarray]], R: int):
+    """The line search of `_grid_max` at resolution R on the support whose
+    `_incidence` is `axes`, as (lines, search).
 
     A column of `lead` holds the counts of all points but the last two, and
     spans the line x + (S - x) of the last two, S = R - sum(lead).  On it
@@ -502,17 +503,19 @@ def _grid_lines(points: Sequence[Index], th: tuple, R: int):
     p = np.arange(R + 1) / R
     table = p * np.log2(p, out=np.zeros_like(p), where=p > 0)
     drop = table[:-1] - table[1:]
-    axes = _incidence(points, th)
-    # Per weighted axis, the rows a, b of the last two points' values, over the other points.
-    ends = [(w, A[:, -2:].argmax(axis=0), A[:, :-2]) for w, A in axes]
-    sides = [(w, rest[a], rest[b]) for w, (a, b), rest in ends if a != b]
+    m = axes[0][1].shape[1]
+    # Per weighted axis, the points of each value, read off the rows of A.
+    groups = [(w, [np.flatnonzero(row).tolist() for row in A]) for w, A in axes]
+    sides = [(w, [r for r in a if r < m - 2], [r for r in b if r < m - 2])
+             for w, g in groups for a in g for b in g if m - 2 in a and m - 1 in b and a != b]
 
     def rise(rests, x):
         return sum((w * (drop[a + x] - drop[b - x]) for w, a, b in rests), 0 * x)
 
     def lines(lead):
         S = R - lead.sum(axis=0)
-        rests = [(w, a @ lead, b @ lead + (S - 1)) for w, a, b in sides]
+        rests = [(w, sum((lead[r] for r in a), 0 * S), sum((lead[r] for r in b), S - 1))
+                 for w, a, b in sides]
         roots = [(b - a + 1) >> 1 for _, a, b in rests] or [0 * S]
         lo = np.minimum(np.maximum(reduce(np.minimum, roots), 0), S)
         hi = np.minimum(np.maximum(reduce(np.maximum, roots), 0), S)
@@ -527,9 +530,9 @@ def _grid_lines(points: Sequence[Index], th: tuple, R: int):
             lo[todo[up]] = x[up] + 1
             hi[todo[~up]] = x[~up]
             todo = todo[lo[todo] < hi[todo]]
-        cols, f = np.vstack([lead, lo, S - lo]), np.zeros(len(S))
-        for w, A in axes:
-            f -= w * table.take(A @ cols).sum(axis=0)
+        rows, f = [*lead, lo, S - lo], np.zeros(len(S))
+        for w, g in groups:
+            f -= w * reduce(np.add, [table.take(reduce(np.add, [rows[r] for r in v])) for v in g])
         return float(f.max(initial=best))
 
     return lines, search
@@ -561,11 +564,11 @@ def _grid_max(points: Sequence[Index], th: tuple, resolution: int) -> float:
     m, R = len(points), resolution
     if m == 1:
         return 0.0  # the one grid point is a point mass
-    _, search = _grid_lines(points, th, R)
+    axes = _incidence(points, th)
+    _, search = _grid_lines(axes, R)
     # The incidence rows of every weighted axis: the marginals of x are M @ x,
     # and w holds minus the weight of each row's axis.
-    axes = _incidence(points, th)
-    M = np.vstack([A for _, A in axes]).astype(float)
+    M = np.vstack([A for _, A in axes])
     w = np.concatenate([np.full(len(A), -t) for t, A in axes])[:, None]
     best = -math.inf
 
@@ -605,11 +608,12 @@ def rho_grid_oracle(
     """Brute-force lower estimate of the entropy maximum, for cross-checking.
 
     Dense mode returns the maximum over all distributions with denominator
-    `resolution` on any support whose grid holds at most ORACLE_GRID_LIMIT
-    lines: R is at most 97 on 6 points, 52 on 7, 34 on 8 and 25 on 9.  The
-    splits between the last two points form lines on which the entropy is
-    concave: the roots of its per-axis slopes bracket each line's maximum,
-    and every line built is bisected inside its bracket (see `_grid_lines`).
+    `resolution` on any support of at most 24 points whose grid holds at
+    most ORACLE_GRID_LIMIT lines: R is at most 97 on 6 points, 52 on 7, 34
+    on 8, 25 on 9 and 7 on 24.  The splits between the last two points form
+    lines on which the entropy is concave: the roots of its per-axis slopes
+    bracket each line's maximum, and every line built is bisected inside its
+    bracket (see `_grid_lines`).
     Before any line is built, the counts of the first points are fixed one
     at a time, and a face of the grid whose first-order concavity bound is
     below the best value found is dropped with all its lines (see
@@ -619,9 +623,9 @@ def rho_grid_oracle(
     symmetric family, read from its closed forms: cw_q's is the uniform
     point, and CW_q's is concave in x, so its largest step on the grid lies
     next to the closed-form argmax.  None of this shares code with the
-    optimizer.  A resolution over ORACLE_GRID_LIMIT, or a dense grid with
-    more lines on a support of any size, raises ResourceLimitError before
-    anything is allocated.
+    optimizer.  A resolution over ORACLE_GRID_LIMIT, a dense grid with more
+    lines, or a dense support of 25 points or more, at any R, raises
+    ResourceLimitError before any grid is built.
     """
     if theta is None:
         theta = Theta.uniform()
@@ -643,12 +647,11 @@ def rho_grid_oracle(
             return cw_small_entropy_bound(q)
 
     p = len(t.entries) - 2
-    # The grid holds C(R + p, p) >= 2^min(R, p) lines, so a grid past the
-    # cap's bit length is refused without that count, which takes seconds on
-    # 10^5 points at R = 2^22.
-    if (min(resolution, p) >= ORACLE_GRID_LIMIT.bit_length()
-            or math.comb(resolution + p, p) > ORACLE_GRID_LIMIT):
-        raise ResourceLimitError(f"grid oracle: resolution {resolution} too large for this tensor")
+    # `_grid_leads` nests p deep, and the incidence table grows with the
+    # square of the points.  Refusing p past the cap's bit length at every R
+    # keeps both, and the count of lines itself, small.
+    if p >= ORACLE_GRID_LIMIT.bit_length() or math.comb(resolution + p, p) > ORACLE_GRID_LIMIT:
+        raise ResourceLimitError(f"grid oracle: resolution {resolution} too large for a support of {p + 2} points")
     return _grid_max(sorted(t.support().points), theta.as_tuple(), resolution)
 
 

@@ -878,6 +878,17 @@ def test_oracle_resolution_over_limit_exit_5(capsys, monkeypatch, resolution):
     assert resolution in err
 
 
+def test_oracle_on_a_large_support_exit_5(capsys, monkeypatch):
+    # 1,500 points are refused at R = 1, before the search would nest 1,498 deep.
+    code, out, err = run_cli(
+        capsys, ["rho", "-", "--oracle", "--resolution", "1"],
+        stdin=to_json(unit(1500)), monkeypatch=monkeypatch,
+    )
+    assert code == 5 and out == ""
+    assert err.startswith("error: grid oracle") and len(err.splitlines()) == 1
+    assert "1500 points" in err
+
+
 @st.composite
 def _valid_tensors(draw):
     """A tensor in a box of at most 4^3, on 1 to 12 points, with small
@@ -914,7 +925,7 @@ def test_exit_code_contract_on_valid_tensors(tmp_path_factory, t):
         assert code in (0, 3, 4, 5), form
         if form is _ORACLE_FORM:
             if code == 5:
-                assert math.comb(20 + m - 2, m - 2) > ORACLE_GRID_LIMIT
+                assert m - 2 >= ORACLE_GRID_LIMIT.bit_length() or math.comb(20 + m - 2, m - 2) > ORACLE_GRID_LIMIT
             else:
                 doc = json.loads(out.getvalue())
                 assert (code == 4) == (abs(doc["oracle"] - doc["value"]) > ORACLE_AGREEMENT), doc

@@ -55,6 +55,7 @@ from irrev.entropy import (
     _grid_leads,
     _grid_lines,
     _grid_max,
+    _incidence,
     _line_search,
     _newton_direction,
     _newton_step,
@@ -678,21 +679,34 @@ def test_grid_max_face_bound_keeps_most_lines_unbuilt(monkeypatch):
 _CELLS = [(a, b, c) for a in range(3) for b in range(3) for c in range(3)]
 
 
-@settings(max_examples=80, deadline=None)
-@given(
-    st.one_of(
-        st.tuples(st.lists(st.sampled_from(_CELLS), min_size=1, max_size=6, unique=True),
-                  st.integers(1, 12)),
-        st.tuples(st.lists(st.sampled_from(_CELLS), min_size=7, max_size=8, unique=True),
-                  st.integers(1, 8)),
-    ),
-    st.tuples(*[st.one_of(st.just(0.0), st.floats(0.05, 1.0))] * 3).filter(lambda v: sum(v) > 0),
-)
-def test_grid_max_matches_naive_enumeration(support, weights):
-    points, resolution = sorted(support[0]), support[1]
+_WEIGHTS = st.tuples(*[st.one_of(st.just(0.0), st.floats(0.05, 1.0))] * 3).filter(lambda v: sum(v) > 0)
+
+
+def _assert_grid_max_is_naive(points, resolution, weights):
+    points = sorted(points)
     th = tuple(v / sum(weights) for v in weights)
     want = naive_grid_max(points, th, resolution)
     assert _grid_max(points, th, resolution) == pytest.approx(want, rel=0, abs=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.sampled_from(_CELLS), min_size=1, max_size=6, unique=True),
+    st.integers(1, 12),
+    _WEIGHTS,
+)
+def test_grid_max_matches_naive_enumeration(points, resolution, weights):
+    _assert_grid_max_is_naive(points, resolution, weights)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.sampled_from(_CELLS), min_size=7, max_size=8, unique=True),
+    st.integers(1, 8),
+    _WEIGHTS,
+)
+def test_grid_max_matches_naive_enumeration_on_seven_and_eight_points(points, resolution, weights):
+    _assert_grid_max_is_naive(points, resolution, weights)
 
 
 @pytest.mark.parametrize("m, resolution", [(3, 300), (4, 40), (5, 12), (6, 12)])
@@ -776,7 +790,7 @@ def _line_scan(case):
     """The bracket `_grid_lines` gives the line of `case`, and f at every
     split x + (S - x) of its last two points, from dicts."""
     points, th, resolution, lead = case
-    lines, _ = _grid_lines(points, th, resolution)
+    lines, _ = _grid_lines(_incidence(points, th), resolution)
     _, _, lo, hi = lines(np.array(lead, dtype=np.intp).reshape(-1, 1))
     S = resolution - sum(lead)
     f = [certificate_gap(points, [c / resolution for c in (*lead, x, S - x)], th)[0]
@@ -820,7 +834,7 @@ def test_grid_line_bracket_holds_the_first_split_that_does_not_rise(case):
 @_with_line_examples
 def test_grid_line_search_finds_the_line_maximum(case):
     points, th, resolution, lead = case
-    _, search = _grid_lines(points, th, resolution)
+    _, search = _grid_lines(_incidence(points, th), resolution)
     got = search(np.array(lead, dtype=np.intp).reshape(-1, 1), -math.inf)
     assert got == pytest.approx(max(_line_scan(case)[2]), rel=0, abs=1e-12)
 
@@ -846,13 +860,16 @@ def test_grid_oracle_refuses_grids_over_the_limit_before_allocating():
         assert peak < 1 << 20
 
 
-def test_grid_oracle_refuses_a_wide_grid_without_counting_its_lines(monkeypatch):
-    # C(R + p, p) >= 2^min(R, p), so a grid with R and p both past 22 is over
-    # the cap; its count, which takes seconds at 10^5 points and R = 2^22, is
-    # not computed.
+def test_grid_oracle_refuses_supports_of_25_points_and_more_at_any_resolution(monkeypatch):
+    # 24 points, whose search nests 22 levels deep, are taken at R = 2, where
+    # two points of 1/2 each give every axis 1 bit.  From 25 points on, even
+    # R = 1 is refused, without counting the lines (which takes seconds at
+    # 10^5 points and R = 2^22).
+    assert rho_grid_oracle(unit(24), resolution=2) == 1.0
     monkeypatch.setattr(math, "comb", None)
-    with pytest.raises(ResourceLimitError, match="grid oracle"):
-        rho_grid_oracle(unit(25), resolution=23)
+    for n, resolution in [(25, 1), (1500, 1), (25, 23), (100_000, ORACLE_GRID_LIMIT)]:
+        with pytest.raises(ResourceLimitError, match="grid oracle"):
+            rho_grid_oracle(unit(n), resolution=resolution)
 
 
 @pytest.mark.parametrize("q", range(1, 9))
